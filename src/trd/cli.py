@@ -90,13 +90,39 @@ def _universe_from_args(args) -> InstanceUniverse | None:
             no_isolated=not args.allow_isolated,
         )
     if args.random is not None:
-        parts = args.random.split(",")
-        if len(parts) != 3:
-            raise TrdError(f"--random wants count,n,p, got {args.random!r}")
-        return RandomGnp(int(parts[0]), int(parts[1]), float(parts[2]), args.seed)
+        return RandomGnp(*args.random, args.seed)
     if args.family:
         return Families(tuple(fam.parse_family(t) for t in args.family))
     return None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _gnp_spec(text: str) -> tuple[int, int, float]:
+    parts = text.split(",")
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        return int(parts[0]), int(parts[1]), float(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants COUNT,N,P (integer, integer, number), got {text!r}"
+        ) from None
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -113,21 +139,21 @@ def _add_universe_flags(p: argparse.ArgumentParser) -> None:
                    help="restrict --all-labeled to connected graphs")
     p.add_argument("--allow-isolated", action="store_true",
                    help="keep graphs with isolated vertices in --all-labeled")
-    p.add_argument("--random", metavar="COUNT,N,P",
+    p.add_argument("--random", type=_gnp_spec, metavar="COUNT,N,P",
                    help="seeded G(n,p) samples")
     p.add_argument("--family", action="append", metavar="SPEC",
                    help="family universe member (repeatable)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trd",
         description="total Roman domination workbench",
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for --random universes (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel map width for verify/hunt/profile")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,9 +211,9 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _delta_worker(payload: tuple[str, int, int]) -> int:
-    g6, u, v = payload
-    return edge_delta(graph6_decode(g6), u, v)
+def _delta_worker(payload: tuple[str, int, int, int]) -> int:
+    g6, u, v, base = payload
+    return edge_delta(graph6_decode(g6), u, v, base)
 
 
 def _cmd_profile(args) -> int:
@@ -196,12 +222,12 @@ def _cmd_profile(args) -> int:
         if g.has_isolated_vertices():
             raise IsolatedVertexError("edge profiles need no isolated vertices")
         g6 = graph6_encode(g)
+        base = gamma_tr_value(g)
         non_edges = g.non_edges()
-        payloads = [(g6, u, v) for u, v in non_edges]
+        payloads = [(g6, u, v, base) for u, v in non_edges]
         deltas = dict(
             zip(non_edges, parallel_map(_delta_worker, payloads, args.jobs))
         )
-        base = gamma_tr_value(g)
         classification = classify_deltas(deltas)
     else:
         profile = edge_profile(g)

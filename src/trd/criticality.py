@@ -64,13 +64,18 @@ def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
     return MIXED
 
 
-def edge_delta(g: Graph, u: int, v: int) -> int:
-    """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv."""
+def edge_delta(g: Graph, u: int, v: int, base: int | None = None) -> int:
+    """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv.
+
+    ``base`` is gamma_tR(G) when the caller already knows it.
+    """
     if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
         raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
     if g.has_isolated_vertices():
         raise IsolatedVertexError("edge deltas need a graph without isolated vertices")
-    return gamma_tr_value(g) - gamma_tr_value(add_edge(g, u, v))
+    if base is None:
+        base = gamma_tr_value(g)
+    return base - gamma_tr_value(add_edge(g, u, v))
 
 
 def edge_profile(g: Graph) -> EdgeProfile:
@@ -78,10 +83,7 @@ def edge_profile(g: Graph) -> EdgeProfile:
     if g.has_isolated_vertices():
         raise IsolatedVertexError("edge profiles need a graph without isolated vertices")
     base = gamma_tr_value(g)
-    deltas = {
-        (u, v): base - gamma_tr_value(add_edge(g, u, v))
-        for u, v in g.non_edges()
-    }
+    deltas = {(u, v): edge_delta(g, u, v, base) for u, v in g.non_edges()}
     return EdgeProfile(base, deltas, classify_deltas(deltas))
 
 

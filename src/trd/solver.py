@@ -1,16 +1,23 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
-The central piece is a branch-and-bound search over partial weight
-assignments f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of
-maximum degree, trying the values 2, then 1, then 0; the 0 branch is
-expanded over the choices of lowest-index neighbour that will carry the
-required 2, so every level of the tree satisfies at least one new vertex.
-The same engine serves Roman domination (total condition disabled) and
+gamma_tR is solved per connected component: values add, and the
+lexicographically smallest minimum function is each component's smallest
+one put back in place.  A component of order > 6 that admits a vertex
+order of frontier width <= 2 is solved by a frontier dynamic program over
+that order; every other component by branch and bound.  Value-only solves
+of order <= 6 are memoised and go straight to branch and bound.
+
+The branch and bound searches partial weight assignments
+f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
+degree, trying the values 2, then 1, then 0; the 0 branch is expanded
+over the choices of lowest-index neighbour that will carry the required
+2, so every level of the tree satisfies at least one new vertex.  The
+same engine serves Roman domination (total condition disabled) and
 supports pinned vertex values, which is how dead vertices and the
 lexicographically smallest witness are computed.
 
 A deliberately independent oracle, :func:`brute_oracle_gamma_tr`, scans all
-3^n weight vectors and shares nothing with the branch-and-bound path.
+3^n weight vectors and shares nothing with either engine.
 """
 
 from __future__ import annotations
@@ -26,12 +33,15 @@ from .errors import (
     OutOfRangeError,
     TooSmallError,
 )
-from .graphs import Graph, iter_bits
+from .graphs import Graph, component_masks, induced_subgraph, iter_bits
 
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
 _VALUE_CACHE_MAX_N = 6
 _ORDER_CACHE_N = 7
+# below order 7 branch and bound is faster than the DP even at width 2
+_DP_MIN_N = 7
+_DP_MAX_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -347,10 +357,200 @@ def reset_caches() -> None:
         store.clear()
 
 
-def _gamma_tr_uncached(g: Graph) -> int:
+def _frontier_order(g: Graph) -> list[int] | None:
+    """A vertex order of frontier width <= 2, found greedily, else None.
+
+    After a prefix of the order, the frontier is the set of placed vertices
+    that still have an unplaced neighbour.  Each step places the vertex
+    that leaves the smallest frontier, preferring more placed neighbours,
+    then lower degree, then lower index.
+    """
+    n, adj = g.n, g.adj
+    # under width 2 each vertex has at most two earlier neighbours
+    if g.edge_count > 2 * n - 3:
+        return None
+    deg = g.degrees
+    placed = frontier = 0
+    order = []
+    for _ in range(n):
+        best = None
+        for v in iter_bits(g.full_mask & ~placed):
+            low = 1 << v
+            now = placed | low
+            nf = frontier | low
+            for u in iter_bits(frontier & adj[v] | low):
+                if not adj[u] & ~now:
+                    nf ^= 1 << u
+            key = (nf.bit_count(), -(adj[v] & placed).bit_count(), deg[v], v)
+            if best is None or key < best[0]:
+                best = (key, v, nf)
+        key, v, frontier = best
+        if key[0] > _DP_MAX_WIDTH:
+            return None
+        placed |= 1 << v
+        order.append(v)
+    return order
+
+
+class _FrontierDP:
+    """Minimum TRD-function weight by dynamic programming over a vertex order.
+
+    Walking the order, a table maps each reachable state of the frontier
+    to the least weight of the placed vertices.  A frontier vertex's state
+    is its value and whether its condition is already met (a 0 has a
+    neighbour of value 2, a positive vertex has a positive neighbour),
+    coded as ``2 * value + met``.  A vertex leaves the frontier once all
+    its neighbours are placed, and only with its condition met.  Each table
+    entry counts as one node against ``node_budget``.
+    """
+
+    __slots__ = ("n", "steps", "budget", "nodes")
+
+    def __init__(self, g: Graph, order: list[int], node_budget: int | None = None):
+        self.n = g.n
+        self.budget = node_budget
+        self.nodes = 0
+        adj = g.adj
+        placed = 0
+        frontier: list[int] = []
+        steps = []
+        for v in order:
+            placed |= 1 << v
+            # frontier positions that neighbour v, stay, and leave
+            nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
+            keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
+            leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
+            stays = bool(adj[v] & ~placed)
+            steps.append((v, nbrs, keep, leave, stays))
+            frontier = [frontier[p] for p in keep] + ([v] if stays else [])
+        self.steps = steps
+
+    def run(self, allowed: list[tuple[int, ...]]) -> tuple[int | None, list[int]]:
+        """Least weight with f(v) in ``allowed[v]``, and a function attaining it.
+
+        Returns ``(None, [])`` when no TRD-function respects ``allowed``.
+        """
+        table: dict[tuple[int, ...], tuple] = {(): (0, None, 0)}
+        tables = []
+        for v, nbrs, keep, leave, stays in self.steps:
+            nxt: dict[tuple[int, ...], tuple] = {}
+            for state, (weight, _, _) in table.items():
+                near = max((state[p] for p in nbrs), default=0)
+                for x in allowed[v]:
+                    codes = list(state)
+                    for p in nbrs:
+                        c = codes[p]
+                        if x == 2 or (x and c >= 2):
+                            codes[p] = c | 1
+                    if any(not codes[p] & 1 for p in leave):
+                        continue
+                    met = near >= 4 if x == 0 else near >= 2
+                    if not stays and not met:
+                        continue
+                    key = tuple(codes[p] for p in keep)
+                    if stays:
+                        key += (2 * x + met,)
+                    old = nxt.get(key)
+                    if old is None or weight + x < old[0]:
+                        nxt[key] = (weight + x, state, x)
+            self.nodes += len(nxt)
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExceededError(f"node budget {self.budget} exhausted")
+            tables.append(nxt)
+            table = nxt
+        if () not in table:
+            return None, []
+        values = [0] * self.n
+        state: tuple[int, ...] = ()
+        for (v, *_), entries in zip(reversed(self.steps), reversed(tables)):
+            _, state, values[v] = entries[state]
+        return table[()][0], values
+
+
+def _dp_trd(
+    g: Graph, order: list[int], node_budget: int | None, witness: bool
+) -> tuple[int, tuple[int, ...] | None, int]:
+    """gamma_tR by the frontier DP; the witness by pinned re-runs in index order.
+
+    Each vertex in turn keeps the smallest value that still reaches the
+    optimum.  The last run's function proves its own value feasible, so
+    only the smaller values are re-run.
+    """
+    dp = _FrontierDP(g, order, node_budget)
+    allowed = [(0, 1, 2)] * g.n
+    value, values = dp.run(allowed)
+    if not witness:
+        return value, None, dp.nodes
+    for v in range(g.n):
+        for x in range(values[v]):
+            allowed[v] = (x,)
+            hit, found = dp.run(allowed)
+            if hit == value:
+                values = found
+                break
+        allowed[v] = (values[v],)
+    return value, tuple(values), dp.nodes
+
+
+def _bnb_trd(
+    g: Graph, node_budget: int | None, witness: bool
+) -> tuple[int, tuple[int, ...] | None, int]:
+    """gamma_tR by branch and bound seeded by the constructive probe.
+
+    The witness is built by pinning vertex values in index order and
+    keeping the smallest value that still admits a completion of optimal
+    weight.  ``node_budget`` bounds the total nodes across all searches.
+    """
     probe = _trd_probe(g)
-    found = _WeightSearch(g, True).solve(target_cap=probe - 1)
-    return probe if found is None else found
+    search = _WeightSearch(g, True, node_budget)
+    found = search.solve(target_cap=probe - 1)
+    nodes = search.nodes
+    value = probe if found is None else found
+    if not witness:
+        return value, None, nodes
+    pins: dict[int, int] = {}
+    for v in range(g.n):
+        for val in (0, 1, 2):
+            pins[v] = val
+            remaining = None if node_budget is None else node_budget - nodes
+            s2 = _WeightSearch(g, True, remaining)
+            hit = s2.solve(forced=pins, target_cap=value, first_hit=True)
+            nodes += s2.nodes
+            if hit is not None:
+                break
+        else:  # pragma: no cover - the prefix is always extendable
+            raise AssertionError("witness reconstruction failed")
+    return value, tuple(pins[v] for v in range(g.n)), nodes
+
+
+def _solve_trd(
+    g: Graph, node_budget: int | None, witness: bool
+) -> tuple[int, tuple[int, ...] | None, int]:
+    """gamma_tR(G), with ``witness`` its lexicographically smallest minimum
+    function, and the nodes spent.
+
+    Components are solved apart under one shared ``node_budget``: by the
+    frontier DP when the component has order > 6 and a greedy order of
+    width <= 2, else by branch and bound.
+    """
+    comps = component_masks(g)
+    value = nodes = 0
+    values = [0] * g.n
+    for comp in comps:
+        verts = list(iter_bits(comp))
+        h = g if len(comps) == 1 else induced_subgraph(g, verts)
+        budget = None if node_budget is None else node_budget - nodes
+        order = _frontier_order(h) if h.n >= _DP_MIN_N else None
+        if order is None:
+            part, vec, used = _bnb_trd(h, budget, witness)
+        else:
+            part, vec, used = _dp_trd(h, order, budget, witness)
+        value += part
+        nodes += used
+        if witness:
+            for v, x in zip(verts, vec):
+                values[v] = x
+    return value, tuple(values) if witness else None, nodes
 
 
 def gamma_tr_value(g: Graph) -> int:
@@ -365,16 +565,18 @@ def gamma_tr_value(g: Graph) -> int:
         key = g.edge_mask
         val = arr[key]
         if val == 0xFF:
-            val = _gamma_tr_uncached(g)
+            val = _bnb_trd(g, None, False)[0]
             arr[key] = val
         return val
-    return _gamma_tr_uncached(g)
+    return _solve_trd(g, None, False)[0]
 
 
 def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     """Whether some TRD-function on G has weight <= cap."""
     if g.n < 2:
         raise TooSmallError("gamma_tR needs order >= 2")
+    if g.n > SOLVER_MAX_N:
+        raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
     _require_no_isolated(g)
     if _trd_probe(g) <= cap:
         return True
@@ -402,36 +604,22 @@ def gamma_tr_equals_order(g: Graph) -> bool:
 def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     """Exact gamma_tR(G) with the lexicographically smallest minimum witness.
 
-    The value comes from branch and bound seeded by constructive probes;
-    the witness is built by pinning vertex values in index order and
-    keeping the smallest value that still admits a completion of optimal
-    weight.  ``node_budget`` bounds the total nodes across all searches.
+    The graph is split into components, whose values add and whose
+    smallest witnesses are put back in place.  A component of order > 6
+    with a vertex order of frontier width <= 2 is solved by the frontier
+    DP, which finds the witness by re-running with vertex values pinned in
+    index order.  Any other component is solved by branch and bound seeded
+    by constructive probes, which finds the witness by pinned first-hit
+    searches in index order.  ``node_budget`` bounds the total nodes, DP
+    table entries included, across all components and searches.
     """
     if g.n < 2:
         raise TooSmallError("gamma_tR needs order >= 2")
     if g.n > SOLVER_MAX_N:
         raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
     _require_no_isolated(g)
-    nodes = 0
-    probe = _trd_probe(g)
-    search = _WeightSearch(g, True, node_budget)
-    found = search.solve(target_cap=probe - 1)
-    nodes += search.nodes
-    value = probe if found is None else found
-    pins: dict[int, int] = {}
-    for v in range(g.n):
-        for val in (0, 1, 2):
-            pins[v] = val
-            remaining = None if node_budget is None else node_budget - nodes
-            s2 = _WeightSearch(g, True, remaining)
-            hit = s2.solve(forced=pins, target_cap=value, first_hit=True)
-            nodes += s2.nodes
-            if hit is not None:
-                break
-        else:  # pragma: no cover - the prefix is always extendable
-            raise AssertionError("witness reconstruction failed")
-    witness = WeightFunction(tuple(pins[v] for v in range(g.n)))
-    return SolveResult("gamma_tR", value, witness, nodes)
+    value, values, nodes = _solve_trd(g, node_budget, witness=True)
+    return SolveResult("gamma_tR", value, WeightFunction(values), nodes)
 
 
 def brute_oracle_gamma_tr(g: Graph) -> int:
@@ -653,6 +841,8 @@ def _gamma_r_uncached(g: Graph) -> int:
 
 def gamma_r_value(g: Graph) -> int:
     """The Roman domination number gamma_R(G), memoised for n <= 6."""
+    if g.n > SOLVER_MAX_N:
+        raise GraphTooLargeError(f"gamma_R capped at n <= {SOLVER_MAX_N}")
     if g.n <= _VALUE_CACHE_MAX_N:
         arr = _value_cache(_R_VALUES, g.n)
         key = g.edge_mask
@@ -666,6 +856,8 @@ def gamma_r_value(g: Graph) -> int:
 
 def rd_weight_at_most(g: Graph, cap: int, pins: dict[int, int] | None = None) -> bool:
     """Whether some RD-function (with optional pinned values) has weight <= cap."""
+    if g.n > SOLVER_MAX_N:
+        raise GraphTooLargeError(f"gamma_R capped at n <= {SOLVER_MAX_N}")
     return _WeightSearch(g, False).solve(
         forced=pins, target_cap=cap, first_hit=True
     ) is not None

@@ -75,3 +75,23 @@ def connected_graphs(draw, min_n=2, max_n=6):
     g = draw(any_graphs(min_n, max_n))
     assume(not g.has_isolated_vertices() and is_connected(g))
     return g
+
+
+@st.composite
+def sparse_graphs(draw, min_n=2, max_n=10):
+    """Isolated-free graphs with at most about n edges, often disconnected.
+
+    Each vertex left isolated by the drawn edges is joined to its
+    successor modulo n.
+    """
+    n = draw(st.integers(min_n, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n + 2))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    touched = {v for e in edges for v in e}
+    for v in range(n):
+        if v not in touched:
+            w = (v + 1) % n
+            edges.add((min(v, w), max(v, w)))
+            touched.update((v, w))
+    return build_graph(n, sorted(edges))

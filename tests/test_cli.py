@@ -51,6 +51,12 @@ class TestCompute:
         assert code == 3
         assert "budget" in err
 
+    def test_order_24_cycle_within_budget(self, capsys):
+        code, out, _ = run(capsys, "compute", "--family", "cycle(24)",
+                           "--budget", "600000")
+        assert code == 0
+        assert json.loads(out)["gamma_tR"] == 24
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "compute", "--edges", str(tmp_path / "no"))
         assert code == 3
@@ -143,6 +149,27 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "--format", "tsv", "verify", "T_KNKM")
         assert code == 0
         assert out.strip() == "T_KNKM\t6\tpass\t0"
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "T_TR3", "--random", "x,5,0.5"],
+            ["verify", "T_TR3", "--random", "3,5"],
+            ["hunt", "Q1", "--random", "3,5,half"],
+            ["--jobs", "0", "verify", "T_KNKM"],
+            ["--jobs", "-2", "verify", "T_KNKM"],
+            ["--jobs", "two", "verify", "T_KNKM"],
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "error" in captured.err
 
 
 class TestHuntCommand:

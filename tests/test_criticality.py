@@ -79,6 +79,7 @@ class TestEdgeDelta:
         assume(non_edges)
         u, v = data.draw(st.sampled_from(non_edges))
         assert edge_delta(g, u, v) in (0, 1, 2)
+        assert edge_delta(g, u, v, gamma_tr_value(g)) == edge_delta(g, u, v)
         assert gamma_t_edge_delta(g, u, v) in (0, 1, 2)
 
 

@@ -8,9 +8,10 @@ search code.
 """
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     complete,
@@ -19,6 +20,7 @@ from conftest import (
     dead_example,
     path,
     solvable_graphs,
+    sparse_graphs,
     spider,
     star,
     union,
@@ -30,19 +32,24 @@ from trd.errors import (
     LengthMismatchError,
     TooSmallError,
 )
-from trd.families import Complete
+from trd.families import Complete, generate, parse_family
 from trd.graphs import Graph, build_graph, disjoint_union
 from trd.solver import (
     WeightFunction,
+    _FrontierDP,
+    _frontier_order,
+    _WeightSearch,
     brute_oracle_gamma_tr,
     classical_numbers,
     dead_vertices,
     enumerate_min_trd,
+    gamma_r_value,
     gamma_tr,
     gamma_tr_equals_order,
     gamma_tr_value,
     has_trd_weight_at_most,
     is_trd_function,
+    rd_weight_at_most,
 )
 
 
@@ -361,3 +368,75 @@ class TestStructuralProperties:
 
     def test_budget_generous_succeeds(self):
         assert gamma_tr(path(8), node_budget=500_000).value == 8
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda g: has_trd_weight_at_most(g, 3),
+            gamma_r_value,
+            lambda g: rd_weight_at_most(g, 3),
+        ],
+        ids=["has_trd_weight_at_most", "gamma_r_value", "rd_weight_at_most"],
+    )
+    def test_solver_cap(self, solve):
+        with pytest.raises(GraphTooLargeError):
+            solve(cycle(25))
+
+
+# --- the component split and the frontier DP -------------------------------
+
+
+@st.composite
+def width_two_graphs(draw):
+    """Relabelled trees and cycles with pendants, of order 7-12."""
+    n = draw(st.integers(7, 12))
+    if draw(st.booleans()):
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    else:
+        k = draw(st.integers(3, n - 1))
+        edges = [(v, (v + 1) % k) for v in range(k)]
+        edges += [(draw(st.integers(0, k - 1)), v) for v in range(k, n)]
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestSparseEngine:
+    @given(st.one_of(
+        sparse_graphs(2, 10), sparse_graphs(7, 10), solvable_graphs(2, 10)
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_and_enumeration(self, g):
+        result = gamma_tr(g)
+        assert result.value == brute_oracle_gamma_tr(g)
+        assert result.witness.values == enumerate_min_trd(g)[0].values
+
+    @given(width_two_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_dp_matches_branch_and_bound(self, g):
+        order = _frontier_order(g)
+        assume(order is not None)
+        value, values = _FrontierDP(g, order).run([(0, 1, 2)] * g.n)
+        assert value == _WeightSearch(g, True).solve()
+        f = WeightFunction(tuple(values))
+        assert f.weight == value and is_trd_function(g, f).valid
+
+    @pytest.mark.parametrize(
+        "family,value",
+        [
+            ("cycle(24)", 24),
+            ("path(24)", 24),
+            ("cor(cycle(12))", 24),
+            ("union(K3,K3,K3,K3,K3,K3,K3,K3)", 24),
+            ("substar(11)", 23),
+            ("spider(2,2,2,2,2,2,2,2,2,2,3)", 24),
+        ],
+    )
+    def test_closed_forms_at_order_24(self, family, value):
+        g = generate(parse_family(family))
+        perm = list(range(g.n))
+        random.Random(24).shuffle(perm)
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        result = gamma_tr(g, node_budget=600_000)
+        assert result.value == value
+        assert result.witness.weight == value
+        assert is_trd_function(g, result.witness).valid
