@@ -211,9 +211,9 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _delta_worker(payload: tuple[str, int, int, int]) -> int:
-    g6, u, v, base = payload
-    return edge_delta(graph6_decode(g6), u, v, base)
+def _delta_worker(payload: tuple[Graph, int, int, int]) -> int:
+    g, u, v, base = payload
+    return edge_delta(g, u, v, base)
 
 
 def _cmd_profile(args) -> int:
@@ -221,10 +221,9 @@ def _cmd_profile(args) -> int:
     if args.jobs > 1:
         if g.has_isolated_vertices():
             raise IsolatedVertexError("edge profiles need no isolated vertices")
-        g6 = graph6_encode(g)
         base = gamma_tr_value(g)
         non_edges = g.non_edges()
-        payloads = [(g6, u, v, base) for u, v in non_edges]
+        payloads = [(g, u, v, base) for u, v in non_edges]
         deltas = dict(
             zip(non_edges, parallel_map(_delta_worker, payloads, args.jobs))
         )

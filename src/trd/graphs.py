@@ -101,10 +101,14 @@ class Graph:
 
     @property
     def edge_mask(self) -> int:
-        """Upper-triangle bitmask of the edge set, one bit per colex pair."""
+        """Upper-triangle bitmask of the edge set, one bit per colex pair.
+
+        The pairs (i, j) with i < j fill bits j(j-1)/2 + i, so vertex j's
+        lower neighbours are one shifted slice of ``adj[j]``.
+        """
         mask = 0
-        for u, v in self.edges():
-            mask |= 1 << pair_index(u, v)
+        for j, a in enumerate(self.adj):
+            mask |= (a & ((1 << j) - 1)) << (j * (j - 1) // 2)
         return mask
 
     def isolated_mask(self) -> int:

@@ -559,15 +559,17 @@ def gamma_tr_value(g: Graph) -> int:
         raise TooSmallError("gamma_tR needs order >= 2")
     if g.n > SOLVER_MAX_N:
         raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
-    _require_no_isolated(g)
     if g.n <= _VALUE_CACHE_MAX_N:
         arr = _value_cache(_TR_VALUES, g.n)
         key = g.edge_mask
         val = arr[key]
         if val == 0xFF:
+            # only a validated graph enters the memo, so a hit needs no check
+            _require_no_isolated(g)
             val = _bnb_trd(g, None, False)[0]
             arr[key] = val
         return val
+    _require_no_isolated(g)
     return _solve_trd(g, None, False)[0]
 
 
@@ -821,15 +823,17 @@ def gamma_value(g: Graph) -> int:
 
 def gamma_t_value(g: Graph) -> int:
     """The total domination number gamma_t(G), memoised for n <= 6."""
-    _require_no_isolated(g)
     if g.n <= _VALUE_CACHE_MAX_N:
         arr = _value_cache(_T_VALUES, g.n)
         key = g.edge_mask
         val = arr[key]
         if val == 0xFF:
+            # only a validated graph enters the memo, so a hit needs no check
+            _require_no_isolated(g)
             val = _min_cover_size(g, closed=False)
             arr[key] = val
         return val
+    _require_no_isolated(g)
     return _min_cover_size(g, closed=False)
 
 

@@ -2,10 +2,14 @@
 
 Every claim the workbench can machine-check is a registry entry: an
 identifier, a default instance universe, a hypothesis filter, and a
-per-instance check returning a violation detail or None.  Reports are
-deterministic: the same universe and theorem always produce the same
-bytes.  A passing report over a bounded universe is evidence, not proof;
-a failing one carries graph6 certificates.
+per-instance check returning a violation detail or None.  Claims run in
+sweeps: one sweep enumerates one universe once and offers each instance
+to all the claims that share that universe, so ``run_registry`` makes one
+sweep per distinct universe.  Reports are deterministic: the same
+universe and theorem always produce the same bytes, however the claims
+are grouped and however many processes run the checks.  A passing report
+over a bounded universe is evidence, not proof; a failing one carries
+graph6 certificates.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Union
 
 from . import families as fam
@@ -34,7 +38,6 @@ from .graphs import (
     complement,
     component_masks,
     from_edge_mask,
-    graph6_decode,
     graph6_encode,
     is_connected,
     iter_bits,
@@ -838,85 +841,76 @@ def parallel_map(fn, items: Iterable, jobs: int = 1) -> Iterator:
             yield from pool.map(fn, chunk, chunksize=size)
 
 
-def _check_worker(args: tuple[str, str | None, str]) -> str | None:
-    check_id, spec_text, g6 = args
-    spec = fam.parse_family(spec_text) if spec_text is not None else None
-    entry = THEOREMS.get(check_id)
-    check = entry.check if entry is not None else _QUESTION_CHECKS[check_id]
-    return check(graph6_decode(g6), spec)
+def _claim(claim_id: str) -> TheoremEntry:
+    """A registry theorem or an open question.  ``THEOREMS`` is read on
+    every call, so entries replaced after import are the ones that run."""
+    entry = THEOREMS.get(claim_id)
+    return entry if entry is not None else _QUESTION_ENTRIES[claim_id]
 
 
-def _filtered_instances(entry: TheoremEntry, universe: InstanceUniverse):
-    for spec, g in enumerate_instances(universe):
-        if entry.family_kinds is not None and not isinstance(
-            spec, entry.family_kinds
-        ):
-            continue
-        if entry.hypothesis is not None and not entry.hypothesis(g):
-            continue
-        yield spec, g
+def _check_item(
+    item: tuple[tuple[str, ...], fam.FamilySpec | None, Graph],
+) -> tuple[str | None, ...]:
+    """Run the checks of the claims ``ids`` on one instance."""
+    ids, spec, g = item
+    return tuple(_claim(cid).check(g, spec) for cid in ids)
 
 
-def _collect(
-    theorem_id: str,
+def _sweep(
     universe: InstanceUniverse,
-    instances,
-    evaluate,
+    ids: list[str],
     jobs: int,
-) -> VerificationReport:
-    checked = 0
-    counterexamples: list[Counterexample] = []
-    if jobs <= 1:
-        for spec, g in instances:
-            checked += 1
-            detail = evaluate(g, spec)
-            if detail is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
-                prefix = f"{fam.family_to_text(spec)}: " if spec is not None else ""
-                counterexamples.append(
-                    Counterexample(graph6_encode(g), prefix + detail)
-                )
-    else:
-        payloads = (
-            (
-                theorem_id,
-                fam.family_to_text(spec) if spec is not None else None,
-                graph6_encode(g),
+) -> list[VerificationReport]:
+    """Check the claims ``ids`` over one enumeration of ``universe``.
+
+    Each instance meets every claim's descriptor filter and hypothesis in
+    the order of ``ids``.  The claims that hold form one work item
+    ``(ids, spec, g)``, whose checks run here when ``jobs`` is 1 and in a
+    pool worker otherwise.  Results come back in instance order, so the
+    reports do not depend on ``jobs``.
+    """
+    entries = [_claim(cid) for cid in ids]
+    position = {cid: i for i, cid in enumerate(ids)}
+    checked = [0] * len(ids)
+    found: list[list[Counterexample]] = [[] for _ in ids]
+
+    def items():
+        for spec, g in enumerate_instances(universe):
+            held = tuple(
+                cid
+                for cid, entry in zip(ids, entries)
+                if (entry.family_kinds is None
+                    or isinstance(spec, entry.family_kinds))
+                and (entry.hypothesis is None or entry.hypothesis(g))
             )
-            for spec, g in instances
+            if held:
+                yield held, spec, g
+
+    work, pending = itertools.tee(items())
+    if jobs <= 1:
+        results = map(_check_item, work)
+    else:
+        results = parallel_map(_check_item, work, jobs)
+    for (held, spec, g), details in zip(pending, results):
+        for cid, detail in zip(held, details):
+            i = position[cid]
+            checked[i] += 1
+            if detail is not None and len(found[i]) < MAX_COUNTEREXAMPLES:
+                prefix = f"{fam.family_to_text(spec)}: " if spec is not None else ""
+                found[i].append(Counterexample(graph6_encode(g), prefix + detail))
+    return [
+        VerificationReport(
+            cid, universe, checked[i], "fail" if found[i] else "pass",
+            tuple(found[i]),
         )
-        it = iter(payloads)
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            while True:
-                chunk = list(itertools.islice(it, _PARALLEL_WINDOW))
-                if not chunk:
-                    break
-                size = max(1, len(chunk) // (4 * jobs))
-                for payload, detail in zip(
-                    chunk, pool.map(_check_worker, chunk, chunksize=size)
-                ):
-                    checked += 1
-                    if detail is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
-                        prefix = f"{payload[1]}: " if payload[1] is not None else ""
-                        counterexamples.append(
-                            Counterexample(payload[2], prefix + detail)
-                        )
-    return VerificationReport(
-        theorem_id,
-        universe,
-        checked,
-        "pass" if not counterexamples else "fail",
-        tuple(counterexamples),
-    )
+        for i, cid in enumerate(ids)
+    ]
 
 
-def verify_theorem(
-    theorem_id: str,
-    universe: InstanceUniverse | None = None,
-    jobs: int = 1,
-) -> VerificationReport:
-    """Evaluate one registered claim over a universe (default: its own)."""
+def _theorem_universe(
+    theorem_id: str, universe: InstanceUniverse | None
+) -> InstanceUniverse:
+    """The universe a theorem runs over: ``universe``, else its default."""
     entry = THEOREMS.get(theorem_id)
     if entry is None:
         raise UnknownTheoremError(theorem_id)
@@ -927,25 +921,43 @@ def verify_theorem(
             f"{theorem_id} needs a family universe carrying "
             f"{'/'.join(k.__name__ for k in entry.family_kinds)} descriptors"
         )
-    return _collect(
-        theorem_id,
-        universe,
-        _filtered_instances(entry, universe),
-        entry.check,
-        jobs,
-    )
+    return universe
+
+
+def verify_theorem(
+    theorem_id: str,
+    universe: InstanceUniverse | None = None,
+    jobs: int = 1,
+) -> VerificationReport:
+    """Evaluate one registered claim over a universe (default: its own)."""
+    universe = _theorem_universe(theorem_id, universe)
+    return _sweep(universe, [theorem_id], jobs)[0]
 
 
 def run_registry(
     universe_overrides: dict[str, InstanceUniverse] | None = None,
     jobs: int = 1,
 ) -> list[VerificationReport]:
-    """Run every registered theorem at its default universe."""
+    """Run every registered theorem at its default universe, or at its
+    override, and return the reports in theorem-id order.
+
+    Theorems whose universes are equal share one sweep: each distinct
+    universe is enumerated once, and every instance is offered to its
+    theorems in id order.  Counts and counterexamples are those of
+    running each theorem on its own.
+    """
     overrides = universe_overrides or {}
-    return [
-        verify_theorem(tid, overrides.get(tid), jobs=jobs)
-        for tid in sorted(THEOREMS)
-    ]
+    universes = {
+        tid: _theorem_universe(tid, overrides.get(tid)) for tid in sorted(THEOREMS)
+    }
+    groups: dict[InstanceUniverse, list[str]] = {}
+    for tid, universe in universes.items():
+        groups.setdefault(universe, []).append(tid)
+    reports: dict[str, VerificationReport] = {}
+    for universe, ids in groups.items():
+        reports.update(zip(ids, _sweep(universe, ids, jobs)))
+    # equal universes may still print differently (p=1 and p=1.0)
+    return [replace(reports[tid], universe=u) for tid, u in universes.items()]
 
 
 def _hunt_q1(g: Graph, spec) -> str | None:
@@ -970,12 +982,28 @@ def _hunt_q2(g: Graph, spec) -> str | None:
     return None
 
 
-_QUESTION_CHECKS: dict[str, Callable[[Graph, fam.FamilySpec | None], str | None]] = {
-    "Q1_supercritical": _hunt_q1,
-    "Q2_dead_in_critical": _hunt_q2,
+_QUESTION_ENTRIES: dict[str, TheoremEntry] = {
+    e.theorem_id: e
+    for e in (
+        TheoremEntry(
+            "Q1_supercritical",
+            "every supercritical graph is a union of >= 2 complete graphs of"
+            " order >= 3",
+            _all6(),
+            _hunt_q1,
+            hypothesis=_no_isolated,
+        ),
+        TheoremEntry(
+            "Q2_dead_in_critical",
+            "no edge-critical graph has a dead vertex",
+            _all6(),
+            _hunt_q2,
+            hypothesis=_no_isolated,
+        ),
+    )
 }
 
-QUESTIONS = tuple(sorted(_QUESTION_CHECKS))
+QUESTIONS = tuple(sorted(_QUESTION_ENTRIES))
 
 
 def hunt_counterexamples(
@@ -990,14 +1018,9 @@ def hunt_counterexamples(
     an edge-critical graph with a nonempty dead-vertex set.  A passing
     report means only that the bounded universe holds no counterexample.
     """
-    check = _QUESTION_CHECKS.get(question_id)
-    if check is None:
+    entry = _QUESTION_ENTRIES.get(question_id)
+    if entry is None:
         raise UnknownQuestionError(question_id)
     if universe is None:
-        universe = _all6()
-    instances = (
-        (spec, g)
-        for spec, g in enumerate_instances(universe)
-        if not g.has_isolated_vertices()
-    )
-    return _collect(question_id, universe, instances, check, jobs)
+        universe = entry.default_universe
+    return _sweep(universe, [question_id], jobs)[0]

@@ -5,7 +5,9 @@ reproduced by an independent brute-force route; each test prints one
 PASS/FAIL line (run pytest with ``-s`` to see them).
 """
 
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -310,3 +312,8 @@ def test_registry_master_suite():
     failed = [r.theorem_id for r in reports if r.outcome != "pass"]
     print(f"registry sweep finished in {time.time() - started:.1f}s")
     assert not failed, failed
+    # the reports' bytes, counterexamples and universes included
+    payload = json.dumps([r.to_json() for r in reports]).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "e801dcd3d9992aba854a91a53bdccca51c789db05d7ead757ae6da83ec047ee6"
+    )

@@ -23,6 +23,7 @@ from trd.graphs import (
     graph6_encode,
     induced_subgraph,
     metrics,
+    pair_index,
     parse_edge_list,
 )
 from trd.families import Complete, generate
@@ -139,6 +140,17 @@ class TestMetrics:
         assert (info.universal_vertex is not None) == (g.n - 1 in g.degrees)
         members = sorted(v for comp in info.components for v in comp)
         assert members == list(range(g.n))
+
+
+class TestEdgeMask:
+    @given(st.integers(1, 24), st.data())
+    def test_colex_sum(self, n, data):
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+        g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+        expected = sum(1 << pair_index(u, v) for u, v in g.edges())
+        assert g.edge_mask == expected
+        assert from_edge_mask(g.n, g.edge_mask) == g
 
 
 class TestGraph6:

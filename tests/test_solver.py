@@ -44,6 +44,7 @@ from trd.solver import (
     dead_vertices,
     enumerate_min_trd,
     gamma_r_value,
+    gamma_t_value,
     gamma_tr,
     gamma_tr_equals_order,
     gamma_tr_value,
@@ -51,6 +52,7 @@ from trd.solver import (
     is_trd_function,
     rd_weight_at_most,
 )
+from trd.verify import AllLabeled, enumerate_graphs
 
 
 # --- test-local oracles: raw definition scans, no search tricks ------------
@@ -210,6 +212,25 @@ class TestClassicalNumbers:
     def test_isolated_rejected(self):
         with pytest.raises(IsolatedVertexError):
             classical_numbers(build_graph(3, [(0, 1)]))
+
+    def test_warm_memo_still_rejects_isolated(self):
+        # a memo hit skips the isolated-vertex check, so the memo must never
+        # hold a graph that failed it
+        for g in enumerate_graphs(AllLabeled(4)):
+            gamma_tr_value(g), gamma_t_value(g), gamma_r_value(g)
+        isolated = [
+            g
+            for g in enumerate_graphs(AllLabeled(4, no_isolated=False))
+            if g.n >= 2 and g.has_isolated_vertices()
+        ]
+        assert len(isolated) == 1 + 4 + 23
+        for g in isolated:
+            with pytest.raises(IsolatedVertexError):
+                gamma_tr_value(g)
+            with pytest.raises(IsolatedVertexError):
+                gamma_t_value(g)
+            # gamma_R is defined with isolated vertices: each one weighs 1
+            assert gamma_r_value(g) == naive_gamma_r(g)
 
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import trd.verify
 from trd.errors import (
     IncompatibleUniverseError,
     UniverseTooLargeError,
@@ -28,6 +29,8 @@ from trd.verify import (
     enumerate_instances,
     hunt_counterexamples,
     report_to_json,
+    run_registry,
+    universe_to_json,
     verify_theorem,
 )
 
@@ -124,18 +127,19 @@ class TestVerifyTheorem:
         assert report_to_json(serial) == report_to_json(parallel)
 
 
-class TestFailurePath:
-    @pytest.fixture
-    def failing_entry(self, monkeypatch):
-        entry = TheoremEntry(
-            "T_ALWAYS_FAIL",
-            "synthetic failing check",
-            AllLabeled(4),
-            lambda g, spec: "synthetic violation",
-        )
-        monkeypatch.setitem(THEOREMS, "T_ALWAYS_FAIL", entry)
-        return entry
+@pytest.fixture
+def failing_entry(monkeypatch):
+    entry = TheoremEntry(
+        "T_ALWAYS_FAIL",
+        "synthetic failing check",
+        AllLabeled(4),
+        lambda g, spec: "synthetic violation",
+    )
+    monkeypatch.setitem(THEOREMS, "T_ALWAYS_FAIL", entry)
+    return entry
 
+
+class TestFailurePath:
     def test_counterexamples_capped_at_twenty(self, failing_entry):
         report = verify_theorem("T_ALWAYS_FAIL", AllLabeled(4))
         assert report.outcome == "fail"
@@ -148,6 +152,59 @@ class TestFailurePath:
         failing = verify_theorem("T_ALWAYS_FAIL", AllLabeled(4))
         assert passing.outcome == "pass" and not passing.counterexamples
         assert failing.outcome == "fail" and failing.counterexamples
+
+
+def _labeled_at_four() -> dict:
+    """Every claim with a labelled default universe, moved to AllLabeled(4)."""
+    return {
+        tid: AllLabeled(4)
+        for tid, entry in THEOREMS.items()
+        if isinstance(entry.default_universe, AllLabeled)
+    }
+
+
+class TestGroupedSweep:
+    def test_failing_claim_in_a_shared_group(self, failing_entry):
+        reports = {r.theorem_id: r for r in run_registry(_labeled_at_four())}
+        failing = reports["T_ALWAYS_FAIL"]
+        assert failing.outcome == "fail"
+        assert len(failing.counterexamples) == 20
+        assert failing.instances_checked == 46
+        assert reports["T_TR3"] == verify_theorem("T_TR3", AllLabeled(4))
+
+    def test_one_enumeration_per_distinct_universe(self, monkeypatch):
+        overrides = _labeled_at_four()
+        enumerated = []
+        original = trd.verify.enumerate_instances
+
+        def counting(universe):
+            enumerated.append(universe)
+            return original(universe)
+
+        monkeypatch.setattr(trd.verify, "enumerate_instances", counting)
+        run_registry(overrides)
+        universes = {
+            overrides.get(tid, entry.default_universe)
+            for tid, entry in THEOREMS.items()
+        }
+        assert len(enumerated) == len(universes) < len(THEOREMS)
+        assert set(enumerated) == universes
+
+    def test_jobs_parallel_matches_serial(self):
+        overrides = _labeled_at_four()
+        assert run_registry(overrides, jobs=2) == run_registry(overrides)
+
+    def test_reports_keep_their_own_universe(self):
+        # equal universes share a sweep but may print differently
+        overrides = {
+            **_labeled_at_four(),
+            "T_TR3": RandomGnp(2, 5, 1, 0),
+            "T_HEN2": RandomGnp(2, 5, 1.0, 0),
+        }
+        reports = {r.theorem_id: r for r in run_registry(overrides)}
+        for tid in ("T_TR3", "T_HEN2"):
+            printed = json.dumps(reports[tid].to_json()["universe"])
+            assert printed == json.dumps(universe_to_json(overrides[tid]))
 
 
 class TestReportSerialization:
