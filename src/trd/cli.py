@@ -15,21 +15,17 @@ import sys
 from pathlib import Path
 
 from . import families as fam
-from .criticality import (
-    classify_deltas,
-    complete_to_critical,
-    edge_delta,
-    edge_profile,
-)
-from .errors import IsolatedVertexError, TrdError, UnknownQuestionError, UnknownTheoremError
+from .criticality import complete_to_critical, edge_profile
+from .errors import TrdError, UnknownQuestionError, UnknownTheoremError
 from .graphs import (
     Graph,
+    complement,
     graph6_decode,
     graph6_encode,
     metrics,
     parse_edge_list,
 )
-from .solver import classical_numbers, gamma_tr, gamma_tr_value
+from .solver import classical_numbers, gamma_tr
 from .verify import (
     AllLabeled,
     Families,
@@ -37,7 +33,6 @@ from .verify import (
     RandomGnp,
     VerificationReport,
     hunt_counterexamples,
-    parallel_map,
     run_registry,
     verify_theorem,
 )
@@ -154,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for --random universes (default 0)")
     parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="parallel map width for verify/hunt/profile")
+                        help="worker processes for verify/hunt instances"
+                             " (profile runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="invariants of one graph")
@@ -211,35 +207,16 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _delta_worker(payload: tuple[Graph, int, int, int]) -> int:
-    g, u, v, base = payload
-    return edge_delta(g, u, v, base)
-
-
 def _cmd_profile(args) -> int:
     g, _ = _load_graph(args)
-    if args.jobs > 1:
-        if g.has_isolated_vertices():
-            raise IsolatedVertexError("edge profiles need no isolated vertices")
-        base = gamma_tr_value(g)
-        non_edges = g.non_edges()
-        payloads = [(g, u, v, base) for u, v in non_edges]
-        deltas = dict(
-            zip(non_edges, parallel_map(_delta_worker, payloads, args.jobs))
-        )
-        classification = classify_deltas(deltas)
-    else:
-        profile = edge_profile(g)
-        base = profile.base_value
-        deltas = profile.deltas
-        classification = profile.classification
+    profile = edge_profile(g)
     _emit(
         {
             "graph6": graph6_encode(g),
-            "base_value": base,
-            "classification": classification,
+            "base_value": profile.base_value,
+            "classification": profile.classification,
             "deltas": [
-                {"u": u, "v": v, "delta": d} for (u, v), d in deltas.items()
+                {"u": u, "v": v, "delta": d} for (u, v), d in profile.deltas.items()
             ],
         },
         args.format,
@@ -286,8 +263,6 @@ def _cmd_recognize(args) -> int:
     predicts = None
     if connected and g.n >= 4:
         predicts = fam.predict_n_critical(g)
-    from .graphs import complement as _complement
-
     _emit(
         {
             "graph6": graph6_encode(g),
@@ -296,7 +271,7 @@ def _cmd_recognize(args) -> int:
             "hen1_class": hen1.kind if hen1 else None,
             "hen1_r": hen1.r if hen1 else None,
             "is_galaxy": fam.is_galaxy(g),
-            "complement_is_galaxy": fam.is_galaxy(_complement(g)),
+            "complement_is_galaxy": fam.is_galaxy(complement(g)),
             "predicts_n_critical": predicts,
             "universal_vertex": info.universal_vertex,
             "diameter": info.diameter,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import IsolatedVertexError, NotANonEdgeError, ValueTooSmallError
 from .graphs import Graph, add_edge
-from .solver import gamma_t_value, gamma_tr_value
+from .solver import gamma_t_value, gamma_tr_value, has_trd_weight_at_most
 
 COMPLETE = "complete"
 SUPERCRITICAL = "supercritical"
@@ -39,15 +39,15 @@ class EdgeProfile:
     @property
     def is_edge_critical(self) -> bool:
         """Every non-edge is critical (supercritical graphs qualify too)."""
-        return bool(self.deltas) and all(d >= 1 for d in self.deltas.values())
+        return self.classification in (SUPERCRITICAL, EDGE_CRITICAL)
 
     @property
     def is_supercritical(self) -> bool:
-        return bool(self.deltas) and all(d == 2 for d in self.deltas.values())
+        return self.classification == SUPERCRITICAL
 
     @property
     def is_stable(self) -> bool:
-        return bool(self.deltas) and all(d == 0 for d in self.deltas.values())
+        return self.classification == STABLE
 
 
 def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
@@ -64,13 +64,17 @@ def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
     return MIXED
 
 
+def _require_non_edge(g: Graph, u: int, v: int) -> None:
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
+        raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
+
+
 def edge_delta(g: Graph, u: int, v: int, base: int | None = None) -> int:
     """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv.
 
     ``base`` is gamma_tR(G) when the caller already knows it.
     """
-    if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
-        raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
+    _require_non_edge(g, u, v)
     if g.has_isolated_vertices():
         raise IsolatedVertexError("edge deltas need a graph without isolated vertices")
     if base is None:
@@ -85,6 +89,40 @@ def edge_profile(g: Graph) -> EdgeProfile:
     base = gamma_tr_value(g)
     deltas = {(u, v): edge_delta(g, u, v, base) for u, v in g.non_edges()}
     return EdgeProfile(base, deltas, classify_deltas(deltas))
+
+
+def _below(h: Graph, base: int) -> bool:
+    """gamma_tR(H) < base, by a first-hit search beyond the memo's order."""
+    if h.n <= 6:
+        return gamma_tr_value(h) < base
+    return has_trd_weight_at_most(h, base - 1)
+
+
+def _every_non_edge(g: Graph, test, base: int | None = None) -> bool:
+    """Whether ``test(G+uv, base)`` holds for every non-edge uv, stopping
+    at the first that fails; False on complete graphs.  ``base`` is
+    gamma_tR(G) when the caller already knows it."""
+    non_edges = g.non_edges()
+    if not non_edges:
+        return False
+    if base is None:
+        base = gamma_tr_value(g)
+    return all(test(add_edge(g, u, v), base) for u, v in non_edges)
+
+
+def is_edge_critical(g: Graph, base: int | None = None) -> bool:
+    """Every non-edge lowers gamma_tR (supercritical graphs qualify too)."""
+    return _every_non_edge(g, _below, base)
+
+
+def is_stable(g: Graph) -> bool:
+    """No non-edge lowers gamma_tR."""
+    return _every_non_edge(g, lambda h, base: not _below(h, base))
+
+
+def is_supercritical(g: Graph) -> bool:
+    """Every non-edge lowers gamma_tR by exactly 2."""
+    return _every_non_edge(g, lambda h, base: gamma_tr_value(h) == base - 2)
 
 
 def complete_to_critical(g: Graph) -> Graph:
@@ -112,8 +150,7 @@ def complete_to_critical(g: Graph) -> Graph:
 
 def gamma_t_edge_delta(g: Graph, u: int, v: int) -> int:
     """gamma_t(G) - gamma_t(G+uv), the total-domination analogue."""
-    if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
-        raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
+    _require_non_edge(g, u, v)
     return gamma_t_value(g) - gamma_t_value(add_edge(g, u, v))
 
 

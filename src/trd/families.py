@@ -13,7 +13,7 @@ and ``union``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -25,6 +25,7 @@ from .errors import (
 from .graphs import (
     Graph,
     build_graph,
+    component_masks,
     disjoint_union,
     induced_subgraph,
     is_connected,
@@ -518,21 +519,7 @@ def hen1_classify(g: Graph) -> Hen1Class | None:
 def is_galaxy(g: Graph) -> bool:
     """Two or more components, each a non-trivial star."""
     deg = g.degrees
-    comps = []
-    seen = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        comps.append(comp)
-        seen |= comp
+    comps = component_masks(g)
     if len(comps) < 2:
         return False
     for comp in comps:
@@ -551,28 +538,15 @@ def is_union_of_completes(g: Graph, min_parts: int = 2, min_order: int = 3) -> b
     """Disjoint union of at least ``min_parts`` complete graphs, each of
     order at least ``min_order``."""
     deg = g.degrees
-    seen = 0
-    parts = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
+    comps = component_masks(g)
+    for comp in comps:
         c = comp.bit_count()
         if c < min_order:
             return False
         for u in iter_bits(comp):
             if deg[u] != c - 1:
                 return False
-        parts += 1
-        seen |= comp
-    return parts >= min_parts
+    return len(comps) >= min_parts
 
 
 def predict_n_critical(g: Graph) -> bool:

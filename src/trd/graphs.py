@@ -218,36 +218,36 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _reach(g: Graph, v: int) -> int:
+    """Vertex bitmask of the connected component of v, by breadth-first
+    search; it sits on the hot hypothesis path of ``verify``, so the bit
+    loop is inlined."""
+    adj = g.adj
+    comp = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~comp
+        comp |= nxt
+    return comp
+
+
 def component_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the connected components, by smallest member."""
     seen = 0
     comps = []
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        comps.append(comp)
-        seen |= comp
+        if not seen >> v & 1:
+            comps.append(_reach(g, v))
+            seen |= comps[-1]
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & ~comp
-        comp |= nxt
-    return comp == g.full_mask
+    return _reach(g, 0) == g.full_mask
 
 
 def _eccentricity(g: Graph, start: int) -> int:

@@ -4,8 +4,12 @@ gamma_tR is solved per connected component: values add, and the
 lexicographically smallest minimum function is each component's smallest
 one put back in place.  A component of order > 6 that admits a vertex
 order of frontier width <= 2 is solved by a frontier dynamic program over
-that order; every other component by branch and bound.  Value-only solves
-of order <= 6 are memoised and go straight to branch and bound.
+that order; every other component by branch and bound.
+
+Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
+in one memo, one bytearray per invariant and order indexed by the colex
+edge mask; the decision gamma_tR = n is memoised the same way at order 7.
+A graph enters the memo only after its solve has validated it.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     BudgetExceededError,
@@ -37,8 +42,10 @@ from .graphs import Graph, component_masks, induced_subgraph, iter_bits
 
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
-_VALUE_CACHE_MAX_N = 6
-_ORDER_CACHE_N = 7
+_MEMO_MAX_N = 6
+# gamma_tR = n is also memoised at order 7: T_HEN1 and T_NCRIT over the
+# labelled graphs of order 7 both decide it for every graph
+_ORDER_MEMO_N = 7
 # below order 7 branch and bound is faster than the DP even at width 2
 _DP_MIN_N = 7
 _DP_MAX_WIDTH = 2
@@ -334,27 +341,35 @@ def _rd_probe(g: Graph) -> int:
     return g.n
 
 
-# Per-order value caches, indexed by the colex edge mask.  Only graphs of
-# order <= 6 are cached (32768 masks at n = 6); 0xFF marks unknown.
-_TR_VALUES: dict[int, bytearray] = {}
-_T_VALUES: dict[int, bytearray] = {}
-_G_VALUES: dict[int, bytearray] = {}
-_R_VALUES: dict[int, bytearray] = {}
-_ORDER_DECISIONS: dict[int, bytearray] = {}
+# One memo for every invariant: ``_MEMO[invariant, n]`` is a bytearray
+# indexed by the colex edge mask (32768 masks at n = 6); 0xFF marks unknown.
+_MEMO: dict[tuple[str, int], bytearray] = {}
 
 
-def _value_cache(store: dict[int, bytearray], n: int) -> bytearray:
-    arr = store.get(n)
+def _memo(
+    kind: str, g: Graph, solve: Callable[[Graph], int], max_n: int = _MEMO_MAX_N
+) -> int:
+    """``solve(g)``, memoised under ``kind`` when G has order <= ``max_n``.
+
+    Only a value ``solve`` returns is stored, so when ``solve`` validates
+    the graph a hit needs no check.
+    """
+    n = g.n
+    if n > max_n:
+        return solve(g)
+    arr = _MEMO.get((kind, n))
     if arr is None:
-        arr = bytearray(b"\xff" * (1 << (n * (n - 1) // 2)))
-        store[n] = arr
-    return arr
+        arr = _MEMO[kind, n] = bytearray(b"\xff" * (1 << (n * (n - 1) // 2)))
+    key = g.edge_mask
+    val = arr[key]
+    if val == 0xFF:
+        val = arr[key] = solve(g)
+    return val
 
 
 def reset_caches() -> None:
     """Drop all memoised invariant values (mainly for tests)."""
-    for store in (_TR_VALUES, _T_VALUES, _G_VALUES, _R_VALUES, _ORDER_DECISIONS):
-        store.clear()
+    _MEMO.clear()
 
 
 def _frontier_order(g: Graph) -> list[int] | None:
@@ -553,54 +568,43 @@ def _solve_trd(
     return value, tuple(values) if witness else None, nodes
 
 
-def gamma_tr_value(g: Graph) -> int:
-    """Exact gamma_tR(G), value only, memoised for n <= 6."""
+def _require_trd_input(g: Graph) -> None:
     if g.n < 2:
         raise TooSmallError("gamma_tR needs order >= 2")
     if g.n > SOLVER_MAX_N:
         raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
-    if g.n <= _VALUE_CACHE_MAX_N:
-        arr = _value_cache(_TR_VALUES, g.n)
-        key = g.edge_mask
-        val = arr[key]
-        if val == 0xFF:
-            # only a validated graph enters the memo, so a hit needs no check
-            _require_no_isolated(g)
-            val = _bnb_trd(g, None, False)[0]
-            arr[key] = val
-        return val
     _require_no_isolated(g)
+
+
+def _trd_value(g: Graph) -> int:
+    _require_trd_input(g)
+    if g.n < _DP_MIN_N:  # the split costs more than it saves on small graphs
+        return _bnb_trd(g, None, False)[0]
     return _solve_trd(g, None, False)[0]
+
+
+def gamma_tr_value(g: Graph) -> int:
+    """Exact gamma_tR(G), value only, memoised for n <= 6."""
+    return _memo("gamma_tR", g, _trd_value)
 
 
 def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     """Whether some TRD-function on G has weight <= cap."""
-    if g.n < 2:
-        raise TooSmallError("gamma_tR needs order >= 2")
-    if g.n > SOLVER_MAX_N:
-        raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
-    _require_no_isolated(g)
+    _require_trd_input(g)
     if _trd_probe(g) <= cap:
         return True
     return _WeightSearch(g, True).solve(target_cap=cap, first_hit=True) is not None
 
 
+def _trd_is_order(g: Graph) -> bool:
+    return not has_trd_weight_at_most(g, g.n - 1)
+
+
 def gamma_tr_equals_order(g: Graph) -> bool:
     """Decide gamma_tR(G) = |V(G)| without always computing the exact value."""
-    if g.n <= _VALUE_CACHE_MAX_N:
+    if g.n <= _MEMO_MAX_N:
         return gamma_tr_value(g) == g.n
-    if g.n == _ORDER_CACHE_N:
-        arr = _ORDER_DECISIONS.get(g.n)
-        if arr is None:
-            arr = bytearray(1 << (g.n * (g.n - 1) // 2))
-            _ORDER_DECISIONS[g.n] = arr
-        key = g.edge_mask
-        val = arr[key]
-        if val == 0:
-            val = 1 if not has_trd_weight_at_most(g, g.n - 1) else 2
-            arr[key] = val
-        return val == 1
-    return not has_trd_weight_at_most(g, g.n - 1)
+    return bool(_memo("gamma_tR=n", g, _trd_is_order, _ORDER_MEMO_N))
 
 
 def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
@@ -615,11 +619,7 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     searches in index order.  ``node_budget`` bounds the total nodes, DP
     table entries included, across all components and searches.
     """
-    if g.n < 2:
-        raise TooSmallError("gamma_tR needs order >= 2")
-    if g.n > SOLVER_MAX_N:
-        raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
-    _require_no_isolated(g)
+    _require_trd_input(g)
     value, values, nodes = _solve_trd(g, node_budget, witness=True)
     return SolveResult("gamma_tR", value, WeightFunction(values), nodes)
 
@@ -808,54 +808,36 @@ def _min_cover_size(g: Graph, closed: bool) -> int:
     return best[0]
 
 
-def gamma_value(g: Graph) -> int:
-    """The domination number gamma(G), memoised for n <= 6."""
-    if g.n <= _VALUE_CACHE_MAX_N:
-        arr = _value_cache(_G_VALUES, g.n)
-        key = g.edge_mask
-        val = arr[key]
-        if val == 0xFF:
-            val = _min_cover_size(g, closed=True)
-            arr[key] = val
-        return val
+def _gamma(g: Graph) -> int:
     return _min_cover_size(g, closed=True)
 
 
-def gamma_t_value(g: Graph) -> int:
-    """The total domination number gamma_t(G), memoised for n <= 6."""
-    if g.n <= _VALUE_CACHE_MAX_N:
-        arr = _value_cache(_T_VALUES, g.n)
-        key = g.edge_mask
-        val = arr[key]
-        if val == 0xFF:
-            # only a validated graph enters the memo, so a hit needs no check
-            _require_no_isolated(g)
-            val = _min_cover_size(g, closed=False)
-            arr[key] = val
-        return val
+def _gamma_t(g: Graph) -> int:
     _require_no_isolated(g)
     return _min_cover_size(g, closed=False)
 
 
-def _gamma_r_uncached(g: Graph) -> int:
+def _gamma_r(g: Graph) -> int:
     probe = _rd_probe(g)
     found = _WeightSearch(g, False).solve(target_cap=probe - 1)
     return probe if found is None else found
+
+
+def gamma_value(g: Graph) -> int:
+    """The domination number gamma(G), memoised for n <= 6."""
+    return _memo("gamma", g, _gamma)
+
+
+def gamma_t_value(g: Graph) -> int:
+    """The total domination number gamma_t(G), memoised for n <= 6."""
+    return _memo("gamma_t", g, _gamma_t)
 
 
 def gamma_r_value(g: Graph) -> int:
     """The Roman domination number gamma_R(G), memoised for n <= 6."""
     if g.n > SOLVER_MAX_N:
         raise GraphTooLargeError(f"gamma_R capped at n <= {SOLVER_MAX_N}")
-    if g.n <= _VALUE_CACHE_MAX_N:
-        arr = _value_cache(_R_VALUES, g.n)
-        key = g.edge_mask
-        val = arr[key]
-        if val == 0xFF:
-            val = _gamma_r_uncached(g)
-            arr[key] = val
-        return val
-    return _gamma_r_uncached(g)
+    return _memo("gamma_R", g, _gamma_r)
 
 
 def rd_weight_at_most(g: Graph, cap: int, pins: dict[int, int] | None = None) -> bool:

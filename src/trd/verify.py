@@ -23,8 +23,10 @@ from typing import Callable, Iterable, Iterator, Union
 from . import families as fam
 from .criticality import (
     complete_to_critical,
-    edge_profile,
+    is_edge_critical,
     is_k_gamma_t_edge_critical,
+    is_stable,
+    is_supercritical,
 )
 from .errors import (
     IncompatibleUniverseError,
@@ -53,7 +55,6 @@ from .solver import (
     gamma_tr_equals_order,
     gamma_tr_value,
     gamma_value,
-    has_trd_weight_at_most,
 )
 
 ALL_LABELED_CEILING = 7
@@ -191,39 +192,6 @@ MAX_COUNTEREXAMPLES = 20
 # helper predicates shared by several checks
 
 
-def _edge_is_critical(g: Graph, base: int, u: int, v: int) -> bool:
-    h = add_edge(g, u, v)
-    if h.n <= 6:
-        return gamma_tr_value(h) < base
-    return has_trd_weight_at_most(h, base - 1)
-
-
-def _measured_edge_critical(g: Graph) -> bool:
-    non_edges = g.non_edges()
-    if not non_edges:
-        return False
-    base = gamma_tr_value(g)
-    return all(_edge_is_critical(g, base, u, v) for u, v in non_edges)
-
-
-def _measured_stable(g: Graph) -> bool:
-    non_edges = g.non_edges()
-    if not non_edges:
-        return False
-    base = gamma_tr_value(g)
-    return not any(_edge_is_critical(g, base, u, v) for u, v in non_edges)
-
-
-def _measured_supercritical(g: Graph) -> bool:
-    non_edges = g.non_edges()
-    if not non_edges:
-        return False
-    base = gamma_tr_value(g)
-    return all(
-        gamma_tr_value(add_edge(g, u, v)) == base - 2 for u, v in non_edges
-    )
-
-
 def _has_universal_vertex(g: Graph) -> bool:
     return any(d == g.n - 1 for d in g.degrees)
 
@@ -258,21 +226,15 @@ def _endpath_leaves(g: Graph) -> list[tuple[int, int]]:
 # per-theorem checks: return None on pass, a detail string on violation
 
 
-def _check_myn1(g: Graph, spec) -> str | None:
-    base = gamma_t_value(g)
+def _check_delta_range(
+    g: Graph, value: Callable[[Graph], int], name: str
+) -> str | None:
+    """The first non-edge whose delta in ``value`` lies outside 0..2."""
+    base = value(g)
     for u, v in g.non_edges():
-        after = gamma_t_value(add_edge(g, u, v))
+        after = value(add_edge(g, u, v))
         if not base - 2 <= after <= base:
-            return f"gamma_t delta {base - after} outside 0..2 at edge ({u},{v})"
-    return None
-
-
-def _check_bounds(g: Graph, spec) -> str | None:
-    base = gamma_tr_value(g)
-    for u, v in g.non_edges():
-        after = gamma_tr_value(add_edge(g, u, v))
-        if not base - 2 <= after <= base:
-            return f"gamma_tR delta {base - after} outside 0..2 at edge ({u},{v})"
+            return f"{name} delta {base - after} outside 0..2 at edge ({u},{v})"
     return None
 
 
@@ -319,20 +281,14 @@ def _check_hen1(g: Graph, spec) -> str | None:
 
 def _check_ncrit(g: Graph, spec) -> str | None:
     predicted = fam.predict_n_critical(g)
-    if gamma_tr_equals_order(g):
-        non_edges = g.non_edges()
-        measured = bool(non_edges) and all(
-            _edge_is_critical(g, g.n, u, v) for u, v in non_edges
-        )
-    else:
-        measured = False
+    measured = gamma_tr_equals_order(g) and is_edge_critical(g, g.n)
     if predicted != measured:
         return f"predicted={predicted} but measured criticality is {measured}"
     return None
 
 
 def _check_4crit(g: Graph, spec) -> str | None:
-    lhs = gamma_tr_value(g) == 4 and _measured_edge_critical(g)
+    lhs = gamma_tr_value(g) == 4 and is_edge_critical(g, 4)
     rhs = fam.is_galaxy(complement(g))
     if lhs != rhs:
         return f"4-edge-critical is {lhs} but complement-galaxy is {rhs}"
@@ -343,20 +299,20 @@ def _check_n3reg(g: Graph, spec) -> str | None:
     value = gamma_tr_value(g)
     if value != 4:
         return f"gamma_tR={value}, expected 4"
-    if not _measured_stable(g):
+    if not is_stable(g):
         return "not stable: some non-edge changes gamma_tR"
     return None
 
 
 def _check_super(g: Graph, spec) -> str | None:
-    if gamma_tr_value(g) == 5 and _measured_supercritical(g):
+    if gamma_tr_value(g) == 5 and is_supercritical(g):
         return "supercritical graph with gamma_tR=5"
     if fam.is_union_of_completes(g, min_parts=2, min_order=3):
         k = len(component_masks(g))
         value = gamma_tr_value(g)
         if value != 3 * k:
             return f"union of {k} complete graphs has gamma_tR={value}, not {3 * k}"
-        if not _measured_supercritical(g):
+        if not is_supercritical(g):
             return f"union of {k} complete graphs is not supercritical"
     return None
 
@@ -402,7 +358,7 @@ def _check_t2iff(g: Graph, spec) -> str | None:
 
 
 def _check_5crit(g: Graph, spec) -> str | None:
-    if gamma_tr_value(g) != 5 or not _measured_edge_critical(g):
+    if gamma_tr_value(g) != 5 or not is_edge_critical(g, 5):
         return None
     if is_k_gamma_t_edge_critical(g, 3):
         return None
@@ -439,7 +395,7 @@ def _check_enddeg3(g: Graph, spec) -> str | None:
                     f"support {x} of leaf {w}: non-edge ({u},{v}) inside its"
                     " neighbourhood changes gamma_tR"
                 )
-        if _measured_edge_critical(g):
+        if is_edge_critical(g, base):
             return f"edge-critical despite leaf {w} with non-complete N({x})-w"
     return None
 
@@ -448,7 +404,7 @@ def _check_stems(g: Graph, spec) -> str | None:
     stems = {g.adj[v].bit_length() - 1 for v in range(g.n) if g.degree(v) == 1}
     if all(g.degree(s) <= 2 for s in stems):
         return None
-    if _measured_edge_critical(g):
+    if is_edge_critical(g):
         return "edge-critical tree with a stem of degree >= 3"
     return None
 
@@ -461,7 +417,7 @@ def _check_longlegs(g: Graph, spec) -> str | None:
     u, v = long_ends[0][0], long_ends[1][0]
     if gamma_tr_value(add_edge(g, u, v)) != base:
         return f"joining long-endpath leaves ({u},{v}) changed gamma_tR"
-    if _measured_edge_critical(g):
+    if is_edge_critical(g, base):
         return "edge-critical despite two endpaths of length >= 3"
     return None
 
@@ -476,7 +432,7 @@ def _check_spider_formula(g: Graph, spec) -> str | None:
 
 def _check_spider_crit(g: Graph, spec) -> str | None:
     predicted = fam.spider_is_critical(spec.legs)
-    measured = _measured_edge_critical(g)
+    measured = is_edge_critical(g)
     if predicted != measured:
         return f"predicate says {predicted} but measured criticality is {measured}"
     return None
@@ -488,7 +444,7 @@ def _check_span(g: Graph, spec) -> str | None:
     after = gamma_tr_value(h)
     if after != base:
         return f"completion changed gamma_tR from {base} to {after}"
-    if not _measured_edge_critical(h):
+    if not is_edge_critical(h, base):
         return "completion is not edge-critical"
     return None
 
@@ -517,7 +473,7 @@ def _check_diam2(g: Graph, spec) -> str | None:
         h = complete_to_critical(g)
         if gamma_tr_value(h) != expected:
             return "completion changed gamma_tR"
-        if not _measured_edge_critical(h):
+        if not is_edge_critical(h, expected):
             return "completion is not edge-critical"
         if metrics(h).diameter != 2:
             return f"completion has diameter {metrics(h).diameter}"
@@ -618,14 +574,14 @@ def _entries() -> list[TheoremEntry]:
             "T_MYN1",
             "adding an edge changes gamma_t by at most 2, never upward",
             AllLabeled(5),
-            _check_myn1,
+            lambda g, spec: _check_delta_range(g, gamma_t_value, "gamma_t"),
             hypothesis=_no_isolated,
         ),
         TheoremEntry(
             "T_BOUNDS",
             "adding an edge changes gamma_tR by at most 2, never upward",
             AllLabeled(5),
-            _check_bounds,
+            lambda g, spec: _check_delta_range(g, gamma_tr_value, "gamma_tR"),
             hypothesis=_no_isolated,
         ),
         TheoremEntry(
@@ -961,7 +917,7 @@ def run_registry(
 
 
 def _hunt_q1(g: Graph, spec) -> str | None:
-    if _measured_supercritical(g) and not fam.is_union_of_completes(
+    if is_supercritical(g) and not fam.is_union_of_completes(
         g, min_parts=2, min_order=3
     ):
         return (
@@ -972,7 +928,7 @@ def _hunt_q1(g: Graph, spec) -> str | None:
 
 
 def _hunt_q2(g: Graph, spec) -> str | None:
-    if _measured_edge_critical(g):
+    if is_edge_critical(g):
         dead = dead_vertices(g, "total-roman")
         if dead:
             return (

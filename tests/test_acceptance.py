@@ -12,7 +12,14 @@ import time
 
 import pytest
 
-from trd.criticality import edge_delta, edge_profile, gamma_t_edge_delta
+from trd.criticality import (
+    edge_delta,
+    edge_profile,
+    gamma_t_edge_delta,
+    is_edge_critical,
+    is_stable,
+    is_supercritical,
+)
 from trd.families import (
     CartesianComplete,
     Complete,
@@ -36,9 +43,6 @@ from trd.verify import (
     AllLabeled,
     Families,
     RandomGnp,
-    _measured_edge_critical,
-    _measured_stable,
-    _measured_supercritical,
     enumerate_graphs,
     verify_theorem,
 )
@@ -145,7 +149,7 @@ def test_criterion_07_no_5_supercritical():
     ok = report.outcome == "pass"
     for a, b in [(3, 3), (3, 4), (4, 4)]:
         g = generate(DisjointUnion((Complete(a), Complete(b))))
-        ok = ok and gamma_tr_value(g) == 6 and _measured_supercritical(g)
+        ok = ok and gamma_tr_value(g) == 6 and is_supercritical(g)
     _report(
         7,
         ok,
@@ -204,7 +208,7 @@ def test_criterion_09_order_value_and_criticality():
     family_report = verify_theorem("T_NCRIT", Families(tuple(corpus)))
     # among proper double-star members, criticality fails exactly at r in {0, 2}
     pattern_ok = all(
-        _measured_edge_critical(generate(spec)) == (spec.r not in (0, 2))
+        is_edge_critical(generate(spec)) == (spec.r not in (0, 2))
         for spec in h_specs
         if spec.a + spec.b >= 3
     )
@@ -247,7 +251,7 @@ def test_criterion_11_nearly_regular_stable():
     k33 = build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     prism = generate(CartesianComplete(2, 3))  # K_2 x K_3, 3-regular on 6
     named_ok = all(
-        gamma_tr_value(g) == 4 and _measured_stable(g) for g in (k33, prism)
+        gamma_tr_value(g) == 4 and is_stable(g) for g in (k33, prism)
     )
     report = verify_theorem("T_N3REG", AllLabeled(7, no_isolated=True))
     # 3-regular on 6 vertices and 4-regular on 7 vertices, all labellings

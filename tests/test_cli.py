@@ -1,6 +1,7 @@
 """CLI behaviour: payload shapes, exit codes, determinism, formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN]
+)
+def test_golden_transcript(capsys, case):
+    """The README examples (all but the bare ``trd verify``, whose JSON
+    sha256 the registry acceptance test pins) print exactly their recorded
+    stdout and exit code, in JSON and in TSV."""
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 class TestCompute:

@@ -12,6 +12,7 @@ from conftest import (
     dead_example,
     path,
     solvable_graphs,
+    sparse_graphs,
     spider,
     union,
 )
@@ -25,7 +26,10 @@ from trd.criticality import (
     edge_delta,
     edge_profile,
     gamma_t_edge_delta,
+    is_edge_critical,
     is_k_gamma_t_edge_critical,
+    is_stable,
+    is_supercritical,
 )
 from trd.errors import (
     IsolatedVertexError,
@@ -126,6 +130,39 @@ class TestEdgeProfile:
             assert profile.classification == MIXED
 
 
+class TestPredicates:
+    """The early-exit predicates agree with the full delta profile."""
+
+    @staticmethod
+    def agree(g):
+        profile = edge_profile(g)
+        assert is_edge_critical(g) == profile.is_edge_critical
+        assert is_edge_critical(g, profile.base_value) == profile.is_edge_critical
+        assert is_stable(g) == profile.is_stable
+        assert is_supercritical(g) == profile.is_supercritical
+
+    @given(solvable_graphs(2, 6))
+    @settings(max_examples=80)
+    def test_memoised_orders(self, g):
+        self.agree(g)
+
+    @given(sparse_graphs(7, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_first_hit_orders(self, g):
+        self.agree(g)
+
+    def test_named_graphs(self):
+        assert is_edge_critical(spider(2, 2, 4)) and not is_stable(spider(2, 2, 4))
+        assert is_stable(complete_bipartite(3, 3))
+        assert is_supercritical(union(Complete(3), Complete(3)))
+        assert not is_supercritical(cycle(6)) and is_edge_critical(cycle(6))
+        for g in (complete(4), complete(2)):
+            assert not (is_edge_critical(g) or is_stable(g) or is_supercritical(g))
+        for g in (spider(2, 2, 4), complete_bipartite(3, 3), cycle(6), complete(4),
+                  union(Complete(3), Complete(3)), union(Complete(3), Complete(4))):
+            self.agree(g)
+
+
 class TestCriticalEdgeValueSets:
     ALLOWED = {(2, 2), (1, 2), (0, 2), (1, 1)}
 
@@ -166,7 +203,8 @@ class TestCompleteToCritical:
         with pytest.raises(IsolatedVertexError):
             complete_to_critical(build_graph(3, [(0, 1)]))
 
-    @given(solvable_graphs(2, 6))
+    # orders 2 and 3 (K2, P3, K3) all have gamma_tR <= 3 and are rejected
+    @given(solvable_graphs(4, 6))
     @settings(max_examples=60)
     def test_preserves_value_and_reaches_criticality(self, g):
         assume(gamma_tr_value(g) >= 4)

@@ -25,6 +25,7 @@ from conftest import (
     star,
     union,
 )
+from trd import solver
 from trd.errors import (
     BudgetExceededError,
     GraphTooLargeError,
@@ -51,6 +52,7 @@ from trd.solver import (
     has_trd_weight_at_most,
     is_trd_function,
     rd_weight_at_most,
+    reset_caches,
 )
 from trd.verify import AllLabeled, enumerate_graphs
 
@@ -231,6 +233,15 @@ class TestClassicalNumbers:
                 gamma_t_value(g)
             # gamma_R is defined with isolated vertices: each one weighs 1
             assert gamma_r_value(g) == naive_gamma_r(g)
+
+    def test_reset_caches_empties_the_memo(self):
+        graphs = list(enumerate_graphs(AllLabeled(4)))
+        values = [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs]
+        assert {"gamma_tR", "gamma", "gamma_t", "gamma_R"} <= {
+            kind for kind, _ in solver._MEMO}
+        reset_caches()
+        assert solver._MEMO == {}
+        assert [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs] == values
 
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)
