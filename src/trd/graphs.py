@@ -14,6 +14,8 @@ Two pair orders appear below and are easy to confuse:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -172,6 +174,81 @@ def from_edge_mask(n: int, mask: int) -> Graph:
         adj[j] |= 1 << i
         mask ^= low
     return Graph(n, tuple(adj))
+
+
+def _canonical_form(adj: list[int]) -> tuple[int, int]:
+    """(least colex mask over colour-respecting orders, |Aut|) of a graph.
+
+    Colours start from the degrees and are refined by (colour, sorted
+    neighbour colours), ranked by sorted key, until no cell splits; both
+    steps commute with relabelling.  The candidate orders list the cells
+    in colour order, each cell permuted every way.  Automorphisms
+    preserve colours, so exactly |Aut| candidates reach the least mask.
+    """
+    n = len(adj)
+    nbrs = [list(iter_bits(a)) for a in adj]
+    colour = [len(ns) for ns in nbrs]
+    cells = len(set(colour))
+    while cells < n:
+        keys = [
+            (colour[v], tuple(sorted(colour[w] for w in nbrs[v]))) for v in range(n)
+        ]
+        distinct = sorted(set(keys))
+        if len(distinct) == cells:
+            break
+        rank = {key: r for r, key in enumerate(distinct)}
+        colour = [rank[key] for key in keys]
+        cells = len(distinct)
+    by_colour: dict[int, list[int]] = {}
+    for v in sorted(range(n), key=colour.__getitem__):
+        by_colour.setdefault(colour[v], []).append(v)
+    edges = [(u, v) for v in range(n) for u in nbrs[v] if u < v]
+    bit = [[1 << pair_index(a, b) if a != b else 0 for b in range(n)]
+           for a in range(n)]
+    best, count = -1, 0
+    pos = [0] * n
+    for parts in itertools.product(
+        *(itertools.permutations(cell) for cell in by_colour.values())
+    ):
+        p = 0
+        for part in parts:
+            for v in part:
+                pos[v] = p
+                p += 1
+        mask = 0
+        for u, v in edges:
+            mask |= bit[pos[u]][pos[v]]
+        if mask < best or best < 0:
+            best, count = mask, 1
+        elif mask == best:
+            count += 1
+    return best, count
+
+
+@lru_cache(maxsize=None)
+def graph_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """(canonical colex mask, orbit size) of every isomorphism class of
+    graphs of order n, sorted by mask; the orbit sizes sum to 2^C(n,2).
+
+    Order n grows from order n - 1: vertex n - 1 joins each class
+    representative with every neighbour set, and one canonical form per
+    class is kept.  The orbit of a class is its n!/|Aut| labellings.
+    """
+    if n < 1:
+        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    if n == 1:
+        return ((0, 1),)
+    last = n - 1
+    forms: dict[int, int] = {}
+    for mask, _ in graph_classes(last):
+        base = list(from_edge_mask(last, mask).adj)
+        for joined in range(1 << last):
+            adj = [a | (joined >> v & 1) << last for v, a in enumerate(base)]
+            adj.append(joined)
+            form, aut = _canonical_form(adj)
+            forms.setdefault(form, aut)
+    labellings = math.factorial(n)
+    return tuple((form, labellings // aut) for form, aut in sorted(forms.items()))
 
 
 def complement(g: Graph) -> Graph:
@@ -344,6 +421,10 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise MalformedEdgeListError(f"non-integer header {lines[0]!r}") from exc
+    if n > GRAPH6_MAX_N:  # before build_graph allocates n adjacency words
+        raise GraphTooLargeError(
+            f"edge lists support n <= {GRAPH6_MAX_N}, header declares {n}"
+        )
     if len(lines) - 1 != m:
         raise MalformedEdgeListError(
             f"header declares {m} edges but {len(lines) - 1} lines follow"

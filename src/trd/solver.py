@@ -8,8 +8,7 @@ that order; every other component by branch and bound.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
-edge mask; the decision gamma_tR = n is memoised the same way at order 7.
-A graph enters the memo only after its solve has validated it.
+edge mask.  A graph enters the memo only after its solve has validated it.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -43,9 +42,6 @@ from .graphs import Graph, component_masks, induced_subgraph, iter_bits
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
 _MEMO_MAX_N = 6
-# gamma_tR = n is also memoised at order 7: T_HEN1 and T_NCRIT over the
-# labelled graphs of order 7 both decide it for every graph
-_ORDER_MEMO_N = 7
 # below order 7 branch and bound is faster than the DP even at width 2
 _DP_MIN_N = 7
 _DP_MAX_WIDTH = 2
@@ -346,16 +342,14 @@ def _rd_probe(g: Graph) -> int:
 _MEMO: dict[tuple[str, int], bytearray] = {}
 
 
-def _memo(
-    kind: str, g: Graph, solve: Callable[[Graph], int], max_n: int = _MEMO_MAX_N
-) -> int:
-    """``solve(g)``, memoised under ``kind`` when G has order <= ``max_n``.
+def _memo(kind: str, g: Graph, solve: Callable[[Graph], int]) -> int:
+    """``solve(g)``, memoised under ``kind`` when G has order <= 6.
 
     Only a value ``solve`` returns is stored, so when ``solve`` validates
     the graph a hit needs no check.
     """
     n = g.n
-    if n > max_n:
+    if n > _MEMO_MAX_N:
         return solve(g)
     arr = _MEMO.get((kind, n))
     if arr is None:
@@ -596,15 +590,11 @@ def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     return _WeightSearch(g, True).solve(target_cap=cap, first_hit=True) is not None
 
 
-def _trd_is_order(g: Graph) -> bool:
-    return not has_trd_weight_at_most(g, g.n - 1)
-
-
 def gamma_tr_equals_order(g: Graph) -> bool:
     """Decide gamma_tR(G) = |V(G)| without always computing the exact value."""
     if g.n <= _MEMO_MAX_N:
         return gamma_tr_value(g) == g.n
-    return bool(_memo("gamma_tR=n", g, _trd_is_order, _ORDER_MEMO_N))
+    return not has_trd_weight_at_most(g, g.n - 1)
 
 
 def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:

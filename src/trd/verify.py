@@ -5,11 +5,15 @@ identifier, a default instance universe, a hypothesis filter, and a
 per-instance check returning a violation detail or None.  Claims run in
 sweeps: one sweep enumerates one universe once and offers each instance
 to all the claims that share that universe, so ``run_registry`` makes one
-sweep per distinct universe.  Reports are deterministic: the same
-universe and theorem always produce the same bytes, however the claims
-are grouped and however many processes run the checks.  A passing report
-over a bounded universe is evidence, not proof; a failing one carries
-graph6 certificates.
+sweep per distinct universe.  On an all-labelled universe a claim flagged
+``label_invariant`` meets one canonical representative per isomorphism
+class instead of every labelling, and each check counts as the class's
+orbit, so ``instances_checked`` is the labelled count either way; a claim
+that fails there is swept again labelled, for labelled counterexamples.
+Reports are deterministic: the same universe and theorem always produce
+the same bytes, however the claims are grouped and however many
+processes run the checks.  A passing report over a bounded universe is
+evidence, not proof; a failing one carries graph6 certificates.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .graphs import (
     component_masks,
     from_edge_mask,
     graph6_encode,
+    graph_classes,
     is_connected,
     iter_bits,
     metrics,
@@ -113,24 +118,43 @@ def universe_to_json(universe: InstanceUniverse) -> dict:
     raise TypeError(f"not a universe: {universe!r}")
 
 
+def _labeled_orders(universe: AllLabeled) -> range:
+    if not 1 <= universe.max_n <= ALL_LABELED_CEILING:
+        raise UniverseTooLargeError(
+            f"all-labelled enumeration is capped at n <= {ALL_LABELED_CEILING}"
+        )
+    return range(1, universe.max_n + 1)
+
+
+def _admits(universe: AllLabeled, g: Graph) -> bool:
+    return not (
+        (universe.no_isolated and g.has_isolated_vertices())
+        or (universe.connected_only and not is_connected(g))
+    )
+
+
+def _class_instances(universe: AllLabeled) -> Iterator[tuple[int, Graph]]:
+    """(orbit size, canonical representative) of every isomorphism class
+    that ``universe`` holds, by order and then canonical mask.  The orbit
+    sizes add up to the number of graphs ``enumerate_instances`` yields."""
+    for n in _labeled_orders(universe):
+        for mask, orbit in graph_classes(n):
+            g = from_edge_mask(n, mask)
+            if _admits(universe, g):
+                yield orbit, g
+
+
 def enumerate_instances(
     universe: InstanceUniverse,
 ) -> Iterator[tuple[fam.FamilySpec | None, Graph]]:
     """Stream (descriptor, graph) pairs; the descriptor is None unless the
     universe is family-based.  Deterministic order throughout."""
     if isinstance(universe, AllLabeled):
-        if not 1 <= universe.max_n <= ALL_LABELED_CEILING:
-            raise UniverseTooLargeError(
-                f"all-labelled enumeration is capped at n <= {ALL_LABELED_CEILING}"
-            )
-        for n in range(1, universe.max_n + 1):
+        for n in _labeled_orders(universe):
             for mask in range(1 << (n * (n - 1) // 2)):
                 g = from_edge_mask(n, mask)
-                if universe.no_isolated and g.has_isolated_vertices():
-                    continue
-                if universe.connected_only and not is_connected(g):
-                    continue
-                yield None, g
+                if _admits(universe, g):
+                    yield None, g
         return
     if isinstance(universe, Families):
         for spec in universe.specs:
@@ -535,6 +559,9 @@ class TheoremEntry:
     check: Callable[[Graph, fam.FamilySpec | None], str | None]
     hypothesis: Callable[[Graph], bool] | None = None
     family_kinds: tuple[type, ...] | None = None  # required descriptor types
+    # hypothesis and pass/fail of the check depend only on the isomorphism
+    # class, so an all-labelled sweep may check one labelling per class
+    label_invariant: bool = False
 
 
 def _no_isolated(g: Graph) -> bool:
@@ -576,6 +603,7 @@ def _entries() -> list[TheoremEntry]:
             AllLabeled(5),
             lambda g, spec: _check_delta_range(g, gamma_t_value, "gamma_t"),
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_BOUNDS",
@@ -583,6 +611,7 @@ def _entries() -> list[TheoremEntry]:
             AllLabeled(5),
             lambda g, spec: _check_delta_range(g, gamma_tr_value, "gamma_tR"),
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_CRITEDGE_VALUES",
@@ -590,6 +619,7 @@ def _entries() -> list[TheoremEntry]:
             AllLabeled(5),
             _check_critedge_values,
             hypothesis=lambda g: _no_isolated(g) and g.n + 1 <= ENUMERATION_MAX_N,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_TR3",
@@ -597,6 +627,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(),
             _check_tr3,
             hypothesis=lambda g: g.n >= 3 and _no_isolated(g),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_HEN1",
@@ -604,6 +635,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(connected=True),
             _check_hen1,
             hypothesis=_connected_no_isolated(2),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_NCRIT",
@@ -611,6 +643,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(connected=True),
             _check_ncrit,
             hypothesis=_connected_no_isolated(4),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_4CRIT",
@@ -618,6 +651,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(),
             _check_4crit,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_N3REG",
@@ -626,6 +660,7 @@ def _entries() -> list[TheoremEntry]:
             _check_n3reg,
             hypothesis=lambda g: g.n >= 6
             and all(d == g.n - 3 for d in g.degrees),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_MYN2_ANALOGUE",
@@ -634,6 +669,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(),
             _check_super,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_HEN2",
@@ -641,6 +677,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(),
             _check_hen2,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_HEN3",
@@ -648,6 +685,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(connected=True),
             _check_hen3,
             hypothesis=_connected_no_isolated(3),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_OBS1",
@@ -658,6 +696,7 @@ def _entries() -> list[TheoremEntry]:
             and is_connected(g)
             and _no_isolated(g)
             and max(g.degrees) <= g.n - 2,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_T2IFF",
@@ -665,6 +704,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(connected=True),
             _check_t2iff,
             hypothesis=_connected_no_isolated(3),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_5CRIT",
@@ -672,6 +712,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(),
             _check_5crit,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_ENDDEG3",
@@ -680,6 +721,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(),
             _check_enddeg3,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_STEMS",
@@ -687,6 +729,7 @@ def _entries() -> list[TheoremEntry]:
             _all6(connected=True),
             _check_stems,
             hypothesis=lambda g: g.n >= 2 and _no_isolated(g) and _is_tree(g),
+            label_invariant=True,
         ),
         TheoremEntry(
             "T_LONGLEGS",
@@ -694,6 +737,7 @@ def _entries() -> list[TheoremEntry]:
             Families(_LONGLEG_CORPUS),
             _check_longlegs,
             hypothesis=_no_isolated,
+            # not label-invariant: it joins the first two long endpaths by label
         ),
         TheoremEntry(
             "T_SPIDER_FORMULA",
@@ -715,6 +759,7 @@ def _entries() -> list[TheoremEntry]:
             AllLabeled(5),
             _check_span,
             hypothesis=lambda g: _no_isolated(g) and gamma_tr_value(g) >= 4,
+            # not label-invariant: the completion adds edges in label order
         ),
         TheoremEntry(
             "T_KNKM",
@@ -765,6 +810,7 @@ def _entries() -> list[TheoremEntry]:
             AllLabeled(5),
             _check_rd_deadpair,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
     ]
 
@@ -816,51 +862,77 @@ def _sweep(
     universe: InstanceUniverse,
     ids: list[str],
     jobs: int,
+    by_class: bool = True,
 ) -> list[VerificationReport]:
     """Check the claims ``ids`` over one enumeration of ``universe``.
 
-    Each instance meets every claim's descriptor filter and hypothesis in
-    the order of ``ids``.  The claims that hold form one work item
-    ``(ids, spec, g)``, whose checks run here when ``jobs`` is 1 and in a
-    pool worker otherwise.  Results come back in instance order, so the
-    reports do not depend on ``jobs``.
+    On an all-labelled universe the label-invariant claims meet one
+    canonical representative per isomorphism class, which counts as its
+    whole orbit of labellings; the other claims meet every labelled
+    graph.  Each instance meets every claim's descriptor filter and
+    hypothesis in the order of ``ids``.  The claims that hold form one
+    work item ``(ids, spec, g)``, whose checks run here when ``jobs`` is 1
+    and in a pool worker otherwise.  Results come back in instance order,
+    so the reports do not depend on ``jobs``.  A claim that fails on some
+    class is swept again over the labelled graphs, so its counterexamples
+    are the labelled ones.
     """
     entries = [_claim(cid) for cid in ids]
     position = {cid: i for i, cid in enumerate(ids)}
     checked = [0] * len(ids)
     found: list[list[Counterexample]] = [[] for _ in ids]
+    by_class = by_class and isinstance(universe, AllLabeled)
+    classed = [cid for cid, e in zip(ids, entries) if by_class and e.label_invariant]
+    labeled = [cid for cid in ids if cid not in classed]
+    streams = []
+    if classed:
+        streams.append(
+            (classed, ((w, None, g) for w, g in _class_instances(universe)))
+        )
+    if labeled:
+        streams.append(
+            (labeled, ((1, spec, g) for spec, g in enumerate_instances(universe)))
+        )
 
     def items():
-        for spec, g in enumerate_instances(universe):
-            held = tuple(
-                cid
-                for cid, entry in zip(ids, entries)
-                if (entry.family_kinds is None
-                    or isinstance(spec, entry.family_kinds))
-                and (entry.hypothesis is None or entry.hypothesis(g))
-            )
-            if held:
-                yield held, spec, g
+        for stream_ids, instances in streams:
+            stream_entries = [entries[position[cid]] for cid in stream_ids]
+            for weight, spec, g in instances:
+                held = tuple(
+                    cid
+                    for cid, entry in zip(stream_ids, stream_entries)
+                    if (entry.family_kinds is None
+                        or isinstance(spec, entry.family_kinds))
+                    and (entry.hypothesis is None or entry.hypothesis(g))
+                )
+                if held:
+                    yield weight, (held, spec, g)
 
-    work, pending = itertools.tee(items())
+    weighted, pending = itertools.tee(items())
+    work = (item for _, item in weighted)
     if jobs <= 1:
         results = map(_check_item, work)
     else:
         results = parallel_map(_check_item, work, jobs)
-    for (held, spec, g), details in zip(pending, results):
+    for (weight, (held, spec, g)), details in zip(pending, results):
         for cid, detail in zip(held, details):
             i = position[cid]
-            checked[i] += 1
+            checked[i] += weight
             if detail is not None and len(found[i]) < MAX_COUNTEREXAMPLES:
                 prefix = f"{fam.family_to_text(spec)}: " if spec is not None else ""
                 found[i].append(Counterexample(graph6_encode(g), prefix + detail))
-    return [
+    reports = [
         VerificationReport(
             cid, universe, checked[i], "fail" if found[i] else "pass",
             tuple(found[i]),
         )
         for i, cid in enumerate(ids)
     ]
+    failed = [cid for cid in classed if found[position[cid]]]
+    if failed:
+        for cid, report in zip(failed, _sweep(universe, failed, jobs, False)):
+            reports[position[cid]] = report
+    return reports
 
 
 def _theorem_universe(
@@ -899,8 +971,10 @@ def run_registry(
 
     Theorems whose universes are equal share one sweep: each distinct
     universe is enumerated once, and every instance is offered to its
-    theorems in id order.  Counts and counterexamples are those of
-    running each theorem on its own.
+    theorems in id order.  On an all-labelled universe the label-invariant
+    theorems share one pass over the isomorphism classes instead, each
+    class weighted by its orbit size.  Counts and counterexamples are
+    those of running each theorem on its own over every labelled graph.
     """
     overrides = universe_overrides or {}
     universes = {
@@ -948,6 +1022,7 @@ _QUESTION_ENTRIES: dict[str, TheoremEntry] = {
             _all6(),
             _hunt_q1,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
         TheoremEntry(
             "Q2_dead_in_critical",
@@ -955,6 +1030,7 @@ _QUESTION_ENTRIES: dict[str, TheoremEntry] = {
             _all6(),
             _hunt_q2,
             hypothesis=_no_isolated,
+            label_invariant=True,
         ),
     )
 }

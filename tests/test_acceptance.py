@@ -6,15 +6,11 @@ PASS/FAIL line (run pytest with ``-s`` to see them).
 """
 
 import hashlib
-import itertools
 import json
 import time
 
-import pytest
-
 from trd.criticality import (
     edge_delta,
-    edge_profile,
     gamma_t_edge_delta,
     is_edge_critical,
     is_stable,
@@ -29,9 +25,7 @@ from trd.families import (
     FamilyG,
     FamilyH,
     SubdividedStar,
-    dead_example_w_vertices,
     generate,
-    predict_n_critical,
 )
 from trd.graphs import add_edge, build_graph
 from trd.solver import (

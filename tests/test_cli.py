@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import trd.graphs
 from trd.cli import main
 from trd.graphs import graph6_decode
 
@@ -77,6 +78,17 @@ class TestCompute:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "compute", "--edges", str(tmp_path / "no"))
         assert code == 3
+
+    def test_oversized_edge_list_header(self, capsys, tmp_path, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError(f"build_graph called with n={n}")
+
+        monkeypatch.setattr(trd.graphs, "build_graph", refuse)
+        f = tmp_path / "huge.txt"
+        f.write_text("1000000000 0\n")
+        code, out, err = run(capsys, "compute", "--edges", str(f))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestClassifyAndProfile:

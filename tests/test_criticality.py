@@ -1,7 +1,5 @@
 """Edge deltas, profile classification, and critical completion."""
 
-import itertools
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 

@@ -1,7 +1,5 @@
 """Family generators, the spider closed form, recognizers, and the parser."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,7 +42,7 @@ from trd.families import (
     spider_gamma_formula,
     spider_is_critical,
 )
-from trd.graphs import build_graph, is_connected, metrics
+from trd.graphs import build_graph, is_connected
 from trd.solver import gamma_tr_value
 
 

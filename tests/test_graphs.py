@@ -1,7 +1,12 @@
 """Graph construction, editing, metrics, and the graph6 / edge-list codecs."""
 
+import itertools
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
+
+import trd.graphs
 
 from conftest import any_graphs, complete, cycle, path, rook, star, union
 from trd.errors import (
@@ -21,12 +26,15 @@ from trd.graphs import (
     from_edge_mask,
     graph6_decode,
     graph6_encode,
+    graph_classes,
     induced_subgraph,
+    is_connected,
     metrics,
     pair_index,
+    pair_table,
     parse_edge_list,
 )
-from trd.families import Complete, generate
+from trd.families import Complete
 
 
 class TestBuildGraph:
@@ -235,6 +243,64 @@ class TestEdgeList:
     def test_vertex_errors_propagate(self):
         with pytest.raises(OutOfRangeError):
             parse_edge_list("2 1\n0 5\n")
+
+    @pytest.mark.parametrize("text", ["1000000000 0\n", "63 1\n0 1\n"])
+    def test_oversized_header_rejected_before_allocation(self, monkeypatch, text):
+        def refuse(n, edges):
+            raise AssertionError(f"build_graph called with n={n}")
+
+        monkeypatch.setattr(trd.graphs, "build_graph", refuse)
+        with pytest.raises(GraphTooLargeError):
+            parse_edge_list(text)
+
+    def test_largest_header_accepted(self):
+        assert parse_edge_list("62 1\n0 61\n").n == 62
+
+
+# OEIS, indexed by n = 1..7
+A000088 = (1, 2, 4, 11, 34, 156, 1044)  # graphs
+A001349 = (1, 1, 2, 6, 21, 112, 853)  # connected graphs
+A001187 = (1, 1, 4, 38, 728, 26704, 1866256)  # labelled connected graphs
+A006129 = (0, 1, 4, 41, 768, 27449, 1887284)  # labelled, no isolated vertex
+
+
+def _least_relabelling(n: int, mask: int) -> int:
+    """The least colex mask over all n! relabellings: a canonical form
+    found without colour refinement."""
+    edges = [(i, j) for k, (i, j) in enumerate(pair_table(n)) if mask >> k & 1]
+    return min(
+        sum(1 << pair_index(p[i], p[j]) for i, j in edges)
+        for p in itertools.permutations(range(n))
+    )
+
+
+class TestGraphClasses:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_match_oeis(self, n):
+        classes = graph_classes(n)
+        reps = [from_edge_mask(n, mask) for mask, _ in classes]
+        assert len(classes) == A000088[n - 1]
+        assert [mask for mask, _ in classes] == sorted(set(m for m, _ in classes))
+        assert sum(1 for g in reps if is_connected(g)) == A001349[n - 1]
+        assert sum(orbit for _, orbit in classes) == 2 ** (n * (n - 1) // 2)
+        assert sum(
+            orbit for g, (_, orbit) in zip(reps, classes) if is_connected(g)
+        ) == A001187[n - 1]
+        assert sum(
+            orbit
+            for g, (_, orbit) in zip(reps, classes)
+            if not g.has_isolated_vertices()
+        ) == A006129[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_orbits_match_labelled_grouping(self, n):
+        groups = Counter(
+            _least_relabelling(n, mask) for mask in range(1 << (n * (n - 1) // 2))
+        )
+        classes = graph_classes(n)
+        assert len(groups) == len(classes)
+        for mask, orbit in classes:
+            assert groups[_least_relabelling(n, mask)] == orbit
 
 
 class TestInvariants:

@@ -15,14 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     complete,
-    connected_graphs,
     cycle,
     dead_example,
     path,
     solvable_graphs,
     sparse_graphs,
     spider,
-    star,
     union,
 )
 from trd import solver

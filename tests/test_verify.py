@@ -1,10 +1,13 @@
 """Universe enumeration, theorem reports, hunts, and report serialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trd.verify
+from conftest import any_graphs
 from trd.errors import (
     IncompatibleUniverseError,
     UniverseTooLargeError,
@@ -17,14 +20,14 @@ from trd.families import (
     DisjointUnion,
     Spider,
 )
-from trd.graphs import graph6_encode
+from trd.graphs import build_graph
 from trd.verify import (
+    QUESTIONS,
     AllLabeled,
     Families,
     RandomGnp,
     THEOREMS,
     TheoremEntry,
-    VerificationReport,
     enumerate_graphs,
     enumerate_instances,
     hunt_counterexamples,
@@ -161,6 +164,86 @@ def _labeled_at_four() -> dict:
         for tid, entry in THEOREMS.items()
         if isinstance(entry.default_universe, AllLabeled)
     }
+
+
+def _flagged() -> list[str]:
+    """The registry claims and questions flagged label-invariant."""
+    return [
+        cid
+        for cid in [*THEOREMS, *QUESTIONS]
+        if trd.verify._claim(cid).label_invariant
+    ]
+
+
+class TestClassSweep:
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("no_isolated", [False, True])
+    def test_orbits_add_up_to_the_labelled_count(self, connected_only, no_isolated):
+        universe = AllLabeled(5, connected_only, no_isolated)
+        weights = sum(w for w, _ in trd.verify._class_instances(universe))
+        assert weights == len(list(enumerate_instances(universe)))
+
+    def test_class_stream_keeps_the_ceiling(self):
+        with pytest.raises(UniverseTooLargeError):
+            list(trd.verify._class_instances(AllLabeled(8)))
+
+    def test_flags(self):
+        flagged = set(_flagged())
+        labeled_defaults = {
+            tid
+            for tid, entry in THEOREMS.items()
+            if isinstance(entry.default_universe, AllLabeled)
+        }
+        assert flagged == (labeled_defaults - {"T_SPAN"}) | set(QUESTIONS)
+
+    @given(any_graphs(2, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_flagged_claims_ignore_labels(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for cid in _flagged():
+            entry = trd.verify._claim(cid)
+            held = entry.hypothesis is None or entry.hypothesis(g)
+            assert held == (entry.hypothesis is None or entry.hypothesis(h)), cid
+            if held:
+                assert (entry.check(g, None) is None) == (
+                    entry.check(h, None) is None
+                ), cid
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_class_sweep_matches_labelled_sweep(self, connected_only):
+        universe = AllLabeled(5, connected_only)
+        ids = _flagged()
+        by_class = trd.verify._sweep(universe, ids, 1)
+        assert by_class == trd.verify._sweep(universe, ids, 1, by_class=False)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_flagged_claim_reports_labelled(
+        self, failing_entry, monkeypatch, jobs
+    ):
+        labelled = verify_theorem("T_ALWAYS_FAIL", AllLabeled(4))
+        flagged = replace(failing_entry, label_invariant=True)
+        monkeypatch.setitem(THEOREMS, "T_ALWAYS_FAIL", flagged)
+        assert verify_theorem("T_ALWAYS_FAIL", AllLabeled(4), jobs) == labelled
+
+    def test_failing_flagged_claim_in_a_shared_group(
+        self, failing_entry, monkeypatch
+    ):
+        overrides = _labeled_at_four()
+        labelled = run_registry(overrides)
+        flagged = replace(failing_entry, label_invariant=True)
+        monkeypatch.setitem(THEOREMS, "T_ALWAYS_FAIL", flagged)
+        assert run_registry(overrides) == labelled
+
+    def test_classes_never_reach_other_universes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            trd.verify, "_class_instances", lambda u: calls.append(u) or iter(())
+        )
+        verify_theorem("T_TR3", RandomGnp(3, 5, 0.5, 0))
+        verify_theorem("T_SPAN", AllLabeled(3))
+        assert calls == []
 
 
 class TestGroupedSweep:
