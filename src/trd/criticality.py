@@ -91,13 +91,6 @@ def edge_profile(g: Graph) -> EdgeProfile:
     return EdgeProfile(base, deltas, classify_deltas(deltas))
 
 
-def _below(h: Graph, base: int) -> bool:
-    """gamma_tR(H) < base, by a first-hit search beyond the memo's order."""
-    if h.n <= 6:
-        return gamma_tr_value(h) < base
-    return has_trd_weight_at_most(h, base - 1)
-
-
 def _every_non_edge(g: Graph, test, base: int | None = None) -> bool:
     """Whether ``test(G+uv, base)`` holds for every non-edge uv, stopping
     at the first that fails; False on complete graphs.  ``base`` is
@@ -112,12 +105,12 @@ def _every_non_edge(g: Graph, test, base: int | None = None) -> bool:
 
 def is_edge_critical(g: Graph, base: int | None = None) -> bool:
     """Every non-edge lowers gamma_tR (supercritical graphs qualify too)."""
-    return _every_non_edge(g, _below, base)
+    return _every_non_edge(g, lambda h, b: has_trd_weight_at_most(h, b - 1), base)
 
 
 def is_stable(g: Graph) -> bool:
     """No non-edge lowers gamma_tR."""
-    return _every_non_edge(g, lambda h, base: not _below(h, base))
+    return _every_non_edge(g, lambda h, b: not has_trd_weight_at_most(h, b - 1))
 
 
 def is_supercritical(g: Graph) -> bool:

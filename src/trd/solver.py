@@ -1,10 +1,12 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
-gamma_tR is solved per connected component: values add, and the
-lexicographically smallest minimum function is each component's smallest
-one put back in place.  A component of order > 6 that admits a vertex
-order of frontier width <= 2 is solved by a frontier dynamic program over
-that order; every other component by branch and bound.
+Every gamma_tR question (value, witness, yes/no decision, dead vertex)
+goes through one dispatcher, ``_solve_trd``.  It solves each connected
+component apart: values add, and the lexicographically smallest minimum
+function is each component's smallest one put back in place.  A component
+of order >= 10 that admits a vertex order of frontier width <= 2 is solved
+by a frontier dynamic program over that order; every other component by
+branch and bound.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -15,8 +17,8 @@ f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
 degree, trying the values 2, then 1, then 0; the 0 branch is expanded
 over the choices of lowest-index neighbour that will carry the required
 2, so every level of the tree satisfies at least one new vertex.  The
-same engine serves Roman domination (total condition disabled) and
-supports pinned vertex values, which is how dead vertices and the
+same engine serves Roman domination (total condition disabled).  Both
+engines take pinned vertex values, which is how dead vertices and the
 lexicographically smallest witness are computed.
 
 A deliberately independent oracle, :func:`brute_oracle_gamma_tr`, scans all
@@ -42,8 +44,9 @@ from .graphs import Graph, component_masks, induced_subgraph, iter_bits
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
 _MEMO_MAX_N = 6
-# below order 7 branch and bound is faster than the DP even at width 2
-_DP_MIN_N = 7
+# below order 10 branch and bound beats the DP on width-2 graphs, and its
+# first-hit decisions beat the DP's exact runs further up still
+_DP_MIN_N = 10
 _DP_MAX_WIDTH = 2
 
 
@@ -152,25 +155,17 @@ class _WeightSearch:
         forced: dict[int, int] | None = None,
         target_cap: int | None = None,
         first_hit: bool = False,
-        seed_upper: int | None = None,
     ) -> int | None:
         """Minimum feasible weight not exceeding ``target_cap``, else None.
 
-        ``seed_upper`` is the weight of a known feasible assignment; only
-        strictly better assignments are searched and the seed is returned
-        when nothing beats it.  With ``first_hit`` the search stops at the
-        first assignment within the cap (the result is then only an upper
-        bound, suitable for yes/no questions).
+        With ``first_hit`` the search stops at the first assignment within
+        the cap (the result is then only an upper bound, suitable for
+        yes/no questions).
         """
         cap = 2 * self.n if target_cap is None else target_cap
         if cap < 0:
             return None
-        if seed_upper is not None and seed_upper <= cap:
-            if first_hit:
-                return seed_upper
-            self.best = seed_upper
-        else:
-            self.best = cap + 1
+        self.best = cap + 1
         self.cap = cap
         self.first_hit = first_hit
         self.done = False
@@ -410,14 +405,13 @@ class _FrontierDP:
     neighbour of value 2, a positive vertex has a positive neighbour),
     coded as ``2 * value + met``.  A vertex leaves the frontier once all
     its neighbours are placed, and only with its condition met.  Each table
-    entry counts as one node against ``node_budget``.
+    entry counts as one node; ``nodes`` holds the count of the last run.
     """
 
-    __slots__ = ("n", "steps", "budget", "nodes")
+    __slots__ = ("n", "steps", "nodes")
 
-    def __init__(self, g: Graph, order: list[int], node_budget: int | None = None):
+    def __init__(self, g: Graph, order: list[int]):
         self.n = g.n
-        self.budget = node_budget
         self.nodes = 0
         adj = g.adj
         placed = 0
@@ -434,11 +428,15 @@ class _FrontierDP:
             frontier = [frontier[p] for p in keep] + ([v] if stays else [])
         self.steps = steps
 
-    def run(self, allowed: list[tuple[int, ...]]) -> tuple[int | None, list[int]]:
+    def run(
+        self, allowed: list[tuple[int, ...]], budget: int | None = None
+    ) -> tuple[int | None, list[int]]:
         """Least weight with f(v) in ``allowed[v]``, and a function attaining it.
 
-        Returns ``(None, [])`` when no TRD-function respects ``allowed``.
+        Returns ``(None, [])`` when no TRD-function respects ``allowed``;
+        raises once the run's table entries exceed ``budget``.
         """
+        self.nodes = 0
         table: dict[tuple[int, ...], tuple] = {(): (0, None, 0)}
         tables = []
         for v, nbrs, keep, leave, stays in self.steps:
@@ -463,8 +461,8 @@ class _FrontierDP:
                     if old is None or weight + x < old[0]:
                         nxt[key] = (weight + x, state, x)
             self.nodes += len(nxt)
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExceededError(f"node budget {self.budget} exhausted")
+            if budget is not None and self.nodes > budget:
+                raise BudgetExceededError(f"node budget {budget} exhausted")
             tables.append(nxt)
             table = nxt
         if () not in table:
@@ -476,87 +474,110 @@ class _FrontierDP:
         return table[()][0], values
 
 
-def _dp_trd(
-    g: Graph, order: list[int], node_budget: int | None, witness: bool
-) -> tuple[int, tuple[int, ...] | None, int]:
-    """gamma_tR by the frontier DP; the witness by pinned re-runs in index order.
+def _engine(h: Graph) -> Callable:
+    """The gamma_tR engine for the connected graph H, as a function
+    ``decide(pins, cap, first_hit, budget)``.
 
-    Each vertex in turn keeps the smallest value that still reaches the
-    optimum.  The last run's function proves its own value feasible, so
-    only the smaller values are re-run.
+    ``decide`` returns the least weight <= cap of a TRD-function with the
+    pinned values (with ``first_hit``, any weight <= cap), else None; a
+    function of that weight when the engine knows one, else None; and the
+    nodes spent.  The engine is the frontier DP when H has order
+    >= ``_DP_MIN_N`` and a greedy order of width <= 2: it always finds the
+    least weight and a function attaining it.  Otherwise it is branch and
+    bound, which without pins starts from the constructive probe.
     """
-    dp = _FrontierDP(g, order, node_budget)
-    allowed = [(0, 1, 2)] * g.n
-    value, values = dp.run(allowed)
-    if not witness:
-        return value, None, dp.nodes
-    for v in range(g.n):
-        for x in range(values[v]):
-            allowed[v] = (x,)
-            hit, found = dp.run(allowed)
-            if hit == value:
+    order = _frontier_order(h) if h.n >= _DP_MIN_N else None
+    if order is not None:
+        dp = _FrontierDP(h, order)
+
+        def decide(pins, cap, first_hit, budget):
+            allowed = [(pins[v],) if v in pins else (0, 1, 2) for v in range(h.n)]
+            value, values = dp.run(allowed, budget)
+            if value is None or value > cap:
+                return None, None, dp.nodes
+            return value, values, dp.nodes
+
+        return decide
+
+    def decide(pins, cap, first_hit, budget):
+        probe = cap + 1 if pins else _trd_probe(h)
+        if first_hit and probe <= cap:
+            return probe, None, 0
+        search = _WeightSearch(h, True, budget)
+        found = search.solve(pins, min(cap, probe - 1), first_hit)
+        if found is None and probe <= cap:
+            found = probe
+        return found, None, search.nodes
+
+    return decide
+
+
+def _witness(
+    decide: Callable, n: int, value: int, values: list[int] | None,
+    budget: int | None,
+) -> tuple[tuple[int, ...], int]:
+    """The lexicographically smallest function of weight ``value``, and the
+    nodes spent finding it.
+
+    Each vertex in index order keeps the smallest value that still admits a
+    completion of weight ``value``.  ``values`` is a function of that weight
+    when the last search returned one; its own value at the next vertex is
+    then known to work and is not searched again.
+    """
+    pins: dict[int, int] = {}
+    nodes = 0
+    for v in range(n):
+        for x in (0, 1, 2):
+            if values is not None and values[v] == x:
+                break
+            pins[v] = x
+            remaining = None if budget is None else budget - nodes
+            hit, found, used = decide(pins, value, True, remaining)
+            nodes += used
+            if hit is not None:
                 values = found
                 break
-        allowed[v] = (values[v],)
-    return value, tuple(values), dp.nodes
-
-
-def _bnb_trd(
-    g: Graph, node_budget: int | None, witness: bool
-) -> tuple[int, tuple[int, ...] | None, int]:
-    """gamma_tR by branch and bound seeded by the constructive probe.
-
-    The witness is built by pinning vertex values in index order and
-    keeping the smallest value that still admits a completion of optimal
-    weight.  ``node_budget`` bounds the total nodes across all searches.
-    """
-    probe = _trd_probe(g)
-    search = _WeightSearch(g, True, node_budget)
-    found = search.solve(target_cap=probe - 1)
-    nodes = search.nodes
-    value = probe if found is None else found
-    if not witness:
-        return value, None, nodes
-    pins: dict[int, int] = {}
-    for v in range(g.n):
-        for val in (0, 1, 2):
-            pins[v] = val
-            remaining = None if node_budget is None else node_budget - nodes
-            s2 = _WeightSearch(g, True, remaining)
-            hit = s2.solve(forced=pins, target_cap=value, first_hit=True)
-            nodes += s2.nodes
-            if hit is not None:
-                break
-        else:  # pragma: no cover - the prefix is always extendable
-            raise AssertionError("witness reconstruction failed")
-    return value, tuple(pins[v] for v in range(g.n)), nodes
+        pins[v] = x
+    return tuple(pins[v] for v in range(n)), nodes
 
 
 def _solve_trd(
-    g: Graph, node_budget: int | None, witness: bool
-) -> tuple[int, tuple[int, ...] | None, int]:
-    """gamma_tR(G), with ``witness`` its lexicographically smallest minimum
-    function, and the nodes spent.
+    g: Graph,
+    node_budget: int | None,
+    witness: bool,
+    cap: int | None = None,
+    pins: dict[int, int] | None = None,
+) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """The one route to the gamma_tR engines: the least weight of a
+    TRD-function on G with the ``pins`` values, with ``witness`` the
+    lexicographically smallest function of that weight, and the nodes spent.
 
-    Components are solved apart under one shared ``node_budget``: by the
-    frontier DP when the component has order > 6 and a greedy order of
-    width <= 2, else by branch and bound.
+    Components are solved apart, values adding, each by its :func:`_engine`
+    under one shared ``node_budget``.  With ``cap`` the call is a decision:
+    the weight is None when every function weighs more than ``cap``, and the
+    last component may stop at its first hit, so a weight returned is only
+    some weight <= cap.
     """
     comps = component_masks(g)
+    limit = 2 * g.n if cap is None else cap
     value = nodes = 0
     values = [0] * g.n
-    for comp in comps:
+    for i, comp in enumerate(comps):
         verts = list(iter_bits(comp))
         h = g if len(comps) == 1 else induced_subgraph(g, verts)
+        local = {j: pins[v] for j, v in enumerate(verts) if v in pins} if pins else {}
         budget = None if node_budget is None else node_budget - nodes
-        order = _frontier_order(h) if h.n >= _DP_MIN_N else None
-        if order is None:
-            part, vec, used = _bnb_trd(h, budget, witness)
-        else:
-            part, vec, used = _dp_trd(h, order, budget, witness)
-        value += part
+        decide = _engine(h)
+        first_hit = cap is not None and i == len(comps) - 1
+        part, found, used = decide(local, limit - value, first_hit, budget)
         nodes += used
+        if part is None:
+            return None, None, nodes
+        value += part
         if witness:
+            budget = None if node_budget is None else node_budget - nodes
+            vec, used = _witness(decide, h.n, part, found, budget)
+            nodes += used
             for v, x in zip(verts, vec):
                 values[v] = x
     return value, tuple(values) if witness else None, nodes
@@ -572,8 +593,6 @@ def _require_trd_input(g: Graph) -> None:
 
 def _trd_value(g: Graph) -> int:
     _require_trd_input(g)
-    if g.n < _DP_MIN_N:  # the split costs more than it saves on small graphs
-        return _bnb_trd(g, None, False)[0]
     return _solve_trd(g, None, False)[0]
 
 
@@ -584,16 +603,14 @@ def gamma_tr_value(g: Graph) -> int:
 
 def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     """Whether some TRD-function on G has weight <= cap."""
+    if g.n <= _MEMO_MAX_N:
+        return gamma_tr_value(g) <= cap
     _require_trd_input(g)
-    if _trd_probe(g) <= cap:
-        return True
-    return _WeightSearch(g, True).solve(target_cap=cap, first_hit=True) is not None
+    return _solve_trd(g, None, False, cap)[0] is not None
 
 
 def gamma_tr_equals_order(g: Graph) -> bool:
     """Decide gamma_tR(G) = |V(G)| without always computing the exact value."""
-    if g.n <= _MEMO_MAX_N:
-        return gamma_tr_value(g) == g.n
     return not has_trd_weight_at_most(g, g.n - 1)
 
 
@@ -601,11 +618,10 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     """Exact gamma_tR(G) with the lexicographically smallest minimum witness.
 
     The graph is split into components, whose values add and whose
-    smallest witnesses are put back in place.  A component of order > 6
-    with a vertex order of frontier width <= 2 is solved by the frontier
-    DP, which finds the witness by re-running with vertex values pinned in
-    index order.  Any other component is solved by branch and bound seeded
-    by constructive probes, which finds the witness by pinned first-hit
+    smallest witnesses are put back in place.  A component of order
+    >= ``_DP_MIN_N`` with a vertex order of frontier width <= 2 is solved
+    by the frontier DP; any other component by branch and bound seeded by
+    constructive probes.  Either way the witness is found by pinned
     searches in index order.  ``node_budget`` bounds the total nodes, DP
     table entries included, across all components and searches.
     """
@@ -714,34 +730,24 @@ def enumerate_min_trd(g: Graph) -> list[WeightFunction]:
 def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     """Vertices assigned 0 by every minimum TRD-function (or RD-function).
 
-    Decided by pinned branch-and-bound runs: v is dead iff neither pin
-    f(v)=1 nor f(v)=2 admits a function of minimum weight.  This avoids
-    full enumeration so the check scales to the solver cap.
+    Decided by pinned searches: v is dead iff neither pin f(v)=1 nor
+    f(v)=2 admits a function of minimum weight.  This avoids full
+    enumeration so the check scales to the solver cap.
     """
     key = mode.strip().lower().replace("_", "-")
     if key == "total-roman":
-        total = True
+        base = gamma_tr_value(g)
+
+        def hits(pins):
+            return _solve_trd(g, None, False, base, pins)[0] is not None
     elif key == "roman":
-        total = False
+        base = gamma_r_value(g)
+
+        def hits(pins):
+            return _WeightSearch(g, False).solve(pins, base, True) is not None
     else:
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
-    if g.n > SOLVER_MAX_N:
-        raise GraphTooLargeError(f"dead vertices capped at n <= {SOLVER_MAX_N}")
-    if total:
-        base = gamma_tr_value(g)
-    else:
-        base = gamma_r_value(g)
-    dead = []
-    for v in range(g.n):
-        alive = False
-        for val in (1, 2):
-            search = _WeightSearch(g, total)
-            if search.solve(forced={v: val}, target_cap=base, first_hit=True) is not None:
-                alive = True
-                break
-        if not alive:
-            dead.append(v)
-    return tuple(dead)
+    return tuple(v for v in range(g.n) if not any(hits({v: x}) for x in (1, 2)))
 
 
 def _min_cover_size(g: Graph, closed: bool) -> int:
@@ -828,15 +834,6 @@ def gamma_r_value(g: Graph) -> int:
     if g.n > SOLVER_MAX_N:
         raise GraphTooLargeError(f"gamma_R capped at n <= {SOLVER_MAX_N}")
     return _memo("gamma_R", g, _gamma_r)
-
-
-def rd_weight_at_most(g: Graph, cap: int, pins: dict[int, int] | None = None) -> bool:
-    """Whether some RD-function (with optional pinned values) has weight <= cap."""
-    if g.n > SOLVER_MAX_N:
-        raise GraphTooLargeError(f"gamma_R capped at n <= {SOLVER_MAX_N}")
-    return _WeightSearch(g, False).solve(
-        forced=pins, target_cap=cap, first_hit=True
-    ) is not None
 
 
 def classical_numbers(g: Graph) -> tuple[int, int, int]:

@@ -209,6 +209,14 @@ class TestHuntCommand:
         assert payload["theorem_id"] == "Q1_supercritical"
         assert payload["outcome"] == "pass"
 
+    def test_counterexample_exits_one(self, capsys):
+        argv = ["hunt", "Q1", "--family", "cor(K4)", "--family", "cor(K5)"]
+        code1, out1, _ = run(capsys, "--jobs", "1", *argv)
+        code2, out2, _ = run(capsys, "--jobs", "2", *argv)
+        assert (code1, code2) == (1, 1)
+        assert out1 == out2
+        assert json.loads(out1)["outcome"] == "fail"
+
     def test_random_universe_seeded(self, capsys):
         _, out1, _ = run(capsys, "--seed", "7", "hunt", "Q1",
                          "--random", "5,6,0.5")

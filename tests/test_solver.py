@@ -49,7 +49,6 @@ from trd.solver import (
     gamma_tr_value,
     has_trd_weight_at_most,
     is_trd_function,
-    rd_weight_at_most,
     reset_caches,
 )
 from trd.verify import AllLabeled, enumerate_graphs
@@ -106,6 +105,15 @@ def naive_gamma_t(g: Graph) -> int:
             if all(any(g.has_edge(v, u) for u in s) for v in range(g.n)):
                 return size
     raise AssertionError
+
+
+def naive_dead(g: Graph, minimums) -> tuple[int, ...]:
+    """The vertices that are 0 in every listed minimum weight vector."""
+    return tuple(v for v in range(g.n) if all(vec[v] == 0 for vec in minimums))
+
+
+def min_trd_vectors(g: Graph) -> list[tuple[int, ...]]:
+    return [f.values for f in enumerate_min_trd(g)]
 
 
 # --- validation -------------------------------------------------------------
@@ -323,6 +331,20 @@ class TestWitness:
     def test_nodes_reported(self):
         assert gamma_tr(cycle(6)).nodes_explored > 0
 
+    @pytest.mark.parametrize(
+        "family,nodes",
+        [
+            ("cycle(6)", 100),  # branch and bound
+            ("path(12)", 129),  # the DP
+            ("cycle(14)", 483),
+            ("union(K3,path(11))", 127),  # both
+        ],
+    )
+    def test_nodes_pinned(self, family, nodes):
+        # nodes_explored is part of ``trd compute`` output; the DP's witness
+        # search reuses the function each run returns
+        assert gamma_tr(generate(parse_family(family))).nodes_explored == nodes
+
     def test_invariant_label(self):
         assert gamma_tr(cycle(4)).invariant == "gamma_tR"
 
@@ -343,11 +365,7 @@ class TestDeadVertices:
     @given(solvable_graphs(2, 6))
     @settings(max_examples=60)
     def test_matches_enumeration(self, g):
-        minimums = enumerate_min_trd(g)
-        expected = tuple(
-            v for v in range(g.n) if all(f.values[v] == 0 for f in minimums)
-        )
-        assert dead_vertices(g, "total-roman") == expected
+        assert dead_vertices(g, "total-roman") == naive_dead(g, min_trd_vectors(g))
 
     @given(solvable_graphs(2, 5))
     @settings(max_examples=60)
@@ -358,10 +376,7 @@ class TestDeadVertices:
             for vec in itertools.product((0, 1, 2), repeat=g.n)
             if sum(vec) == target and naive_is_rd(g, vec)
         ]
-        expected = tuple(
-            v for v in range(g.n) if all(vec[v] == 0 for vec in minimums)
-        )
-        assert dead_vertices(g, "roman") == expected
+        assert dead_vertices(g, "roman") == naive_dead(g, minimums)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -404,9 +419,8 @@ class TestStructuralProperties:
         [
             lambda g: has_trd_weight_at_most(g, 3),
             gamma_r_value,
-            lambda g: rd_weight_at_most(g, 3),
         ],
-        ids=["has_trd_weight_at_most", "gamma_r_value", "rd_weight_at_most"],
+        ids=["has_trd_weight_at_most", "gamma_r_value"],
     )
     def test_solver_cap(self, solve):
         with pytest.raises(GraphTooLargeError):
@@ -417,9 +431,9 @@ class TestStructuralProperties:
 
 
 @st.composite
-def width_two_graphs(draw):
-    """Relabelled trees and cycles with pendants, of order 7-12."""
-    n = draw(st.integers(7, 12))
+def width_two_graphs(draw, min_n=7, max_n=12):
+    """Relabelled trees and cycles with pendants, of order min_n to max_n."""
+    n = draw(st.integers(min_n, max_n))
     if draw(st.booleans()):
         edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     else:
@@ -428,6 +442,15 @@ def width_two_graphs(draw):
         edges += [(draw(st.integers(0, k - 1)), v) for v in range(k, n)]
     perm = draw(st.permutations(range(n)))
     return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def dense_graphs(draw):
+    """K_n, 4 <= n <= 6, less at most n - 2 edges (so no vertex is isolated)."""
+    n = draw(st.integers(4, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    drop = draw(st.lists(st.sampled_from(pairs), max_size=n - 2))
+    return build_graph(n, [e for e in pairs if e not in drop])
 
 
 class TestSparseEngine:
@@ -449,6 +472,32 @@ class TestSparseEngine:
         assert value == _WeightSearch(g, True).solve()
         f = WeightFunction(tuple(values))
         assert f.weight == value and is_trd_function(g, f).valid
+
+    @given(width_two_graphs(9, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_decisions_and_dead_vertices(self, g):
+        # orders 10-12 go to the DP, order 9 to branch and bound
+        value = brute_oracle_gamma_tr(g)
+        assert has_trd_weight_at_most(g, value)
+        assert not has_trd_weight_at_most(g, value - 1)
+        assert gamma_tr_equals_order(g) == (value == g.n)
+        assert dead_vertices(g) == naive_dead(g, min_trd_vectors(g))
+
+    @given(width_two_graphs(9, 12), dense_graphs(), st.randoms())
+    @settings(max_examples=30, deadline=None)
+    def test_decisions_and_dead_vertices_on_unions(self, sparse, dense, rnd):
+        # the pins of a dead-vertex decision stay in their own component
+        perm = list(range(sparse.n + dense.n))
+        rnd.shuffle(perm)
+        g = disjoint_union([sparse, dense])
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        value = brute_oracle_gamma_tr(sparse) + brute_oracle_gamma_tr(dense)
+        assert has_trd_weight_at_most(g, value)
+        assert not has_trd_weight_at_most(g, value - 1)
+        assert gamma_tr_equals_order(g) == (value == g.n)
+        dead = naive_dead(sparse, min_trd_vectors(sparse))
+        dead += tuple(sparse.n + v for v in naive_dead(dense, min_trd_vectors(dense)))
+        assert dead_vertices(g) == tuple(sorted(perm[v] for v in dead))
 
     @pytest.mark.parametrize(
         "family,value",

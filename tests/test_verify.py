@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import trd.verify
 from conftest import any_graphs
+from trd.criticality import edge_profile, is_edge_critical, is_supercritical
 from trd.errors import (
     IncompatibleUniverseError,
     UniverseTooLargeError,
@@ -16,11 +17,19 @@ from trd.errors import (
 )
 from trd.families import (
     Complete,
+    Corona,
     DeadExample,
     DisjointUnion,
     Spider,
+    generate,
 )
-from trd.graphs import build_graph
+from trd.graphs import add_edge, build_graph, graph6_decode
+from trd.solver import (
+    brute_oracle_gamma_tr,
+    dead_vertices,
+    enumerate_min_trd,
+    gamma_tr_equals_order,
+)
 from trd.verify import (
     QUESTIONS,
     AllLabeled,
@@ -339,3 +348,47 @@ class TestHunts:
         report = hunt_counterexamples("Q2_dead_in_critical", universe)
         assert report.outcome == "pass"
         assert report.instances_checked == 3
+
+
+def oracle_deltas(g):
+    """gamma_tR of G and the set of gamma_tR(G) - gamma_tR(G+e), by the 3^n
+    oracle, with the weight of the first enumerated minimum as a check."""
+    def value(h):
+        v = brute_oracle_gamma_tr(h)
+        assert enumerate_min_trd(h)[0].weight == v
+        return v
+
+    base = value(g)
+    return base, {base - value(add_edge(g, u, v)) for u, v in g.non_edges()}
+
+
+class TestQuestionCounterexamples:
+    """Q1 and Q2 as the registry states them fail beyond the default order-6
+    universe; each counterexample is checked by the solver and the oracle."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_q1_coronas_of_complete_graphs(self, m):
+        g = generate(Corona(Complete(m)))
+        assert is_supercritical(g) and gamma_tr_equals_order(g)
+        if g.n <= 10:
+            assert oracle_deltas(g) == (g.n, {2})
+
+    @pytest.mark.parametrize(
+        "g6,dead",
+        [
+            ("G`LZZk", (0,)),
+            ("GxOyo{", (0,)),
+            ("GKd`y{", (0,)),
+            ("GS\\RH{", (0, 1, 4)),
+        ],
+    )
+    def test_q2_order_eight(self, g6, dead):
+        g = graph6_decode(g6)
+        profile = edge_profile(g)
+        assert profile.base_value == 5 and set(profile.deltas.values()) == {1}
+        assert is_edge_critical(g) and dead_vertices(g) == dead
+        assert oracle_deltas(g) == (5, {1})
+        minimums = enumerate_min_trd(g)
+        assert tuple(
+            v for v in range(g.n) if all(f.values[v] == 0 for f in minimums)
+        ) == dead
