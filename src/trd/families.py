@@ -2,7 +2,11 @@
 
 Each generator fixes a documented canonical labelling so witnesses and
 reports are reproducible.  Recognizers are label-independent: they test
-structure, never labellings.
+structure, never labellings.  The gamma_tR = n classifier tests paths,
+cycles and coronas directly; it reads the subdivided star, family G and
+family H off one pendant-path decomposition, the core left when every
+pendant 2-path (a leaf and its degree-2 support) is removed, with the
+number of 2-paths hanging at each core vertex.
 
 Family descriptors have a text syntax used by the CLI, for example
 ``spider(2,2,4)``, ``cor(K3)``, ``familyH(2,3,r=4)``, ``KxK(3,3)``,
@@ -344,41 +348,32 @@ def is_complete_graph(g: Graph) -> bool:
     return g.edge_count == g.n * (g.n - 1) // 2
 
 
-def _leaf_support_split(g: Graph):
-    """(leaves, supports) when every leaf has a distinct degree-2 support
-    carrying exactly that one leaf; None otherwise."""
-    deg = g.degrees
-    leaves = [v for v in range(g.n) if deg[v] == 1]
-    supports = []
-    for leaf in leaves:
-        s = g.adj[leaf].bit_length() - 1
-        if deg[s] != 2:
+def _pendant_core(g: Graph) -> tuple[Graph, list[int]] | None:
+    """The core left when every pendant 2-path is removed, as an induced
+    subgraph, and the number of 2-paths hanging at each core vertex.
+
+    A pendant 2-path is a leaf with its neighbour, the support, when the
+    support has degree 2.  None when G has no leaf or more than n edges,
+    when a support has another degree, when two leaves share a support,
+    or when a support's other neighbour is a leaf or a support.
+    """
+    if g.edge_count > g.n:
+        return None
+    deg, adj = g.degrees, g.adj
+    stripped = 0
+    attach = []
+    for leaf in range(g.n):
+        if deg[leaf] != 1:
+            continue
+        s = adj[leaf].bit_length() - 1
+        if deg[s] != 2 or stripped >> s & 1:
             return None
-        supports.append(s)
-    if len(set(supports)) != len(leaves):
+        stripped |= 1 << leaf | 1 << s
+        attach.append((adj[s] & ~(1 << leaf)).bit_length() - 1)
+    if not attach or any(stripped >> a & 1 for a in attach):
         return None
-    return leaves, supports
-
-
-def _subdivided_star_arms(g: Graph) -> int | None:
-    """Number of arms when g is a star with every edge subdivided once."""
-    if g.edge_count != g.n - 1 or g.n < 5 or g.n % 2 == 0:
-        return None
-    k = (g.n - 1) // 2
-    split = _leaf_support_split(g)
-    if split is None or len(split[0]) != k:
-        return None
-    leaves, supports = split
-    rest = set(range(g.n)) - set(leaves) - set(supports)
-    if len(rest) != 1:
-        return None
-    centre = rest.pop()
-    sup_mask = 0
-    for s in supports:
-        sup_mask |= 1 << s
-    if g.adj[centre] != sup_mask:
-        return None
-    return k
+    core = [v for v in range(g.n) if not stripped >> v & 1]
+    return induced_subgraph(g, core), [attach.count(v) for v in core]
 
 
 def _corona_inner(g: Graph) -> Graph | None:
@@ -404,92 +399,6 @@ def _corona_inner(g: Graph) -> Graph | None:
     return induced_subgraph(g, inner)
 
 
-def _family_g_params(g: Graph) -> tuple[int, int] | None:
-    """(k1, k2) with k1 >= k2 when g is a 4-cycle with pendant 2-paths on
-    one vertex or two adjacent vertices."""
-    n = g.n
-    if n < 6 or n % 2:
-        return None
-    split = _leaf_support_split(g)
-    if split is None or not split[0]:
-        return None
-    leaves, supports = split
-    k = len(leaves)
-    if n != 4 + 2 * k:
-        return None
-    touched = set(leaves) | set(supports)
-    rest = [v for v in range(n) if v not in touched]
-    if len(rest) != 4:
-        return None
-    rest_mask = 0
-    for v in rest:
-        rest_mask |= 1 << v
-    attach = {}
-    for leaf, s in zip(leaves, supports):
-        other = g.adj[s] & ~(1 << leaf)
-        a = other.bit_length() - 1
-        if not rest_mask >> a & 1:
-            return None
-        attach[s] = a
-    for v in rest:
-        if (g.adj[v] & rest_mask).bit_count() != 2:
-            return None
-        for s in iter_bits(g.adj[v] & ~rest_mask):
-            if attach.get(s) != v:
-                return None
-    if not is_connected(induced_subgraph(g, rest)):
-        return None  # the four cycle vertices must form C_4, not 2K_2
-    points = sorted(set(attach.values()))
-    if len(points) == 1:
-        return (k, 0)
-    if len(points) == 2 and g.has_edge(points[0], points[1]):
-        c = sum(1 for s in attach if attach[s] == points[0])
-        return (max(c, k - c), min(c, k - c))
-    return None
-
-
-def _family_h_r(g: Graph) -> int | None:
-    """Recovered r when g is a double star with pendant edges subdivided
-    once and the centre edge subdivided r times."""
-    n = g.n
-    if g.edge_count != n - 1:
-        return None
-    split = _leaf_support_split(g)
-    if split is None or len(split[0]) < 2:
-        return None
-    leaves, supports = split
-    touched = set(leaves) | set(supports)
-    rest = [v for v in range(n) if v not in touched]
-    m = len(rest)
-    if m < 2:
-        return None
-    rest_mask = 0
-    for v in rest:
-        rest_mask |= 1 << v
-    sub = induced_subgraph(g, rest)
-    if not is_connected(sub) or not _is_path_graph(sub):
-        return None
-    ends = [rest[i] for i in range(m) if sub.degrees[i] == 1]
-    attach = {}
-    for leaf, s in zip(leaves, supports):
-        other = g.adj[s] & ~(1 << leaf)
-        a = other.bit_length() - 1
-        if a not in ends:
-            return None
-        attach[s] = a
-    if len(set(attach.values())) != 2:
-        return None  # both original centres must carry at least one 2-path
-    for v in rest:
-        extra = g.adj[v] & ~rest_mask
-        allowed = 0
-        for s, a in attach.items():
-            if a == v:
-                allowed |= 1 << s
-        if extra != allowed:
-            return None
-    return m - 2
-
-
 def hen1_classify(g: Graph) -> Hen1Class | None:
     """Classify a connected graph into the gamma_tR = n clauses, or None.
 
@@ -504,15 +413,21 @@ def hen1_classify(g: Graph) -> Hen1Class | None:
         raise DisconnectedError("classification needs a connected graph")
     if _is_path_graph(g) or _is_cycle_graph(g):
         return Hen1Class(PATH_OR_CYCLE)
-    if _subdivided_star_arms(g) is not None:
+    core, hang = _pendant_core(g) or (None, None)
+    if core is not None and core.n == 1 and hang[0] >= 2:
         return Hen1Class(SUBDIVIDED_STAR)
     if _corona_inner(g) is not None:
         return Hen1Class(CORONA)
-    if _family_g_params(g) is not None:
+    if core is None:
+        return None
+    carriers = [v for v, k in enumerate(hang) if k]
+    if core.n == 4 and _is_cycle_graph(core) and (
+        len(carriers) == 1 or len(carriers) == 2 and core.has_edge(*carriers)
+    ):
         return Hen1Class(FAMILY_G)
-    r = _family_h_r(g)
-    if r is not None:
-        return Hen1Class(FAMILY_H, r)
+    ends = [v for v, d in enumerate(core.degrees) if d == 1]
+    if core.n >= 2 and _is_path_graph(core) and carriers == ends:
+        return Hen1Class(FAMILY_H, core.n - 2)
     return None
 
 
@@ -534,19 +449,19 @@ def is_galaxy(g: Graph) -> bool:
     return True
 
 
-def is_union_of_completes(g: Graph, min_parts: int = 2, min_order: int = 3) -> bool:
-    """Disjoint union of at least ``min_parts`` complete graphs, each of
-    order at least ``min_order``."""
+def is_union_of_completes(g: Graph) -> bool:
+    """Disjoint union of at least two complete graphs, each of order at
+    least 3."""
     deg = g.degrees
     comps = component_masks(g)
     for comp in comps:
         c = comp.bit_count()
-        if c < min_order:
+        if c < 3:
             return False
         for u in iter_bits(comp):
             if deg[u] != c - 1:
                 return False
-    return len(comps) >= min_parts
+    return len(comps) >= 2
 
 
 def predict_n_critical(g: Graph) -> bool:

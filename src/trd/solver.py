@@ -1,12 +1,13 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
 Every gamma_tR question (value, witness, yes/no decision, dead vertex)
-goes through one dispatcher, ``_solve_trd``.  It solves each connected
-component apart: values add, and the lexicographically smallest minimum
-function is each component's smallest one put back in place.  A component
-of order >= 10 that admits a vertex order of frontier width <= 2 is solved
-by a frontier dynamic program over that order; every other component by
-branch and bound.
+is solved one connected component at a time, each by the engine
+``_engine`` picks for it.  A component of order >= 10 that admits a vertex
+order of frontier width <= 2 is solved by a frontier dynamic program over
+that order; every other component by branch and bound.  ``_solve_trd``
+adds the components' values and puts each one's lexicographically smallest
+minimum function back in place; ``dead_vertices`` runs its pinned
+decisions against each component's engine.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -546,10 +547,8 @@ def _solve_trd(
     node_budget: int | None,
     witness: bool,
     cap: int | None = None,
-    pins: dict[int, int] | None = None,
 ) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """The one route to the gamma_tR engines: the least weight of a
-    TRD-function on G with the ``pins`` values, with ``witness`` the
+    """The least weight of a TRD-function on G, with ``witness`` the
     lexicographically smallest function of that weight, and the nodes spent.
 
     Components are solved apart, values adding, each by its :func:`_engine`
@@ -565,11 +564,10 @@ def _solve_trd(
     for i, comp in enumerate(comps):
         verts = list(iter_bits(comp))
         h = g if len(comps) == 1 else induced_subgraph(g, verts)
-        local = {j: pins[v] for j, v in enumerate(verts) if v in pins} if pins else {}
         budget = None if node_budget is None else node_budget - nodes
         decide = _engine(h)
         first_hit = cap is not None and i == len(comps) - 1
-        part, found, used = decide(local, limit - value, first_hit, budget)
+        part, found, used = decide({}, limit - value, first_hit, budget)
         nodes += used
         if part is None:
             return None, None, nodes
@@ -680,11 +678,14 @@ def brute_oracle_gamma_tr(g: Graph) -> int:
 
 
 def enumerate_min_trd(g: Graph) -> list[WeightFunction]:
-    """All minimum TRD-functions, in lexicographic value-vector order."""
+    """All minimum TRD-functions, in lexicographic value-vector order.
+
+    Shares nothing with the engines: the target weight is the oracle's.
+    """
     if g.n > ENUMERATION_MAX_N:
         raise GraphTooLargeError(f"enumeration capped at n <= {ENUMERATION_MAX_N}")
     _require_no_isolated(g)
-    target = gamma_tr_value(g)
+    target = brute_oracle_gamma_tr(g)
     n, full, adj = g.n, g.full_mask, g.adj
     vectors = []
     for two_set in range(1 << n):
@@ -732,22 +733,32 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
 
     Decided by pinned searches: v is dead iff neither pin f(v)=1 nor
     f(v)=2 admits a function of minimum weight.  This avoids full
-    enumeration so the check scales to the solver cap.
+    enumeration so the check scales to the solver cap.  In total-Roman
+    mode each component has its own engine and minimum, since the dead set
+    of a disjoint union is the union of the parts' dead sets.
     """
     key = mode.strip().lower().replace("_", "-")
-    if key == "total-roman":
-        base = gamma_tr_value(g)
-
-        def hits(pins):
-            return _solve_trd(g, None, False, base, pins)[0] is not None
-    elif key == "roman":
+    if key == "roman":
         base = gamma_r_value(g)
-
-        def hits(pins):
-            return _WeightSearch(g, False).solve(pins, base, True) is not None
-    else:
+        return tuple(
+            v for v in range(g.n)
+            if all(_WeightSearch(g, False).solve({v: x}, base, True) is None
+                   for x in (1, 2))
+        )
+    if key != "total-roman":
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
-    return tuple(v for v in range(g.n) if not any(hits({v: x}) for x in (1, 2)))
+    _require_trd_input(g)
+    dead = []
+    for comp in component_masks(g):
+        verts = list(iter_bits(comp))
+        h = g if comp == g.full_mask else induced_subgraph(g, verts)
+        decide = _engine(h)
+        part = decide({}, 2 * h.n, False, None)[0]
+        dead += [
+            v for j, v in enumerate(verts)
+            if all(decide({j: x}, part, True, None)[0] is None for x in (1, 2))
+        ]
+    return tuple(sorted(dead))
 
 
 def _min_cover_size(g: Graph, closed: bool) -> int:

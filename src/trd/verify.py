@@ -331,7 +331,7 @@ def _check_n3reg(g: Graph, spec) -> str | None:
 def _check_super(g: Graph, spec) -> str | None:
     if gamma_tr_value(g) == 5 and is_supercritical(g):
         return "supercritical graph with gamma_tR=5"
-    if fam.is_union_of_completes(g, min_parts=2, min_order=3):
+    if fam.is_union_of_completes(g):
         k = len(component_masks(g))
         value = gamma_tr_value(g)
         if value != 3 * k:
@@ -991,9 +991,7 @@ def run_registry(
 
 
 def _hunt_q1(g: Graph, spec) -> str | None:
-    if is_supercritical(g) and not fam.is_union_of_completes(
-        g, min_parts=2, min_order=3
-    ):
+    if is_supercritical(g) and not fam.is_union_of_completes(g):
         return (
             f"supercritical with gamma_tR={gamma_tr_value(g)} but not a union"
             " of complete graphs of order >= 3"

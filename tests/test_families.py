@@ -1,5 +1,7 @@
 """Family generators, the spider closed form, recognizers, and the parser."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from trd.families import (
     FamilyG,
     FamilyH,
     Galaxy,
+    Hen1Class,
     Path,
     ProductDeleted,
     Spider,
@@ -43,7 +46,38 @@ from trd.families import (
     spider_is_critical,
 )
 from trd.graphs import build_graph, is_connected
-from trd.solver import gamma_tr_value
+from trd.solver import gamma_tr_equals_order, gamma_tr_value
+
+
+@st.composite
+def tree_like_graphs(draw, min_n=8, max_n=16):
+    """Relabelled trees and unicyclic graphs of order min_n to max_n.
+
+    Half are random trees, some closed into one cycle; the other half hang
+    pendant 2-paths on a small tree or cycle core, plus a stray leaf when
+    the order is odd, so that the gamma_tR = n clauses and their near
+    misses both come up often.
+    """
+    n = draw(st.integers(min_n, max_n))
+    if draw(st.booleans()):
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u < v and (u, v) not in edges and draw(st.booleans()):
+            edges.append((u, v))
+    else:
+        c = draw(st.integers(1, 5))
+        if c >= 3 and draw(st.booleans()):
+            edges = [(v, (v + 1) % c) for v in range(c)]
+        else:
+            edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, c)]
+        v = c
+        while v + 1 < n:
+            edges += [(draw(st.integers(0, c - 1)), v), (v, v + 1)]
+            v += 2
+        if v < n:
+            edges.append((draw(st.integers(0, v - 1)), v))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 class TestGenerate:
@@ -205,6 +239,32 @@ class TestHen1Classify:
                 cls = hen1_classify(generate(FamilyH(a, b, r)))
                 assert cls.kind == FAMILY_H
                 assert cls.r == r
+
+    @given(tree_like_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gamma_tr_equals_order_beyond_order_7(self, g):
+        # T_HEN1's statement, past the exhaustive order-7 sweep
+        assert (hen1_classify(g) is not None) == gamma_tr_equals_order(g)
+
+    def test_relabelled_members_to_order_24(self):
+        cases = [(SubdividedStar(k), SUBDIVIDED_STAR, None) for k in range(3, 12)]
+        cases += [
+            (FamilyG(k1, k2), FAMILY_G, None)
+            for k1 in range(11) for k2 in range(11 - k1) if k1 + k2
+        ]
+        cases += [
+            (FamilyH(a, b, r), FAMILY_H, r)
+            for a in range(1, 11) for b in range(1, 11) for r in range(19)
+            if a + b >= 3 and 2 * (a + b) + r + 2 <= 24
+        ]
+        cases += [(Corona(Complete(m)), CORONA, None) for m in range(3, 13)]
+        rnd = random.Random(24)
+        for spec, kind, r in cases:
+            g = generate(spec)
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert hen1_classify(g) == Hen1Class(kind, r), family_to_text(spec)
 
     def test_errors(self):
         with pytest.raises(TooSmallError):

@@ -314,6 +314,25 @@ class TestEnumerateMinTrd:
         with pytest.raises(GraphTooLargeError):
             enumerate_min_trd(dead_example(4))  # 13 vertices
 
+    def test_independent_of_the_engines(self, monkeypatch):
+        graphs = [cycle(5), spider(2, 2, 1), union(Complete(3), Complete(2))]
+        expected = []
+        for g in graphs:
+            target = naive_gamma_tr(g)
+            expected.append(sorted(
+                vec
+                for vec in itertools.product((0, 1, 2), repeat=g.n)
+                if sum(vec) == target and naive_is_trd(g, vec)
+            ))
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the enumeration reached a gamma_tR engine")
+
+        monkeypatch.setattr(solver, "gamma_tr_value", engine)
+        monkeypatch.setattr(solver, "_solve_trd", engine)
+        for g, vectors in zip(graphs, expected):
+            assert [f.values for f in enumerate_min_trd(g)] == vectors
+
 
 # --- witnesses --------------------------------------------------------------
 
@@ -381,6 +400,33 @@ class TestDeadVertices:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             dead_vertices(cycle(4), "nonsense")
+
+    def test_one_engine_per_component(self, monkeypatch):
+        # each component's frontier order and DP steps are built once, and
+        # its pinned decisions never re-solve the other component
+        counts = {"run": 0, "order": 0}
+        run, order = _FrontierDP.run, _frontier_order
+
+        def counted_run(self, *args, **kwargs):
+            counts["run"] += 1
+            return run(self, *args, **kwargs)
+
+        def counted_order(g):
+            counts["order"] += 1
+            return order(g)
+
+        monkeypatch.setattr(_FrontierDP, "run", counted_run)
+        monkeypatch.setattr(solver, "_frontier_order", counted_order)
+
+        def dead_and_counts(g):
+            counts.update(run=0, order=0)
+            return dead_vertices(g), counts["run"], counts["order"]
+
+        one = dead_and_counts(cycle(12))
+        two = dead_and_counts(generate(parse_family("union(cycle(12),cycle(12))")))
+        assert one[0] == two[0] == ()
+        assert two[1] == 2 * one[1]
+        assert (one[2], two[2]) == (1, 2)
 
 
 # --- structure and errors ---------------------------------------------------
