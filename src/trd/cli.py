@@ -51,13 +51,12 @@ def _to_dot(g: Graph) -> str:
     return "\n".join(lines)
 
 
-def _load_graph(args) -> tuple[Graph, fam.FamilySpec | None]:
+def _load_graph(args) -> Graph:
     if args.graph6 is not None:
-        return graph6_decode(args.graph6), None
+        return graph6_decode(args.graph6)
     if args.edges is not None:
-        return parse_edge_list(Path(args.edges).read_text()), None
-    spec = fam.parse_family(args.family)
-    return fam.generate(spec), spec
+        return parse_edge_list(Path(args.edges).read_text())
+    return fam.generate(fam.parse_family(args.family))
 
 
 def _emit(payload, fmt: str) -> None:
@@ -188,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     result = gamma_tr(g, node_budget=args.budget)
     gamma, gamma_t, gamma_r = classical_numbers(g)
     _emit(
@@ -208,7 +207,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     profile = edge_profile(g)
     _emit(
         {
@@ -225,7 +224,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     profile = edge_profile(g)
     _emit(
         {
@@ -254,7 +253,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     info = metrics(g)
     connected = info.connected
     hen1 = None
@@ -308,7 +307,7 @@ def _cmd_hunt(args) -> int:
 
 
 def _cmd_complete_critical(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     h = complete_to_critical(g)
     added = sorted(set(h.edges()) - set(g.edges()))
     profile = edge_profile(h)

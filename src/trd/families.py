@@ -8,29 +8,39 @@ family H off one pendant-path decomposition, the core left when every
 pendant 2-path (a leaf and its degree-2 support) is removed, with the
 number of 2-paths hanging at each core vertex.
 
-Family descriptors have a text syntax used by the CLI, for example
-``spider(2,2,4)``, ``cor(K3)``, ``familyH(2,3,r=4)``, ``KxK(3,3)``,
-``Gd(3)``, ``D(3)``, ``union(K2,K3)``.  Nesting is allowed for ``cor``
-and ``union``.
+A family descriptor is the frozen dataclass of one family member, for
+example ``Spider((2, 2, 4))``.  Descriptors have a text syntax used by
+the CLI, for example ``spider(2,2,4)``, ``cor(K3)``, ``familyH(2,3,r=4)``,
+``KxK(3,3)``, ``Gd(3)``, ``D(3)``, ``union(K2,K3)``.  One table,
+``_NAMES``, gives each descriptor class its text name; ``parse_family``
+and ``family_to_text`` read the syntax off it and the dataclass fields.
+Nesting is allowed for ``cor`` and ``union``, at most ``GRAPH6_MAX_N``
+(62) levels of parentheses deep.
+
+Every generator states the order of its graph before it makes an edge,
+and ``generate`` refuses an order above ``GRAPH6_MAX_N`` with
+``GraphTooLargeError`` before anything is built.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain, combinations, product, repeat
 from typing import Union
 
 from .errors import (
     DisconnectedError,
+    GraphTooLargeError,
     InvalidSpecError,
     TooFewLegsError,
     TooSmallError,
 )
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     build_graph,
     component_masks,
-    disjoint_union,
     induced_subgraph,
     is_connected,
     iter_bits,
@@ -129,154 +139,160 @@ FamilySpec = Union[
     DisjointUnion,
 ]
 
+# the text name of every descriptor class; parse_family and family_to_text
+# read the syntax off this table and the dataclass fields
+_NAMES = {
+    Path: "path", Cycle: "cycle", Complete: "complete", Star: "star",
+    SubdividedStar: "substar", DoubleStar: "doublestar", Corona: "cor",
+    Spider: "spider", FamilyG: "familyG", FamilyH: "familyH",
+    Galaxy: "galaxy", CartesianComplete: "KxK", ProductDeleted: "Gd",
+    DeadExample: "D", DisjointUnion: "union",
+}
+_BY_NAME = {name.lower(): cls for cls, name in _NAMES.items()}
+_LISTS = (Spider, Galaxy, DisjointUnion)  # one tuple field, one or more args
+_NESTED = (Corona, DisjointUnion)  # arguments are families, not integers
 
-def _invalid(spec: FamilySpec, detail: str) -> InvalidSpecError:
-    return InvalidSpecError(f"{family_to_text(spec)}: {detail}")
+
+def _require(spec: FamilySpec, ok: bool, detail: str) -> None:
+    if not ok:
+        raise InvalidSpecError(f"{family_to_text(spec)}: {detail}")
+
+
+def _hanging(paths, next_label: int):
+    """Edges of paths hung in turn: each (attach, length) pair hangs a path
+    of ``length`` new vertices, labelled upward from ``next_label``, off
+    vertex ``attach``."""
+    for attach, length in paths:
+        prev = attach
+        for _ in range(length):
+            yield prev, next_label
+            prev = next_label
+            next_label += 1
+
+
+def _rook(cells):
+    """Index pairs of the cells, in order, that share a row or a column."""
+    pairs = combinations(enumerate(cells), 2)
+    return ((a, b) for (a, p), (b, q) in pairs if p[0] == q[0] or p[1] == q[1])
+
+
+def _union(parts):
+    """The order, then the edges, of the disjoint union of the parts, with
+    vertex blocks in argument order."""
+    edges = [_edges(p) for p in parts]
+    orders = [next(e) for e in edges]
+    yield sum(orders)
+    offset = 0
+    for part, n in zip(edges, orders):
+        yield from ((u + offset, v + offset) for u, v in part)
+        offset += n
+
+
+def _edges(spec: FamilySpec):
+    """Yield the order of the graph a descriptor denotes, then its edges in
+    the canonical labelling; no edge is made before the order is known."""
+    if isinstance(spec, Path):
+        _require(spec, spec.n >= 1, "path needs n >= 1")
+        yield spec.n
+        yield from _hanging([(0, spec.n - 1)], 1)
+    elif isinstance(spec, Cycle):
+        _require(spec, spec.n >= 3, "cycle needs n >= 3")
+        yield spec.n
+        yield from ((i, (i + 1) % spec.n) for i in range(spec.n))
+    elif isinstance(spec, Complete):
+        _require(spec, spec.n >= 1, "complete graph needs n >= 1")
+        yield spec.n
+        yield from combinations(range(spec.n), 2)
+    elif isinstance(spec, Star):
+        # centre 0, leaves 1..k
+        _require(spec, spec.k >= 1, "star needs k >= 1")
+        yield spec.k + 1
+        yield from _hanging(repeat((0, 1), spec.k), 1)
+    elif isinstance(spec, SubdividedStar):
+        # centre 0; arm i uses vertices 1+2i (mid) and 2+2i (leaf)
+        _require(spec, spec.k >= 2, "subdivided star needs k >= 2")
+        yield 2 * spec.k + 1
+        yield from _hanging(repeat((0, 2), spec.k), 1)
+    elif isinstance(spec, DoubleStar):
+        # centres 0 and 1; leaves 2..a+1 on 0, a+2..a+b+1 on 1
+        a, b = spec.a, spec.b
+        _require(spec, a >= 1 and b >= 1, "double star needs a, b >= 1")
+        yield 2 + a + b
+        yield 0, 1
+        yield from _hanging(chain(repeat((0, 1), a), repeat((1, 1), b)), 2)
+    elif isinstance(spec, Corona):
+        # inner graph keeps its labels; the leaf of vertex i is n+i
+        inner = _edges(spec.inner)
+        n = next(inner)
+        yield 2 * n
+        yield from inner
+        yield from ((i, n + i) for i in range(n))
+    elif isinstance(spec, Spider):
+        # head 0; legs (sorted ascending) take consecutive vertex blocks
+        _require(spec, len(spec.legs) >= 2, "spider needs k >= 2 legs")
+        _require(spec, min(spec.legs) >= 1, "spider legs must be >= 1")
+        yield 1 + sum(spec.legs)
+        yield from _hanging(((0, leg) for leg in spec.legs), 1)
+    elif isinstance(spec, FamilyG):
+        # 4-cycle 0,1,2,3; pendant 2-paths (4+2t, 5+2t) hang off 0 then 1
+        k1, k2 = spec.k1, spec.k2
+        _require(spec, min(k1, k2) >= 0 and k1 + k2 >= 1,
+                 "family G needs k1, k2 >= 0 with k1 + k2 >= 1")
+        yield 4 + 2 * (k1 + k2)
+        yield from [(0, 1), (1, 2), (2, 3), (0, 3)]
+        yield from _hanging(chain(repeat((0, 2), k1), repeat((1, 2), k2)), 4)
+    elif isinstance(spec, FamilyH):
+        # centre path 0..r+1; 2-paths hang off 0 (a of them) and r+1 (b)
+        a, b, end = spec.a, spec.b, spec.r + 1
+        _require(spec, a >= 1 and b >= 1 and end >= 1,
+                 "family H needs a, b >= 1 and r >= 0")
+        yield end + 1 + 2 * (a + b)
+        paths = chain([(0, end)], repeat((0, 2), a), repeat((end, 2), b))
+        yield from _hanging(paths, 1)
+    elif isinstance(spec, Galaxy):
+        _require(spec, len(spec.sizes) >= 2, "galaxy needs at least two stars")
+        _require(spec, min(spec.sizes) >= 1, "galaxy star sizes must be >= 1")
+        yield from _union([Star(s) for s in spec.sizes])
+    elif isinstance(spec, CartesianComplete):
+        # row-major: vertex (i, j) -> i*m + j; adjacent iff same row or column
+        _require(spec, spec.n >= 2 and spec.m >= 2, "K_n x K_m needs n, m >= 2")
+        yield spec.n * spec.m
+        yield from _rook(product(range(spec.n), range(spec.m)))
+    elif isinstance(spec, ProductDeleted):
+        # K_{l+1} x K_{l+1} minus the column-0 cells of rows l//2+1..l
+        # (0-based); survivors are relabelled densely in row-major order
+        _require(spec, spec.l >= 2, "deleted product needs l >= 2")
+        side, cut = spec.l + 1, spec.l // 2 + 1
+        yield side * side - (side - cut)
+        cells = product(range(side), repeat=2)
+        yield from _rook((i, j) for i, j in cells if j or i < cut)
+    elif isinstance(spec, DeadExample):
+        # centre c = 0; copy i (1-based) has u_i = i, v_i = n+i, w_i = 2n+i
+        n = spec.n
+        _require(spec, n >= 2, "dead example needs n >= 2")
+        yield 3 * n + 1
+        for u in range(1, n + 1):
+            v, w = n + u, 2 * n + u
+            yield from [(0, u), (0, v), (u, v), (u, w), (v, w)]
+    elif isinstance(spec, DisjointUnion):
+        _require(spec, len(spec.parts) >= 1, "union needs at least one part")
+        yield from _union(spec.parts)
+    else:
+        raise InvalidSpecError(f"unknown family descriptor {spec!r}")
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a descriptor denotes, with its canonical labelling."""
-    if isinstance(spec, Path):
-        if spec.n < 1:
-            raise _invalid(spec, "path needs n >= 1")
-        return build_graph(spec.n, [(i, i + 1) for i in range(spec.n - 1)])
-    if isinstance(spec, Cycle):
-        if spec.n < 3:
-            raise _invalid(spec, "cycle needs n >= 3")
-        return build_graph(
-            spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)]
+    """Build the graph a descriptor denotes, with its canonical labelling.
+
+    The order is checked against ``GRAPH6_MAX_N`` before any edge is made.
+    """
+    edges = _edges(spec)
+    n = next(edges)
+    if n > GRAPH6_MAX_N:
+        raise GraphTooLargeError(
+            f"{family_to_text(spec)}: order {n} exceeds {GRAPH6_MAX_N}"
         )
-    if isinstance(spec, Complete):
-        if spec.n < 1:
-            raise _invalid(spec, "complete graph needs n >= 1")
-        return build_graph(
-            spec.n, [(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)]
-        )
-    if isinstance(spec, Star):
-        # centre 0, leaves 1..k
-        if spec.k < 1:
-            raise _invalid(spec, "star needs k >= 1")
-        return build_graph(spec.k + 1, [(0, i) for i in range(1, spec.k + 1)])
-    if isinstance(spec, SubdividedStar):
-        # centre 0; arm i uses vertices 1+2i (mid) and 2+2i (leaf)
-        if spec.k < 2:
-            raise _invalid(spec, "subdivided star needs k >= 2")
-        edges = []
-        for i in range(spec.k):
-            mid, leaf = 1 + 2 * i, 2 + 2 * i
-            edges += [(0, mid), (mid, leaf)]
-        return build_graph(2 * spec.k + 1, edges)
-    if isinstance(spec, DoubleStar):
-        # centres 0 and 1; leaves 2..a+1 on 0, a+2..a+b+1 on 1
-        if spec.a < 1 or spec.b < 1:
-            raise _invalid(spec, "double star needs a, b >= 1")
-        edges = [(0, 1)]
-        edges += [(0, 2 + i) for i in range(spec.a)]
-        edges += [(1, 2 + spec.a + i) for i in range(spec.b)]
-        return build_graph(2 + spec.a + spec.b, edges)
-    if isinstance(spec, Corona):
-        # inner graph keeps its labels; the leaf of vertex i is n+i
-        inner = generate(spec.inner)
-        edges = inner.edges()
-        edges += [(i, inner.n + i) for i in range(inner.n)]
-        return build_graph(2 * inner.n, edges)
-    if isinstance(spec, Spider):
-        # head 0; legs (sorted ascending) take consecutive vertex blocks
-        if len(spec.legs) < 2:
-            raise _invalid(spec, "spider needs k >= 2 legs")
-        if any(l < 1 for l in spec.legs):
-            raise _invalid(spec, "spider legs must be >= 1")
-        edges = []
-        nxt = 1
-        for leg in spec.legs:
-            prev = 0
-            for _ in range(leg):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        return build_graph(nxt, edges)
-    if isinstance(spec, FamilyG):
-        # 4-cycle 0,1,2,3; pendant 2-paths (4+2t, 5+2t) hang off 0 then 1
-        if spec.k1 < 0 or spec.k2 < 0 or spec.k1 + spec.k2 < 1:
-            raise _invalid(spec, "family G needs k1, k2 >= 0 with k1 + k2 >= 1")
-        edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-        nxt = 4
-        for attach, count in ((0, spec.k1), (1, spec.k2)):
-            for _ in range(count):
-                edges += [(attach, nxt), (nxt, nxt + 1)]
-                nxt += 2
-        return build_graph(nxt, edges)
-    if isinstance(spec, FamilyH):
-        # centre path 0..r+1; 2-paths hang off 0 (a of them) and r+1 (b)
-        if spec.a < 1 or spec.b < 1 or spec.r < 0:
-            raise _invalid(spec, "family H needs a, b >= 1 and r >= 0")
-        m = spec.r + 2
-        edges = [(i, i + 1) for i in range(m - 1)]
-        nxt = m
-        for attach, count in ((0, spec.a), (m - 1, spec.b)):
-            for _ in range(count):
-                edges += [(attach, nxt), (nxt, nxt + 1)]
-                nxt += 2
-        return build_graph(nxt, edges)
-    if isinstance(spec, Galaxy):
-        if len(spec.sizes) < 2:
-            raise _invalid(spec, "galaxy needs at least two stars")
-        if any(s < 1 for s in spec.sizes):
-            raise _invalid(spec, "galaxy star sizes must be >= 1")
-        return disjoint_union([generate(Star(s)) for s in spec.sizes])
-    if isinstance(spec, CartesianComplete):
-        # row-major: vertex (i, j) -> i*m + j; adjacent iff same row or column
-        if spec.n < 2 or spec.m < 2:
-            raise _invalid(spec, "K_n x K_m needs n, m >= 2")
-        n, m = spec.n, spec.m
-        edges = []
-        for i in range(n):
-            for j in range(m):
-                for jj in range(j + 1, m):
-                    edges.append((i * m + j, i * m + jj))
-        for j in range(m):
-            for i in range(n):
-                for ii in range(i + 1, n):
-                    edges.append((i * m + j, ii * m + j))
-        return build_graph(n * m, edges)
-    if isinstance(spec, ProductDeleted):
-        # K_{l+1} x K_{l+1} minus column-1 entries of rows floor(l/2)+2..l+1
-        # (1-based); survivors are relabelled densely in row-major order
-        if spec.l < 2:
-            raise _invalid(spec, "deleted product needs l >= 2")
-        l = spec.l
-        side = l + 1
-        cut = l // 2 + 2
-        keep = [
-            (i, j)
-            for i in range(1, side + 1)
-            for j in range(1, side + 1)
-            if not (j == 1 and i >= cut)
-        ]
-        index = {p: k for k, p in enumerate(keep)}
-        edges = []
-        for a in range(len(keep)):
-            i1, j1 = keep[a]
-            for b in range(a + 1, len(keep)):
-                i2, j2 = keep[b]
-                if i1 == i2 or j1 == j2:
-                    edges.append((index[keep[a]], index[keep[b]]))
-        return build_graph(len(keep), edges)
-    if isinstance(spec, DeadExample):
-        # centre c = 0; copy i (1-based) has u_i = i, v_i = n+i, w_i = 2n+i
-        if spec.n < 2:
-            raise _invalid(spec, "dead example needs n >= 2")
-        n = spec.n
-        edges = []
-        for i in range(1, n + 1):
-            u, v, w = i, n + i, 2 * n + i
-            edges += [(0, u), (0, v), (u, v), (u, w), (v, w)]
-        return build_graph(3 * n + 1, edges)
-    if isinstance(spec, DisjointUnion):
-        if not spec.parts:
-            raise _invalid(spec, "union needs at least one part")
-        return disjoint_union([generate(p) for p in spec.parts])
-    raise InvalidSpecError(f"unknown family descriptor {spec!r}")
+    return build_graph(n, edges)
 
 
 def dead_example_w_vertices(n: int) -> tuple[int, ...]:
@@ -500,6 +516,10 @@ def _split_args(body: str) -> list[str]:
     for ch in body:
         if ch == "(":
             depth += 1
+            if depth >= GRAPH6_MAX_N:  # the enclosing parentheses are one level
+                raise InvalidSpecError(
+                    f"family text nested deeper than {GRAPH6_MAX_N} levels"
+                )
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -532,84 +552,36 @@ def parse_family(text: str) -> FamilySpec:
     if not m:
         raise InvalidSpecError(f"cannot parse family {text!r}")
     name = m.group(1).lower()
+    cls = _BY_NAME.get(name)
+    if cls is None:
+        raise InvalidSpecError(f"unknown family name {name!r}")
     args = _split_args(m.group(2))
     if args == [""]:
         args = []
-    if name == "cor":
-        if len(args) != 1:
-            raise InvalidSpecError("cor takes exactly one nested family")
-        return Corona(parse_family(args[0]))
-    if name == "union":
-        if not args:
-            raise InvalidSpecError("union needs at least one nested family")
-        return DisjointUnion(tuple(parse_family(a) for a in args))
-    if name == "familyh":
-        if len(args) != 3:
-            raise InvalidSpecError("familyH takes (a, b, r=...)")
-        a, b = _parse_int(args[0]), _parse_int(args[1])
-        last = args[2]
-        if last.lower().startswith("r="):
-            last = last[2:]
-        return FamilyH(a, b, _parse_int(last))
-    ints = [_parse_int(a) for a in args]
-    simple = {
-        "path": (Path, 1),
-        "cycle": (Cycle, 1),
-        "complete": (Complete, 1),
-        "star": (Star, 1),
-        "substar": (SubdividedStar, 1),
-        "doublestar": (DoubleStar, 2),
-        "familyg": (FamilyG, 2),
-        "kxk": (CartesianComplete, 2),
-        "gd": (ProductDeleted, 1),
-        "d": (DeadExample, 1),
-    }
-    if name in simple:
-        ctor, arity = simple[name]
-        if len(ints) != arity:
-            raise InvalidSpecError(f"{name} takes {arity} integer argument(s)")
-        return ctor(*ints)
-    if name == "spider":
-        if not ints:
-            raise InvalidSpecError("spider needs at least one leg")
-        return Spider(tuple(ints))
-    if name == "galaxy":
-        if not ints:
-            raise InvalidSpecError("galaxy needs at least one star size")
-        return Galaxy(tuple(ints))
-    raise InvalidSpecError(f"unknown family name {name!r}")
+    if cls is FamilyH and args and args[-1][:2].lower() == "r=":
+        args[-1] = args[-1][2:]
+    kind = "nested family" if cls in _NESTED else "integer"
+    values = [(parse_family if cls in _NESTED else _parse_int)(a) for a in args]
+    if cls in _LISTS:
+        if not values:
+            raise InvalidSpecError(f"{name} needs at least one {kind} argument")
+        return cls(tuple(values))
+    arity = len(fields(cls))
+    if len(values) != arity:
+        raise InvalidSpecError(f"{name} takes {arity} {kind} argument(s)")
+    return cls(*values)
 
 
 def family_to_text(spec: FamilySpec) -> str:
     """Canonical text form; the inverse of :func:`parse_family`."""
-    if isinstance(spec, Path):
-        return f"path({spec.n})"
-    if isinstance(spec, Cycle):
-        return f"cycle({spec.n})"
+    if type(spec) not in _NAMES:
+        raise InvalidSpecError(f"unknown family descriptor {spec!r}")
     if isinstance(spec, Complete):
         return f"K{spec.n}"
-    if isinstance(spec, Star):
-        return f"star({spec.k})"
-    if isinstance(spec, SubdividedStar):
-        return f"substar({spec.k})"
-    if isinstance(spec, DoubleStar):
-        return f"doublestar({spec.a},{spec.b})"
-    if isinstance(spec, Corona):
-        return f"cor({family_to_text(spec.inner)})"
-    if isinstance(spec, Spider):
-        return f"spider({','.join(map(str, spec.legs))})"
-    if isinstance(spec, FamilyG):
-        return f"familyG({spec.k1},{spec.k2})"
+    args = [getattr(spec, f.name) for f in fields(spec)]
+    if isinstance(spec, _LISTS):
+        args = args[0]
+    text = [family_to_text(a) if isinstance(spec, _NESTED) else str(a) for a in args]
     if isinstance(spec, FamilyH):
-        return f"familyH({spec.a},{spec.b},r={spec.r})"
-    if isinstance(spec, Galaxy):
-        return f"galaxy({','.join(map(str, spec.sizes))})"
-    if isinstance(spec, CartesianComplete):
-        return f"KxK({spec.n},{spec.m})"
-    if isinstance(spec, ProductDeleted):
-        return f"Gd({spec.l})"
-    if isinstance(spec, DeadExample):
-        return f"D({spec.n})"
-    if isinstance(spec, DisjointUnion):
-        return f"union({','.join(family_to_text(p) for p in spec.parts)})"
-    raise InvalidSpecError(f"unknown family descriptor {spec!r}")
+        text[-1] = "r=" + text[-1]
+    return f"{_NAMES[type(spec)]}({','.join(text)})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator, Union
 
 from . import families as fam
@@ -95,26 +95,15 @@ InstanceUniverse = Union[AllLabeled, Families, RandomGnp]
 
 
 def universe_to_json(universe: InstanceUniverse) -> dict:
-    if isinstance(universe, AllLabeled):
-        return {
-            "source": "all_labeled",
-            "max_n": universe.max_n,
-            "connected_only": universe.connected_only,
-            "no_isolated": universe.no_isolated,
-        }
     if isinstance(universe, Families):
         return {
             "source": "families",
             "specs": [fam.family_to_text(s) for s in universe.specs],
         }
+    if isinstance(universe, AllLabeled):
+        return {"source": "all_labeled", **asdict(universe)}
     if isinstance(universe, RandomGnp):
-        return {
-            "source": "random_gnp",
-            "count": universe.count,
-            "n": universe.n,
-            "p": universe.p,
-            "seed": universe.seed,
-        }
+        return {"source": "random_gnp", **asdict(universe)}
     raise TypeError(f"not a universe: {universe!r}")
 
 

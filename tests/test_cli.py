@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import trd.families
 import trd.graphs
 from trd.cli import main
 from trd.graphs import graph6_decode
@@ -130,6 +131,37 @@ class TestGenerate:
     def test_invalid_family(self, capsys):
         code, _, _ = run(capsys, "generate", "--family", "wat(3)")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "KxK(1000,1000)",
+            "complete(100000)",
+            "spider(1000000000,1)",
+            "Gd(100000)",
+            "D(1000000000)",
+            "galaxy(1000000000,1)",
+            "cor(" * 6 + "K2" + ")" * 6,
+        ],
+    )
+    def test_oversized_family_is_refused_before_building(
+        self, capsys, monkeypatch, family
+    ):
+        def refuse(n, edges):
+            raise AssertionError(f"build_graph called with n={n}")
+
+        monkeypatch.setattr(trd.families, "build_graph", refuse)
+        monkeypatch.setattr(trd.graphs, "build_graph", refuse)
+        code, out, err = run(capsys, "generate", "--family", family)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds 62" in err
+
+    def test_deep_nesting_is_input_error(self, capsys):
+        family = "union(" * 1200 + "K2" + ")" * 1200
+        code, out, err = run(capsys, "generate", "--family", family)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRecognize:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import complete, corona_complete, cycle, path, spider, union
 from trd.errors import (
@@ -11,6 +11,7 @@ from trd.errors import (
     InvalidSpecError,
     TooFewLegsError,
     TooSmallError,
+    TrdError,
 )
 from trd.families import (
     CORONA,
@@ -45,8 +46,48 @@ from trd.families import (
     spider_gamma_formula,
     spider_is_critical,
 )
-from trd.graphs import build_graph, is_connected
+from trd.graphs import build_graph, graph6_encode, is_connected
 from trd.solver import gamma_tr_equals_order, gamma_tr_value
+
+# 1,200 nested unions: deep enough to overflow a recursive parser
+DEEP_UNION = "union(" * 1200 + "K2" + ")" * 1200
+
+FAMILY_ALPHABET = [
+    "path", "cycle", "complete", "star", "substar", "doublestar", "cor",
+    "spider", "familyG", "familyH", "galaxy", "KxK", "Gd", "D", "union",
+    "PATH", "nope", "K", "k", "r=", "R=", "-", "+", "(", ")", ",", " ",
+    *"0123456789",
+]
+
+
+@st.composite
+def descriptor_trees(draw):
+    """Descriptor trees with non-negative parameters, nested through cor
+    and union."""
+    ints = st.integers(0, 10**6)
+    legs = st.lists(ints, min_size=1, max_size=4).map(tuple)
+    leaves = st.one_of(
+        *(
+            st.builds(cls, *[ints] * arity)
+            for cls, arity in [
+                (Path, 1), (Cycle, 1), (Complete, 1), (Star, 1),
+                (SubdividedStar, 1), (DoubleStar, 2), (FamilyG, 2),
+                (FamilyH, 3), (CartesianComplete, 2), (ProductDeleted, 1),
+                (DeadExample, 1),
+            ]
+        ),
+        st.builds(Spider, legs),
+        st.builds(Galaxy, legs),
+    )
+    return draw(st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Corona, inner),
+            st.builds(DisjointUnion,
+                      st.lists(inner, min_size=1, max_size=3).map(tuple)),
+        ),
+        max_leaves=8,
+    ))
 
 
 @st.composite
@@ -150,6 +191,33 @@ class TestGenerate:
     def test_invalid_specs(self, spec):
         with pytest.raises(InvalidSpecError):
             generate(spec)
+
+    @pytest.mark.parametrize(
+        "text, graph6",
+        [
+            ("path(5)", "DhC"),
+            ("cycle(6)", "EhEG"),
+            ("K4", "C~"),
+            ("star(3)", "Cs"),
+            ("substar(3)", "FkE?G"),
+            ("doublestar(2,3)", "FsPA?"),
+            ("cor(K3)", "E{O_"),
+            ("spider(1,2,3)", "Fp_GG"),
+            ("familyG(2,1)", "Il_K?D??G"),
+            ("familyH(1,2,r=2)", "Ih_G_CO?G"),
+            ("galaxy(1,2,3)", "H`G?GGC"),
+            ("KxK(2,3)", "E{Sw"),
+            ("Gd(3)", "M~`HW|CGgbgcGdCR_"),
+            ("D(3)", "IsqcaOcC_"),
+            ("union(K2,cor(K2),path(3))", "H`GO?C@"),
+            ("cor(cor(K2))", "Gq`@?_"),
+            ("union(union(K1,K2),cor(union(K1,path(2))))", "HG?G_OC"),
+        ],
+    )
+    def test_canonical_labelling_pinned(self, text, graph6):
+        """One member of every descriptor kind keeps its canonical
+        labelling, byte for byte."""
+        assert graph6_encode(generate(parse_family(text))) == graph6
 
     @given(st.lists(st.integers(1, 4), min_size=2, max_size=5))
     def test_generated_graphs_are_wellformed(self, legs):
@@ -393,3 +461,27 @@ class TestFamilyText:
     def test_generated_matches_text(self):
         spec = parse_family("spider(1,1,3)")
         assert gamma_tr_value(generate(spec)) == 5
+
+    def test_nesting_depth_bounded(self):
+        with pytest.raises(InvalidSpecError):
+            parse_family(DEEP_UNION)
+        with pytest.raises(InvalidSpecError):
+            parse_family("union(" * 63 + "K2" + ")" * 63)
+        deepest = "union(" * 62 + "K2" + ")" * 62
+        assert family_to_text(parse_family(deepest)) == deepest
+        assert generate(parse_family(deepest)).n == 2
+
+    @given(st.lists(st.sampled_from(FAMILY_ALPHABET), max_size=40).map("".join))
+    @example(DEEP_UNION)
+    @example("cor(" * 6 + "K2" + ")" * 6)
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_text_raises_only_trd_errors(self, text):
+        try:
+            generate(parse_family(text))
+        except TrdError:
+            pass
+
+    @given(descriptor_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_text_roundtrip_of_descriptor_trees(self, spec):
+        assert parse_family(family_to_text(spec)) == spec
