@@ -1,10 +1,27 @@
 """Per-edge gamma_tR deltas, graph classification, and critical completion.
 
-The delta of a non-edge uv is gamma_tR(G) - gamma_tR(G+uv), which always
-lies in {0, 1, 2}.  A graph with a nonempty complement is classified by
-its delta multiset: supercritical (all 2), edge-critical (all >= 1),
-stable (all 0), or mixed; complete graphs get their own class since
-criticality is only defined when the complement has edges.
+The delta of a non-edge uv is gamma_tR(G) - gamma_tR(G+uv).
+
+Lemma: 0 <= delta <= 2.  A TRD-function of G is one of G+uv.  Conversely,
+let f be a minimum TRD-function of G+uv whose condition at u, say, holds
+only through uv.  If f(u) = 0 (so f(v) = 2), set f(u) = 1 and raise a
+G-neighbour of u to at least 1; if f(u), f(v) > 0, raise a G-neighbour of
+u, and of v when v too needs uv, to at least 1.  A raised 0 had a
+neighbour of value 2 in G, so G has a TRD-function of weight <= w(f) + 2.
+
+The same argument splits the functions of G+uv by how they use the edge.
+One lighter than gamma_tR(G) is no TRD-function of G, so (f(u), f(v)) is
+(0, 2) or (2, 0), where the 2 dominates the 0 across uv, or has both ends
+positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  So
+every non-edge question is :func:`trd.solver.plus_edge_decision`, whether
+gamma_tR(G+uv) <= cap for a cap below gamma_tR(G), which searches only
+those six pairs: a delta is 0 when it fails at gamma_tR(G) - 1, and 2 when
+it holds at gamma_tR(G) - 2.
+
+A graph with a nonempty complement is classified by its delta multiset:
+supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;
+complete graphs get their own class since criticality is only defined when
+the complement has edges.
 """
 
 from __future__ import annotations
@@ -13,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import IsolatedVertexError, NotANonEdgeError, ValueTooSmallError
 from .graphs import Graph, add_edge
-from .solver import gamma_t_value, gamma_tr_value, has_trd_weight_at_most
+from .solver import gamma_t_value, gamma_tr_value, plus_edge_decision
 
 COMPLETE = "complete"
 SUPERCRITICAL = "supercritical"
@@ -79,7 +96,10 @@ def edge_delta(g: Graph, u: int, v: int, base: int | None = None) -> int:
         raise IsolatedVertexError("edge deltas need a graph without isolated vertices")
     if base is None:
         base = gamma_tr_value(g)
-    return base - gamma_tr_value(add_edge(g, u, v))
+    at_most = plus_edge_decision(g, u, v)
+    if not at_most(base - 1):
+        return 0
+    return 2 if at_most(base - 2) else 1
 
 
 def edge_profile(g: Graph) -> EdgeProfile:
@@ -91,31 +111,33 @@ def edge_profile(g: Graph) -> EdgeProfile:
     return EdgeProfile(base, deltas, classify_deltas(deltas))
 
 
-def _every_non_edge(g: Graph, test, base: int | None = None) -> bool:
-    """Whether ``test(G+uv, base)`` holds for every non-edge uv, stopping
-    at the first that fails; False on complete graphs.  ``base`` is
-    gamma_tR(G) when the caller already knows it."""
+def _every_non_edge(
+    g: Graph, drop: int, holds: bool, base: int | None = None
+) -> bool:
+    """Whether "gamma_tR(G+uv) <= gamma_tR(G) - drop" is ``holds`` for every
+    non-edge uv, stopping at the first where it is not; False on complete
+    graphs.  ``base`` is gamma_tR(G) when the caller already knows it."""
     non_edges = g.non_edges()
     if not non_edges:
         return False
     if base is None:
         base = gamma_tr_value(g)
-    return all(test(add_edge(g, u, v), base) for u, v in non_edges)
+    return all(plus_edge_decision(g, u, v)(base - drop) == holds for u, v in non_edges)
 
 
 def is_edge_critical(g: Graph, base: int | None = None) -> bool:
     """Every non-edge lowers gamma_tR (supercritical graphs qualify too)."""
-    return _every_non_edge(g, lambda h, b: has_trd_weight_at_most(h, b - 1), base)
+    return _every_non_edge(g, 1, True, base)
 
 
 def is_stable(g: Graph) -> bool:
     """No non-edge lowers gamma_tR."""
-    return _every_non_edge(g, lambda h, b: not has_trd_weight_at_most(h, b - 1))
+    return _every_non_edge(g, 1, False)
 
 
 def is_supercritical(g: Graph) -> bool:
     """Every non-edge lowers gamma_tR by exactly 2."""
-    return _every_non_edge(g, lambda h, base: gamma_tr_value(h) == base - 2)
+    return _every_non_edge(g, 2, True)
 
 
 def complete_to_critical(g: Graph) -> Graph:
@@ -134,7 +156,7 @@ def complete_to_critical(g: Graph) -> Graph:
     current = g
     while True:
         for u, v in current.non_edges():
-            if gamma_tr_value(add_edge(current, u, v)) == base:
+            if not plus_edge_decision(current, u, v)(base - 1):
                 current = add_edge(current, u, v)
                 break
         else:

@@ -121,7 +121,7 @@ class Graph:
         return mask
 
     def has_isolated_vertices(self) -> bool:
-        return any(a == 0 for a in self.adj)
+        return 0 in self.adj
 
 
 @dataclass(frozen=True)
@@ -281,18 +281,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
             if w in index:
                 adj[index[v]] |= 1 << index[w]
     return Graph(len(verts), tuple(adj))
-
-
-def disjoint_union(graphs: Iterable[Graph]) -> Graph:
-    """Disjoint union with vertex blocks in argument order."""
-    parts = list(graphs)
-    n = sum(p.n for p in parts)
-    adj: list[int] = []
-    offset = 0
-    for p in parts:
-        adj.extend(a << offset for a in p.adj)
-        offset += p.n
-    return Graph(n, tuple(adj))
 
 
 def _reach(g: Graph, v: int) -> int:

@@ -9,6 +9,10 @@ adds the components' values and puts each one's lexicographically smallest
 minimum function back in place; ``dead_vertices`` runs its pinned
 decisions against each component's engine.
 
+A question about a non-edge uv, whether gamma_tR(G+uv) <= cap for a cap
+below gamma_tR(G), is :func:`plus_edge_decision`: it searches only the
+functions that need the new edge, by pinning the values of u and v.
+
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
 edge mask.  A graph enters the memo only after its solve has validated it.
@@ -40,7 +44,7 @@ from .errors import (
     OutOfRangeError,
     TooSmallError,
 )
-from .graphs import Graph, component_masks, induced_subgraph, iter_bits
+from .graphs import Graph, add_edge, component_masks, induced_subgraph, iter_bits
 
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
@@ -475,6 +479,12 @@ class _FrontierDP:
         return table[()][0], values
 
 
+def _dp_order(h: Graph) -> list[int] | None:
+    """The frontier DP's vertex order for the connected graph H, or None
+    when H goes to branch and bound."""
+    return _frontier_order(h) if h.n >= _DP_MIN_N else None
+
+
 def _engine(h: Graph) -> Callable:
     """The gamma_tR engine for the connected graph H, as a function
     ``decide(pins, cap, first_hit, budget)``.
@@ -487,7 +497,7 @@ def _engine(h: Graph) -> Callable:
     least weight and a function attaining it.  Otherwise it is branch and
     bound, which without pins starts from the constructive probe.
     """
-    order = _frontier_order(h) if h.n >= _DP_MIN_N else None
+    order = _dp_order(h)
     if order is not None:
         dp = _FrontierDP(h, order)
 
@@ -605,6 +615,47 @@ def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
         return gamma_tr_value(g) <= cap
     _require_trd_input(g)
     return _solve_trd(g, None, False, cap)[0] is not None
+
+
+# the pairs (f(u), f(v)) under which the edge uv meets a TRD condition:
+# a 0 dominated by a 2 across it, or two positive ends
+_EDGE_USES = ((0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def plus_edge_decision(g: Graph, u: int, v: int) -> Callable[[int], bool]:
+    """``at_most(cap)``, whether gamma_tR(G+uv) <= cap, for the non-edge uv
+    and any cap below gamma_tR(G).
+
+    A TRD-function of G+uv lighter than gamma_tR(G) is no TRD-function of
+    G, so the new edge meets a condition at u or v and (f(u), f(v)) is one
+    of ``_EDGE_USES``.  Only the component of G+uv that holds u and v is
+    searched, at the cap less the value of the other components, by one
+    pinned first-hit search per pair.  The work that does not depend on
+    the cap is done once: the other components' value, and the one
+    unpinned run of a component that the frontier DP takes (a pin would
+    cost a full run).  Order <= 6 reads the memo.
+    """
+    h = add_edge(g, u, v)
+    _require_trd_input(g)
+    if g.n <= _MEMO_MAX_N:
+        value = gamma_tr_value(h)
+        return lambda cap: value <= cap
+    comps = component_masks(g)
+    joint = next(c for c in comps if c >> u & 1) | next(c for c in comps if c >> v & 1)
+    rest = 0
+    if joint != g.full_mask:
+        rest = _solve_trd(induced_subgraph(g, iter_bits(g.full_mask & ~joint)),
+                          None, False)[0]
+        verts = list(iter_bits(joint))
+        u, v = verts.index(u), verts.index(v)
+        h = induced_subgraph(h, verts)
+    order = _dp_order(h)
+    if order is not None:
+        value = rest + _FrontierDP(h, order).run([(0, 1, 2)] * h.n)[0]
+        return lambda cap: value <= cap
+    search = _WeightSearch(h, True)
+    return lambda cap: any(search.solve({u: a, v: b}, cap - rest, True) is not None
+                           for a, b in _EDGE_USES)
 
 
 def gamma_tr_equals_order(g: Graph) -> bool:

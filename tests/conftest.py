@@ -45,6 +45,15 @@ def union(*parts) -> Graph:
     return generate(DisjointUnion(tuple(parts)))
 
 
+def disjoint_union(graphs) -> Graph:
+    """Disjoint union of built graphs, with vertex blocks in argument order."""
+    adj: list[int] = []
+    for p in graphs:
+        offset = len(adj)
+        adj.extend(a << offset for a in p.adj)
+    return Graph(len(adj), tuple(adj))
+
+
 def rook(n: int, m: int) -> Graph:
     return generate(CartesianComplete(n, m))
 

@@ -34,9 +34,15 @@ from trd.errors import (
     NotANonEdgeError,
     ValueTooSmallError,
 )
-from trd.families import Complete
-from trd.graphs import add_edge, build_graph, complement
-from trd.solver import enumerate_min_trd, gamma_tr_value
+from trd.families import Complete, Cycle, Path
+from trd.graphs import add_edge, build_graph, complement, from_edge_mask, graph_classes
+from trd.solver import (
+    _FrontierDP,
+    _frontier_order,
+    brute_oracle_gamma_tr,
+    enumerate_min_trd,
+    gamma_tr_value,
+)
 
 
 def complete_bipartite(a: int, b: int):
@@ -159,6 +165,76 @@ class TestPredicates:
         for g in (spider(2, 2, 4), complete_bipartite(3, 3), cycle(6), complete(4),
                   union(Complete(3), Complete(3)), union(Complete(3), Complete(4))):
             self.agree(g)
+
+
+@st.composite
+def dp_routed_graphs(draw):
+    """Relabelled spiders and chorded cycles of order 10-16, the sparse
+    graphs that the frontier DP solves."""
+    if draw(st.booleans()):
+        legs = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
+        assume(10 <= 1 + sum(legs) <= 16)
+        g = spider(*legs)
+    else:
+        n = draw(st.integers(10, 13))
+        g = add_edge(cycle(n), 0, draw(st.integers(2, n - 2)))
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestDecidedDeltas:
+    """Deltas decided by first-hit searches over the functions that use the
+    new edge equal the difference of the two exact values."""
+
+    @staticmethod
+    def exact(g, pairs=None):
+        base = gamma_tr_value(g)
+        for u, v in g.non_edges() if pairs is None else pairs:
+            assert edge_delta(g, u, v, base) == base - gamma_tr_value(add_edge(g, u, v))
+
+    def test_every_class_of_order_7(self):
+        for mask, _ in graph_classes(7):
+            g = from_edge_mask(7, mask)
+            if not g.has_isolated_vertices():
+                self.exact(g)
+                TestPredicates.agree(g)
+
+    @given(dp_routed_graphs(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_dp_routed_graphs(self, g, data):
+        assert _frontier_order(g) is not None
+        pairs = data.draw(st.lists(st.sampled_from(g.non_edges()), min_size=1,
+                                   max_size=6, unique=True))
+        self.exact(g, pairs)
+
+    @pytest.mark.parametrize("g", [
+        union(Cycle(12), Complete(3)),
+        union(Path(4), Cycle(5)),
+        union(Complete(3), Complete(3), Path(4)),
+        spider(2, 2, 3, 4, 4),
+        add_edge(cycle(12), 0, 5),
+    ])
+    def test_disconnected_and_dp_routed_named_graphs(self, g):
+        self.exact(g)
+        TestPredicates.agree(g)
+
+    def test_one_dp_run_per_non_edge(self, monkeypatch):
+        # both questions of a delta share the decider's one unpinned run
+        runs = []
+        run = _FrontierDP.run
+        monkeypatch.setattr(_FrontierDP, "run", lambda *a: runs.append(1) or run(*a))
+        g = cycle(12)
+        assert set(edge_profile(g).deltas.values()) == {1, 2}
+        assert len(runs) == 1 + len(g.non_edges())
+
+    @given(sparse_graphs(7, 10), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_oracle(self, g, data):
+        non_edges = g.non_edges()
+        assume(non_edges)
+        u, v = data.draw(st.sampled_from(non_edges))
+        expected = brute_oracle_gamma_tr(g) - brute_oracle_gamma_tr(add_edge(g, u, v))
+        assert edge_delta(g, u, v) == expected
 
 
 class TestCriticalEdgeValueSets:

@@ -8,7 +8,16 @@ from hypothesis import given, strategies as st
 
 import trd.graphs
 
-from conftest import any_graphs, complete, cycle, path, rook, star, union
+from conftest import (
+    any_graphs,
+    complete,
+    cycle,
+    disjoint_union,
+    path,
+    rook,
+    star,
+    union,
+)
 from trd.errors import (
     EdgeExistsError,
     GraphTooLargeError,
@@ -21,7 +30,6 @@ from trd.graphs import (
     add_edge,
     build_graph,
     complement,
-    disjoint_union,
     format_edge_list,
     from_edge_mask,
     graph6_decode,

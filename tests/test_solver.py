@@ -17,6 +17,7 @@ from conftest import (
     complete,
     cycle,
     dead_example,
+    disjoint_union,
     path,
     solvable_graphs,
     sparse_graphs,
@@ -32,7 +33,7 @@ from trd.errors import (
     TooSmallError,
 )
 from trd.families import Complete, generate, parse_family
-from trd.graphs import Graph, build_graph, disjoint_union
+from trd.graphs import Graph, build_graph
 from trd.solver import (
     WeightFunction,
     _FrontierDP,

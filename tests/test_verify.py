@@ -366,7 +366,7 @@ class TestQuestionCounterexamples:
     """Q1 and Q2 as the registry states them fail beyond the default order-6
     universe; each counterexample is checked by the solver and the oracle."""
 
-    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_q1_coronas_of_complete_graphs(self, m):
         g = generate(Corona(Complete(m)))
         assert is_supercritical(g) and gamma_tr_equals_order(g)
