@@ -14,9 +14,12 @@ One lighter than gamma_tR(G) is no TRD-function of G, so (f(u), f(v)) is
 (0, 2) or (2, 0), where the 2 dominates the 0 across uv, or has both ends
 positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  So
 every non-edge question is :func:`trd.solver.plus_edge_decision`, whether
-gamma_tR(G+uv) <= cap for a cap below gamma_tR(G), which searches only
-those six pairs: a delta is 0 when it fails at gamma_tR(G) - 1, and 2 when
-it holds at gamma_tR(G) - 2.
+gamma_tR(G+uv) <= cap for a cap below gamma_tR(G): a delta is 0 when it
+fails at gamma_tR(G) - 1, and 2 when it holds at gamma_tR(G) - 2.  It
+searches three pin groups that cover exactly those pairs, f(u) = 2,
+f(v) = 2 and f(u) = f(v) = 1, and does not search again at gamma_tR(G) - 2
+a group that found nothing at gamma_tR(G) - 1, so a delta costs at most
+four searches, and a delta of 0 three.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;

@@ -142,15 +142,19 @@ class _WeightSearch:
     """Branch-and-bound minimiser for RD/TRD-function weight."""
 
     __slots__ = (
-        "n", "adj", "full", "deg", "total", "budget",
+        "n", "adj", "closed", "by_degree", "full", "total", "budget",
         "nodes", "best", "cap", "first_hit", "done",
     )
 
     def __init__(self, g: Graph, total: bool, node_budget: int | None = None):
         self.n = g.n
         self.adj = g.adj
+        self.closed = [a | 1 << w for w, a in enumerate(g.adj)]
+        # branch candidates: highest degree first, lowest index on ties (the
+        # sort is stable under reverse)
+        order = sorted(range(g.n), key=g.degrees.__getitem__, reverse=True)
+        self.by_degree = [1 << w for w in order]
         self.full = g.full_mask
-        self.deg = [a.bit_count() for a in g.adj]
         self.total = total
         self.budget = node_budget
         self.nodes = 0
@@ -196,21 +200,20 @@ class _WeightSearch:
 
     def _bound(self, undom: int, unassigned: int, not2: int) -> int:
         # Admissible completion bound: a future 2 at w satisfies at most
-        # |N(w) & undom| (+1 if w is itself unsatisfied) vertices for cost 2,
-        # a future 1 satisfies one vertex for cost 1.
-        adj = self.adj
+        # |N[w] & undom| vertices for cost 2, a future 1 satisfies one
+        # vertex for cost 1.
+        remaining = undom.bit_count()
+        if remaining < 2:
+            return remaining
+        closed = self.closed
         counts = []
         m = unassigned & ~not2
         while m:
             low = m & -m
-            w = low.bit_length() - 1
-            c = (adj[w] & undom).bit_count()
-            if undom & low:
-                c += 1
+            c = (closed[low.bit_length() - 1] & undom).bit_count()
             if c > 1:
                 counts.append(c)
             m ^= low
-        remaining = undom.bit_count()
         cost = 0
         if counts:
             counts.sort(reverse=True)
@@ -236,18 +239,10 @@ class _WeightSearch:
             if weight + self._bound(undom, unassigned, not2) >= self.best:
                 return
             # branch vertex: unsatisfied, maximum degree, lowest index
-            v = -1
-            dbest = -1
-            m = undom
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                if self.deg[u] > dbest:
-                    dbest = self.deg[u]
-                    v = u
-                m ^= low
-            bv = 1 << v
-            adjv = adj[v]
+            for bv in self.by_degree:
+                if undom & bv:
+                    break
+            adjv = adj[bv.bit_length() - 1]
             if unassigned & bv:
                 if not not2 & bv:
                     self._rec(assigned | bv, two | bv, pos | bv, not2,
@@ -375,9 +370,22 @@ def _frontier_order(g: Graph) -> list[int] | None:
     then lower degree, then lower index.
     """
     n, adj = g.n, g.adj
-    # under width 2 each vertex has at most two earlier neighbours
+    # under width 2 each vertex has at most two earlier neighbours, so G is
+    # 2-degenerate: peeling vertices of degree <= 2 leaves nothing
     if g.edge_count > 2 * n - 3:
         return None
+    left = g.full_mask
+    while left:
+        peel = 0
+        m = left
+        while m:
+            low = m & -m
+            if (adj[low.bit_length() - 1] & left).bit_count() <= 2:
+                peel |= low
+            m ^= low
+        if not peel:
+            return None
+        left ^= peel
     deg = g.degrees
     placed = frontier = 0
     order = []
@@ -617,23 +625,21 @@ def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     return _solve_trd(g, None, False, cap)[0] is not None
 
 
-# the pairs (f(u), f(v)) under which the edge uv meets a TRD condition:
-# a 0 dominated by a 2 across it, or two positive ends
-_EDGE_USES = ((0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2))
-
-
 def plus_edge_decision(g: Graph, u: int, v: int) -> Callable[[int], bool]:
     """``at_most(cap)``, whether gamma_tR(G+uv) <= cap, for the non-edge uv
     and any cap below gamma_tR(G).
 
     A TRD-function of G+uv lighter than gamma_tR(G) is no TRD-function of
-    G, so the new edge meets a condition at u or v and (f(u), f(v)) is one
-    of ``_EDGE_USES``.  Only the component of G+uv that holds u and v is
-    searched, at the cap less the value of the other components, by one
-    pinned first-hit search per pair.  The work that does not depend on
-    the cap is done once: the other components' value, and the one
-    unpinned run of a component that the frontier DP takes (a pin would
-    cost a full run).  Order <= 6 reads the memo.
+    G, so the new edge meets a condition at u or v: (f(u), f(v)) is (0, 2)
+    or (2, 0), or both ends are positive.  Three pin groups cover exactly
+    those pairs: f(u) = 2, f(v) = 2, and f(u) = f(v) = 1.  Only the
+    component of G+uv that holds u and v is searched, at the cap less the
+    value of the other components, by one pinned first-hit search per
+    group.  A group that found nothing at some cap finds nothing below it,
+    so it is not searched again at a lower cap.  The work that does not
+    depend on the cap is done once: the other components' value, and the
+    one unpinned run of a component that the frontier DP takes (a pin
+    would cost a full run).  Order <= 6 reads the memo.
     """
     h = add_edge(g, u, v)
     _require_trd_input(g)
@@ -654,8 +660,20 @@ def plus_edge_decision(g: Graph, u: int, v: int) -> Callable[[int], bool]:
         value = rest + _FrontierDP(h, order).run([(0, 1, 2)] * h.n)[0]
         return lambda cap: value <= cap
     search = _WeightSearch(h, True)
-    return lambda cap: any(search.solve({u: a, v: b}, cap - rest, True) is not None
-                           for a, b in _EDGE_USES)
+    groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
+    # the highest cap at which each group found nothing; no weight is < 0
+    missed = [-1] * len(groups)
+
+    def at_most(cap: int) -> bool:
+        for i, pins in enumerate(groups):
+            if cap <= missed[i]:
+                continue
+            if search.solve(pins, cap - rest, True) is not None:
+                return True
+            missed[i] = cap
+        return False
+
+    return at_most
 
 
 def gamma_tr_equals_order(g: Graph) -> bool:

@@ -60,6 +60,7 @@ from .solver import (
     gamma_tr_equals_order,
     gamma_tr_value,
     gamma_value,
+    plus_edge_decision,
 )
 
 ALL_LABELED_CEILING = 7
@@ -403,7 +404,7 @@ def _check_enddeg3(g: Graph, spec) -> str | None:
             continue  # neighbourhood minus the leaf is complete
         base = gamma_tr_value(g)
         for u, v in pairs:
-            if gamma_tr_value(add_edge(g, u, v)) != base:
+            if plus_edge_decision(g, u, v)(base - 1):
                 return (
                     f"support {x} of leaf {w}: non-edge ({u},{v}) inside its"
                     " neighbourhood changes gamma_tR"
@@ -428,7 +429,7 @@ def _check_longlegs(g: Graph, spec) -> str | None:
         return None
     base = gamma_tr_value(g)
     u, v = long_ends[0][0], long_ends[1][0]
-    if gamma_tr_value(add_edge(g, u, v)) != base:
+    if plus_edge_decision(g, u, v)(base - 1):
         return f"joining long-endpath leaves ({u},{v}) changed gamma_tR"
     if is_edge_critical(g, base):
         return "edge-critical despite two endpaths of length >= 3"
@@ -516,7 +517,7 @@ def _check_dn_edges(g: Graph, spec) -> str | None:
         return None
     for u, v in g.non_edges():
         if u in w or v in w:
-            if gamma_tr_value(add_edge(g, u, v)) >= base:
+            if not plus_edge_decision(g, u, v)(base - 1):
                 return f"non-edge ({u},{v}) at a dead vertex is not critical"
     return None
 

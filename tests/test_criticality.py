@@ -35,10 +35,18 @@ from trd.errors import (
     ValueTooSmallError,
 )
 from trd.families import Complete, Cycle, Path
-from trd.graphs import add_edge, build_graph, complement, from_edge_mask, graph_classes
+from trd.graphs import (
+    add_edge,
+    build_graph,
+    complement,
+    from_edge_mask,
+    graph6_decode,
+    graph_classes,
+)
 from trd.solver import (
     _FrontierDP,
     _frontier_order,
+    _WeightSearch,
     brute_oracle_gamma_tr,
     enumerate_min_trd,
     gamma_tr_value,
@@ -226,6 +234,26 @@ class TestDecidedDeltas:
         g = cycle(12)
         assert set(edge_profile(g).deltas.values()) == {1, 2}
         assert len(runs) == 1 + len(g.non_edges())
+
+    def test_at_most_four_searches_per_delta(self, monkeypatch):
+        # three pin groups at base - 1; at base - 2 only the groups that did
+        # not miss already, so a delta of 0 costs exactly three searches
+        g = graph6_decode("M@_?@@GKICK_GK@??")
+        base = gamma_tr_value(g)
+        calls = []
+        solve = _WeightSearch.solve
+        monkeypatch.setattr(_WeightSearch, "solve",
+                            lambda self, *a: calls.append(1) or solve(self, *a))
+        deltas = set()
+        for u, v in g.non_edges():
+            calls.clear()
+            delta = edge_delta(g, u, v, base)
+            deltas.add(delta)
+            if delta == 0:
+                assert len(calls) == 3
+            else:
+                assert len(calls) <= 4
+        assert deltas == {0, 1, 2}
 
     @given(sparse_graphs(7, 10), st.data())
     @settings(max_examples=25, deadline=None)

@@ -358,6 +358,10 @@ class TestWitness:
             ("path(12)", 129),  # the DP
             ("cycle(14)", 483),
             ("union(K3,path(11))", 127),  # both
+            ("D(6)", 38909),
+            ("KxK(4,6)", 642),
+            ("cor(K5)", 1972),
+            ("familyG(2,3)", 367),
         ],
     )
     def test_nodes_pinned(self, family, nodes):
@@ -492,6 +496,35 @@ def width_two_graphs(draw, min_n=7, max_n=12):
 
 
 @st.composite
+def near_width_two_graphs(draw):
+    """Width-2 graphs of order 4 to 24 with up to three random edges added."""
+    g = draw(width_two_graphs(4, 24))
+    pair = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+    extra = [(a, b) for a, b in draw(st.lists(pair, max_size=3)) if a != b]
+    return build_graph(g.n, g.edges() + extra)
+
+
+def frontier_width(g, order):
+    """Largest number of placed vertices with an unplaced neighbour."""
+    placed = width = 0
+    for v in order:
+        placed |= 1 << v
+        width = max(width, sum(1 for u in range(g.n)
+                               if placed >> u & 1 and g.adj[u] & ~placed))
+    return width
+
+
+def cube():
+    return build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+
+def petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                       + [(i, 5 + i) for i in range(5)])
+
+
+@st.composite
 def dense_graphs(draw):
     """K_n, 4 <= n <= 6, less at most n - 2 edges (so no vertex is isolated)."""
     n = draw(st.integers(4, 6))
@@ -519,6 +552,20 @@ class TestSparseEngine:
         assert value == _WeightSearch(g, True).solve()
         f = WeightFunction(tuple(values))
         assert f.weight == value and is_trd_function(g, f).valid
+
+    @given(near_width_two_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_frontier_orders_have_width_two(self, g):
+        order = _frontier_order(g)
+        if order is not None:
+            assert sorted(order) == list(range(g.n))
+            assert frontier_width(g, order) <= 2
+
+    @pytest.mark.parametrize("g", [complete(4), cube(), petersen()],
+                             ids=["K4", "Q3", "Petersen"])
+    def test_no_frontier_order_without_a_vertex_of_degree_two(self, g):
+        # none of these is 2-degenerate, so no order has width <= 2
+        assert _frontier_order(g) is None
 
     @given(width_two_graphs(9, 12))
     @settings(max_examples=40, deadline=None)
