@@ -1,13 +1,13 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
-Every gamma_tR question (value, witness, yes/no decision, dead vertex)
-is solved one connected component at a time, each by the engine
-``_engine`` picks for it.  A component of order >= 10 that admits a vertex
-order of frontier width <= 2 is solved by a frontier dynamic program over
-that order; every other component by branch and bound.  ``_solve_trd``
-adds the components' values and puts each one's lexicographically smallest
-minimum function back in place; ``dead_vertices`` runs its pinned
-decisions against each component's engine.
+Every gamma_tR question (value, witness, yes/no decision, dead vertex,
+per-edge delta) is answered one connected component at a time by one
+engine object, built once per component by ``_engine``: the frontier
+dynamic program when the component has order >= 10 and a vertex order of
+frontier width <= 2, else branch and bound.  Both answer through
+``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
+function with the pinned values, else None; such a function when the
+engine has one; and the nodes spent.
 
 A question about a non-edge uv, whether gamma_tR(G+uv) <= cap for a cap
 below gamma_tR(G), is :func:`plus_edge_decision`: it searches only the
@@ -22,9 +22,8 @@ f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
 degree, trying the values 2, then 1, then 0; the 0 branch is expanded
 over the choices of lowest-index neighbour that will carry the required
 2, so every level of the tree satisfies at least one new vertex.  The
-same engine serves Roman domination (total condition disabled).  Both
-engines take pinned vertex values, which is how dead vertices and the
-lexicographically smallest witness are computed.
+same engine, with the total condition disabled, answers gamma_R and the
+Roman dead vertices.
 
 A deliberately independent oracle, :func:`brute_oracle_gamma_tr`, scans all
 3^n weight vectors and shares nothing with either engine.
@@ -142,11 +141,12 @@ class _WeightSearch:
     """Branch-and-bound minimiser for RD/TRD-function weight."""
 
     __slots__ = (
-        "n", "adj", "closed", "by_degree", "full", "total", "budget",
-        "nodes", "best", "cap", "first_hit", "done",
+        "g", "n", "adj", "closed", "by_degree", "full", "total", "probe",
+        "budget", "nodes", "best", "cap", "first_hit", "done",
     )
 
-    def __init__(self, g: Graph, total: bool, node_budget: int | None = None):
+    def __init__(self, g: Graph, total: bool):
+        self.g = g
         self.n = g.n
         self.adj = g.adj
         self.closed = [a | 1 << w for w, a in enumerate(g.adj)]
@@ -156,32 +156,46 @@ class _WeightSearch:
         self.by_degree = [1 << w for w in order]
         self.full = g.full_mask
         self.total = total
-        self.budget = node_budget
-        self.nodes = 0
+        self.probe = None
 
-    def solve(
-        self,
-        forced: dict[int, int] | None = None,
-        target_cap: int | None = None,
-        first_hit: bool = False,
-    ) -> int | None:
-        """Minimum feasible weight not exceeding ``target_cap``, else None.
+    def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
+               budget: int | None = None) -> tuple[int | None, None, int]:
+        """The engine contract (see the module docstring), always without a
+        function.  Without pins the search starts from the constructive
+        probe, found on the first such call and kept."""
+        if pins:
+            probe = cap + 1
+        else:
+            if self.probe is None:
+                self.probe = (_trd_probe if self.total else _rd_probe)(self.g)
+            probe = self.probe
+            if first_hit and probe <= cap:
+                return probe, None, 0
+        found = self.solve(pins, min(cap, probe - 1), first_hit, budget)
+        if found is None and probe <= cap:
+            found = probe
+        return found, None, self.nodes
+
+    def solve(self, pins, cap, first_hit, budget) -> int | None:
+        """Minimum feasible weight not exceeding ``cap``, else None, within
+        ``budget`` nodes (``nodes`` counts this call's).
 
         With ``first_hit`` the search stops at the first assignment within
         the cap (the result is then only an upper bound, suitable for
         yes/no questions).
         """
-        cap = 2 * self.n if target_cap is None else target_cap
+        self.nodes = 0
         if cap < 0:
             return None
+        self.budget = budget
         self.best = cap + 1
         self.cap = cap
         self.first_hit = first_hit
         self.done = False
         assigned = two = pos = sat = 0
         weight = 0
-        if forced:
-            for v, val in forced.items():
+        if pins:
+            for v, val in pins.items():
                 bv = 1 << v
                 assigned |= bv
                 if val == 2:
@@ -338,12 +352,15 @@ _MEMO: dict[tuple[str, int], bytearray] = {}
 
 
 def _memo(kind: str, g: Graph, solve: Callable[[Graph], int]) -> int:
-    """``solve(g)``, memoised under ``kind`` when G has order <= 6.
+    """``solve(g)``, memoised under ``kind`` when G has order <= 6, and
+    refused above the solver cap before any search.
 
     Only a value ``solve`` returns is stored, so when ``solve`` validates
     the graph a hit needs no check.
     """
     n = g.n
+    if n > SOLVER_MAX_N:
+        raise GraphTooLargeError(f"{kind} capped at n <= {SOLVER_MAX_N}")
     if n > _MEMO_MAX_N:
         return solve(g)
     arr = _MEMO.get((kind, n))
@@ -486,53 +503,27 @@ class _FrontierDP:
             _, state, values[v] = entries[state]
         return table[()][0], values
 
+    def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
+               budget: int | None = None) -> tuple[int | None, list | None, int]:
+        """The engine contract; each call is one exact run, so ``first_hit``
+        changes nothing."""
+        allowed = [(pins[v],) if v in pins else (0, 1, 2) for v in range(self.n)]
+        value, values = self.run(allowed, budget)
+        if value is None or value > cap:
+            return None, None, self.nodes
+        return value, values, self.nodes
 
-def _dp_order(h: Graph) -> list[int] | None:
-    """The frontier DP's vertex order for the connected graph H, or None
-    when H goes to branch and bound."""
-    return _frontier_order(h) if h.n >= _DP_MIN_N else None
 
-
-def _engine(h: Graph) -> Callable:
-    """The gamma_tR engine for the connected graph H, as a function
-    ``decide(pins, cap, first_hit, budget)``.
-
-    ``decide`` returns the least weight <= cap of a TRD-function with the
-    pinned values (with ``first_hit``, any weight <= cap), else None; a
-    function of that weight when the engine knows one, else None; and the
-    nodes spent.  The engine is the frontier DP when H has order
-    >= ``_DP_MIN_N`` and a greedy order of width <= 2: it always finds the
-    least weight and a function attaining it.  Otherwise it is branch and
-    bound, which without pins starts from the constructive probe.
-    """
-    order = _dp_order(h)
-    if order is not None:
-        dp = _FrontierDP(h, order)
-
-        def decide(pins, cap, first_hit, budget):
-            allowed = [(pins[v],) if v in pins else (0, 1, 2) for v in range(h.n)]
-            value, values = dp.run(allowed, budget)
-            if value is None or value > cap:
-                return None, None, dp.nodes
-            return value, values, dp.nodes
-
-        return decide
-
-    def decide(pins, cap, first_hit, budget):
-        probe = cap + 1 if pins else _trd_probe(h)
-        if first_hit and probe <= cap:
-            return probe, None, 0
-        search = _WeightSearch(h, True, budget)
-        found = search.solve(pins, min(cap, probe - 1), first_hit)
-        if found is None and probe <= cap:
-            found = probe
-        return found, None, search.nodes
-
-    return decide
+def _engine(h: Graph) -> _FrontierDP | _WeightSearch:
+    """The gamma_tR engine for the connected graph H: the frontier DP when H
+    has order >= ``_DP_MIN_N`` and a greedy order of width <= 2, else
+    branch and bound."""
+    order = _frontier_order(h) if h.n >= _DP_MIN_N else None
+    return _WeightSearch(h, True) if order is None else _FrontierDP(h, order)
 
 
 def _witness(
-    decide: Callable, n: int, value: int, values: list[int] | None,
+    engine: _FrontierDP | _WeightSearch, value: int, values: list[int] | None,
     budget: int | None,
 ) -> tuple[tuple[int, ...], int]:
     """The lexicographically smallest function of weight ``value``, and the
@@ -545,19 +536,19 @@ def _witness(
     """
     pins: dict[int, int] = {}
     nodes = 0
-    for v in range(n):
+    for v in range(engine.n):
         for x in (0, 1, 2):
             if values is not None and values[v] == x:
                 break
             pins[v] = x
             remaining = None if budget is None else budget - nodes
-            hit, found, used = decide(pins, value, True, remaining)
+            hit, found, used = engine.decide(pins, value, True, remaining)
             nodes += used
             if hit is not None:
                 values = found
                 break
         pins[v] = x
-    return tuple(pins[v] for v in range(n)), nodes
+    return tuple(pins[v] for v in range(engine.n)), nodes
 
 
 def _solve_trd(
@@ -583,16 +574,16 @@ def _solve_trd(
         verts = list(iter_bits(comp))
         h = g if len(comps) == 1 else induced_subgraph(g, verts)
         budget = None if node_budget is None else node_budget - nodes
-        decide = _engine(h)
+        engine = _engine(h)
         first_hit = cap is not None and i == len(comps) - 1
-        part, found, used = decide({}, limit - value, first_hit, budget)
+        part, found, used = engine.decide({}, limit - value, first_hit, budget)
         nodes += used
         if part is None:
             return None, None, nodes
         value += part
         if witness:
             budget = None if node_budget is None else node_budget - nodes
-            vec, used = _witness(decide, h.n, part, found, budget)
+            vec, used = _witness(engine, part, found, budget)
             nodes += used
             for v, x in zip(verts, vec):
                 values[v] = x
@@ -655,11 +646,10 @@ def plus_edge_decision(g: Graph, u: int, v: int) -> Callable[[int], bool]:
         verts = list(iter_bits(joint))
         u, v = verts.index(u), verts.index(v)
         h = induced_subgraph(h, verts)
-    order = _dp_order(h)
-    if order is not None:
-        value = rest + _FrontierDP(h, order).run([(0, 1, 2)] * h.n)[0]
+    engine = _engine(h)
+    if isinstance(engine, _FrontierDP):
+        value = rest + engine.decide({}, 2 * h.n)[0]
         return lambda cap: value <= cap
-    search = _WeightSearch(h, True)
     groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
     # the highest cap at which each group found nothing; no weight is < 0
     missed = [-1] * len(groups)
@@ -668,7 +658,7 @@ def plus_edge_decision(g: Graph, u: int, v: int) -> Callable[[int], bool]:
         for i, pins in enumerate(groups):
             if cap <= missed[i]:
                 continue
-            if search.solve(pins, cap - rest, True) is not None:
+            if engine.decide(pins, cap - rest, True)[0] is not None:
                 return True
             missed[i] = cap
         return False
@@ -809,10 +799,10 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     key = mode.strip().lower().replace("_", "-")
     if key == "roman":
         base = gamma_r_value(g)
+        search = _WeightSearch(g, False)
         return tuple(
             v for v in range(g.n)
-            if all(_WeightSearch(g, False).solve({v: x}, base, True) is None
-                   for x in (1, 2))
+            if all(search.decide({v: x}, base, True)[0] is None for x in (1, 2))
         )
     if key != "total-roman":
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
@@ -821,11 +811,11 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     for comp in component_masks(g):
         verts = list(iter_bits(comp))
         h = g if comp == g.full_mask else induced_subgraph(g, verts)
-        decide = _engine(h)
-        part = decide({}, 2 * h.n, False, None)[0]
+        engine = _engine(h)
+        part = engine.decide({}, 2 * h.n)[0]
         dead += [
             v for j, v in enumerate(verts)
-            if all(decide({j: x}, part, True, None)[0] is None for x in (1, 2))
+            if all(engine.decide({j: x}, part, True)[0] is None for x in (1, 2))
         ]
     return tuple(sorted(dead))
 
@@ -894,9 +884,7 @@ def _gamma_t(g: Graph) -> int:
 
 
 def _gamma_r(g: Graph) -> int:
-    probe = _rd_probe(g)
-    found = _WeightSearch(g, False).solve(target_cap=probe - 1)
-    return probe if found is None else found
+    return _WeightSearch(g, False).decide({}, 2 * g.n)[0]
 
 
 def gamma_value(g: Graph) -> int:
@@ -911,8 +899,6 @@ def gamma_t_value(g: Graph) -> int:
 
 def gamma_r_value(g: Graph) -> int:
     """The Roman domination number gamma_R(G), memoised for n <= 6."""
-    if g.n > SOLVER_MAX_N:
-        raise GraphTooLargeError(f"gamma_R capped at n <= {SOLVER_MAX_N}")
     return _memo("gamma_R", g, _gamma_r)
 
 

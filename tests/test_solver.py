@@ -48,6 +48,7 @@ from trd.solver import (
     gamma_tr,
     gamma_tr_equals_order,
     gamma_tr_value,
+    gamma_value,
     has_trd_weight_at_most,
     is_trd_function,
     reset_caches,
@@ -366,8 +367,14 @@ class TestWitness:
     )
     def test_nodes_pinned(self, family, nodes):
         # nodes_explored is part of ``trd compute`` output; the DP's witness
-        # search reuses the function each run returns
-        assert gamma_tr(generate(parse_family(family))).nodes_explored == nodes
+        # search reuses the function each run returns.  A budget of exactly
+        # that many nodes suffices, and one node fewer does not.
+        g = generate(parse_family(family))
+        result = gamma_tr(g)
+        assert result.nodes_explored == nodes
+        assert gamma_tr(g, node_budget=nodes) == result
+        with pytest.raises(BudgetExceededError):
+            gamma_tr(g, node_budget=nodes - 1)
 
     def test_invariant_label(self):
         assert gamma_tr(cycle(4)).invariant == "gamma_tR"
@@ -433,6 +440,25 @@ class TestDeadVertices:
         assert two[1] == 2 * one[1]
         assert (one[2], two[2]) == (1, 2)
 
+        # a branch-and-bound component builds one _WeightSearch, which runs
+        # every pinned search, witness or dead vertex
+        builds = []
+        init = _WeightSearch.__init__
+        monkeypatch.setattr(_WeightSearch, "__init__",
+                            lambda self, *a: builds.append(1) or init(self, *a))
+
+        def count(solve):
+            builds.clear()
+            solve()
+            return len(builds)
+
+        cor_k4 = generate(parse_family("cor(K4)"))
+        d3 = generate(parse_family("D(3)"))
+        assert count(lambda: gamma_tr(cor_k4)) == 1
+        assert count(lambda: dead_vertices(cor_k4)) == 1
+        # one for gamma_R, one for the 2n pinned decisions
+        assert count(lambda: dead_vertices(d3, "roman")) == 2
+
 
 # --- structure and errors ---------------------------------------------------
 
@@ -469,13 +495,24 @@ class TestStructuralProperties:
         "solve",
         [
             lambda g: has_trd_weight_at_most(g, 3),
+            gamma_value,
+            gamma_t_value,
             gamma_r_value,
         ],
-        ids=["has_trd_weight_at_most", "gamma_r_value"],
+        ids=["has_trd_weight_at_most", "gamma_value", "gamma_t_value",
+             "gamma_r_value"],
     )
     def test_solver_cap(self, solve):
         with pytest.raises(GraphTooLargeError):
             solve(cycle(25))
+
+    def test_classical_numbers_refuse_before_any_search(self, monkeypatch):
+        def cover(*args, **kwargs):
+            raise AssertionError("a cover search ran on an oversized graph")
+
+        monkeypatch.setattr(solver, "_min_cover_size", cover)
+        with pytest.raises(GraphTooLargeError):
+            classical_numbers(cycle(25))
 
 
 # --- the component split and the frontier DP -------------------------------
@@ -549,7 +586,7 @@ class TestSparseEngine:
         order = _frontier_order(g)
         assume(order is not None)
         value, values = _FrontierDP(g, order).run([(0, 1, 2)] * g.n)
-        assert value == _WeightSearch(g, True).solve()
+        assert value == _WeightSearch(g, True).decide({}, 2 * g.n)[0]
         f = WeightFunction(tuple(values))
         assert f.weight == value and is_trd_function(g, f).valid
 
