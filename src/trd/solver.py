@@ -4,7 +4,9 @@ Every gamma_tR question (value, witness, yes/no decision, dead vertex,
 per-edge delta) is answered one connected component at a time by one
 engine object, built once per component by ``_engine``: the frontier
 dynamic program when the component has order >= 10 and a vertex order of
-frontier width <= 2, else branch and bound.  Both answer through
+frontier width <= 2, else branch and bound.  The DP codes each frontier
+state as one base-6 integer and looks its transitions up in rows shared
+by every DP through the step's shape, built lazily.  Both answer through
 ``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
 function with the pinned values, else None; such a function when the
 engine has one; and the nodes spent.
@@ -48,8 +50,11 @@ from .graphs import Graph, add_edge, component_masks, induced_subgraph, iter_bit
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
 _MEMO_MAX_N = 6
-# below order 10 branch and bound beats the DP on width-2 graphs, and its
-# first-hit decisions beat the DP's exact runs further up still
+# the DP is faster from order 7 (value only, best of 3, 2-vCPU VM: cycle(7)
+# 0.17 ms against 0.25 ms for branch and bound, cycle(9) 0.25 against
+# 1.19 ms), but a cut at 7 gains the registry nothing measurable (0.30 s
+# against 0.29 s in-process, best of 6) and would change nodes_explored
+# at orders 7-9, so the cut stays at 10
 _DP_MIN_N = 10
 _DP_MAX_WIDTH = 2
 
@@ -426,6 +431,33 @@ def _frontier_order(g: Graph) -> list[int] | None:
     return order
 
 
+# transition rows of the frontier DP, one dict per step shape (see
+# _FrontierDP), filled lazily: a row on the first reach of (shape, state).
+# Under width 2 there are at most 42 shapes, each with at most 36 states.
+_ROWS: dict[tuple, dict[int, tuple[int, int, int]]] = {}
+
+
+def _row(shape: tuple, state: int) -> tuple[int, int, int]:
+    """The next state for x = 0, 1, 2 from ``state`` over one step of
+    ``shape``, or -1 where x is rejected."""
+    nbrs, keep, leave, stays = shape
+    codes = [state // 6 ** p % 6 for p in range(len(keep) + len(leave))]
+    near = max((codes[p] for p in nbrs), default=0)
+    row = []
+    for x in (0, 1, 2):
+        new = list(codes)
+        for p in nbrs:
+            if x == 2 or (x and new[p] >= 2):
+                new[p] |= 1
+        met = near >= 4 if x == 0 else near >= 2
+        if any(not new[p] & 1 for p in leave) or not (stays or met):
+            row.append(-1)
+            continue
+        kept = [new[p] for p in keep] + ([2 * x + met] if stays else [])
+        row.append(sum(c * 6 ** i for i, c in enumerate(kept)))
+    return tuple(row)
+
+
 class _FrontierDP:
     """Minimum TRD-function weight by dynamic programming over a vertex order.
 
@@ -433,9 +465,18 @@ class _FrontierDP:
     to the least weight of the placed vertices.  A frontier vertex's state
     is its value and whether its condition is already met (a 0 has a
     neighbour of value 2, a positive vertex has a positive neighbour),
-    coded as ``2 * value + met``.  A vertex leaves the frontier once all
-    its neighbours are placed, and only with its condition met.  Each table
-    entry counts as one node; ``nodes`` holds the count of the last run.
+    coded as ``2 * value + met``; a frontier state is one integer whose
+    base-6 digit p is the code of frontier slot p.  A vertex leaves the
+    frontier once all its neighbours are placed, and only with its
+    condition met.
+
+    Each step has a shape, ``(nbrs, keep, leave, stays)``: the frontier
+    slots that neighbour the new vertex, the slots that stay and the slots
+    that leave, and whether the new vertex joins the frontier.  The next
+    state depends only on the shape, the state and the new vertex's value,
+    so transition rows are shared by every DP with a step of that shape,
+    in ``_ROWS``.  Each table entry counts as one node; ``nodes`` holds the
+    count of the last run.
     """
 
     __slots__ = ("n", "steps", "nodes")
@@ -449,12 +490,12 @@ class _FrontierDP:
         steps = []
         for v in order:
             placed |= 1 << v
-            # frontier positions that neighbour v, stay, and leave
             nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
             keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
             leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
             stays = bool(adj[v] & ~placed)
-            steps.append((v, nbrs, keep, leave, stays))
+            shape = (nbrs, keep, leave, stays)
+            steps.append((v, shape, _ROWS.setdefault(shape, {})))
             frontier = [frontier[p] for p in keep] + ([v] if stays else [])
         self.steps = steps
 
@@ -467,26 +508,19 @@ class _FrontierDP:
         raises once the run's table entries exceed ``budget``.
         """
         self.nodes = 0
-        table: dict[tuple[int, ...], tuple] = {(): (0, None, 0)}
+        table: dict[int, tuple] = {0: (0, None, 0)}
         tables = []
-        for v, nbrs, keep, leave, stays in self.steps:
-            nxt: dict[tuple[int, ...], tuple] = {}
+        for v, shape, rows in self.steps:
+            nxt: dict[int, tuple] = {}
+            xs = allowed[v]
             for state, (weight, _, _) in table.items():
-                near = max((state[p] for p in nbrs), default=0)
-                for x in allowed[v]:
-                    codes = list(state)
-                    for p in nbrs:
-                        c = codes[p]
-                        if x == 2 or (x and c >= 2):
-                            codes[p] = c | 1
-                    if any(not codes[p] & 1 for p in leave):
+                row = rows.get(state)
+                if row is None:
+                    row = rows[state] = _row(shape, state)
+                for x in xs:
+                    key = row[x]
+                    if key < 0:
                         continue
-                    met = near >= 4 if x == 0 else near >= 2
-                    if not stays and not met:
-                        continue
-                    key = tuple(codes[p] for p in keep)
-                    if stays:
-                        key += (2 * x + met,)
                     old = nxt.get(key)
                     if old is None or weight + x < old[0]:
                         nxt[key] = (weight + x, state, x)
@@ -495,13 +529,13 @@ class _FrontierDP:
                 raise BudgetExceededError(f"node budget {budget} exhausted")
             tables.append(nxt)
             table = nxt
-        if () not in table:
+        if 0 not in table:
             return None, []
         values = [0] * self.n
-        state: tuple[int, ...] = ()
-        for (v, *_), entries in zip(reversed(self.steps), reversed(tables)):
+        state = 0
+        for (v, _, _), entries in zip(reversed(self.steps), reversed(tables)):
             _, state, values[v] = entries[state]
-        return table[()][0], values
+        return table[0][0], values
 
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
                budget: int | None = None) -> tuple[int | None, list | None, int]:

@@ -8,7 +8,13 @@ search code.
 """
 
 import itertools
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -551,6 +557,48 @@ def frontier_width(g, order):
     return width
 
 
+def reference_run(dp, allowed, budget=None):
+    """``dp.run`` on tuple-coded frontier states, one code per slot, with
+    every transition worked out per table entry: ``(value, values, nodes)``.
+    """
+    nodes = 0
+    table = {(): (0, None, 0)}
+    tables = []
+    for v, (nbrs, keep, leave, stays), _ in dp.steps:
+        nxt = {}
+        for state, (weight, _, _) in table.items():
+            near = max((state[p] for p in nbrs), default=0)
+            for x in allowed[v]:
+                codes = list(state)
+                for p in nbrs:
+                    c = codes[p]
+                    if x == 2 or (x and c >= 2):
+                        codes[p] = c | 1
+                if any(not codes[p] & 1 for p in leave):
+                    continue
+                met = near >= 4 if x == 0 else near >= 2
+                if not stays and not met:
+                    continue
+                key = tuple(codes[p] for p in keep)
+                if stays:
+                    key += (2 * x + met,)
+                old = nxt.get(key)
+                if old is None or weight + x < old[0]:
+                    nxt[key] = (weight + x, state, x)
+        nodes += len(nxt)
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exhausted")
+        tables.append(nxt)
+        table = nxt
+    if () not in table:
+        return None, [], nodes
+    values = [0] * dp.n
+    state = ()
+    for (v, _, _), entries in zip(reversed(dp.steps), reversed(tables)):
+        _, state, values[v] = entries[state]
+    return table[()][0], values, nodes
+
+
 def cube():
     return build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
 
@@ -589,6 +637,50 @@ class TestSparseEngine:
         assert value == _WeightSearch(g, True).decide({}, 2 * g.n)[0]
         f = WeightFunction(tuple(values))
         assert f.weight == value and is_trd_function(g, f).valid
+
+    @given(width_two_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dp_matches_tuple_reference(self, g, data):
+        # integer states and shared rows change no value, witness, node
+        # count or budget failure, under any pins and allowed-value order
+        order = _frontier_order(g)
+        assume(order is not None)
+        dp = _FrontierDP(g, order)
+        subsets = st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
+                           unique=True).map(tuple)
+        allowed = [data.draw(subsets) for _ in range(g.n)]
+        budget = data.draw(st.none() | st.integers(0, 40))
+        try:
+            expected = reference_run(dp, allowed, budget)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                dp.run(allowed, budget)
+            return
+        value, values = dp.run(allowed, budget)
+        assert (value, values, dp.nodes) == expected
+
+    def test_transition_rows_are_lazy_and_bounded(self):
+        # no row at import; after a profile every row covers x = 0, 1, 2,
+        # and a shape holds at most one row per state of its frontier
+        script = textwrap.dedent("""
+            import json, trd.cli
+            from trd import solver
+            from trd.criticality import edge_profile
+            from trd.families import generate, parse_family
+            print(len(solver._ROWS))
+            edge_profile(generate(parse_family("spider(1,2,2,3,4,5)")))
+            print(json.dumps([[len(keep) + len(leave), [len(r) for r in rows.values()]]
+                              for (_, keep, leave, _), rows in solver._ROWS.items()]))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out[0] == "0"
+        shapes = json.loads(out[1])
+        assert shapes
+        for width, rows in shapes:
+            assert all(length == 3 for length in rows)
+            assert len(rows) <= 6 ** width
 
     @given(near_width_two_graphs())
     @settings(max_examples=100, deadline=None)
