@@ -8,8 +8,9 @@ frontier width <= 2, else branch and bound.  The DP codes each frontier
 state as one base-6 integer and looks its transitions up in rows shared
 by every DP through the step's shape, built lazily.  Both answer through
 ``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
-function with the pinned values, else None; such a function when the
-engine has one; and the nodes spent.
+function with the pinned values, else None; a function of that weight;
+and the nodes spent.  The witness search skips every value that a
+returned function already shows to work.
 
 A question about a non-edge uv, whether gamma_tR(G+uv) <= cap for a cap
 below gamma_tR(G), is :func:`plus_edge_decision`: it searches only the
@@ -23,9 +24,17 @@ The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
 degree, trying the values 2, then 1, then 0; the 0 branch is expanded
 over the choices of lowest-index neighbour that will carry the required
-2, so every level of the tree satisfies at least one new vertex.  The
-same engine, with the total condition disabled, answers gamma_R and the
-Roman dead vertices.
+2, so every level of the tree satisfies at least one new vertex.  A node
+is pruned by a slack test, whether a greedy cover bound reaches
+best - weight, which reads only the candidate counts that decision needs.
+The same engine, with the total condition disabled, answers gamma_R and
+the Roman dead vertices.  In total mode two more cuts apply.  Every
+TRD-function has f(N[v]) >= 2, so over a packing P fixed per engine
+(closed neighbourhoods pairwise disjoint) the deficits
+2 - f(N[p] & assigned) bound what a completion adds, whence
+gamma_tR >= 2 |P| (Ahangar, Henning, Samodivkin & Yero, "Total Roman
+domination in graphs", 2016).  And a vertex whose neighbours are all
+assigned 0 can meet neither condition.
 
 A deliberately independent oracle, :func:`brute_oracle_gamma_tr`, scans all
 3^n weight vectors and shares nothing with either engine.
@@ -146,44 +155,61 @@ class _WeightSearch:
     """Branch-and-bound minimiser for RD/TRD-function weight."""
 
     __slots__ = (
-        "g", "n", "adj", "closed", "by_degree", "full", "total", "probe",
-        "budget", "nodes", "best", "cap", "first_hit", "done",
+        "g", "n", "adj", "closed", "by_degree", "packing", "full", "total",
+        "probe", "budget", "nodes", "best", "found", "cap",
+        "first_hit", "done",
     )
 
     def __init__(self, g: Graph, total: bool):
         self.g = g
         self.n = g.n
         self.adj = g.adj
-        self.closed = [a | 1 << w for w, a in enumerate(g.adj)]
+        self.closed = closed = [a | 1 << w for w, a in enumerate(g.adj)]
         # branch candidates: highest degree first, lowest index on ties (the
         # sort is stable under reverse)
         order = sorted(range(g.n), key=g.degrees.__getitem__, reverse=True)
         self.by_degree = [1 << w for w in order]
+        # TRD only: the closed neighbourhoods of a packing, taken greedily by
+        # lowest degree, then lowest index; every TRD-function has f(N[p]) >= 2
+        packing = []
+        if total:
+            used = 0
+            for w in sorted(range(g.n), key=g.degrees.__getitem__):
+                if not closed[w] & used:
+                    packing.append(closed[w])
+                    used |= closed[w]
+        self.packing = packing
         self.full = g.full_mask
         self.total = total
         self.probe = None
 
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
-               budget: int | None = None) -> tuple[int | None, None, int]:
-        """The engine contract (see the module docstring), always without a
-        function.  Without pins the search starts from the constructive
-        probe, found on the first such call and kept."""
+               budget: int | None = None) -> tuple[int | None, list | None, int]:
+        """The engine contract (see the module docstring).  Without pins the
+        search starts from the constructive probe, found on the first such
+        call and kept, whose function is returned when it is the answer."""
         if pins:
             probe = cap + 1
         else:
             if self.probe is None:
                 self.probe = (_trd_probe if self.total else _rd_probe)(self.g)
-            probe = self.probe
-            if first_hit and probe <= cap:
-                return probe, None, 0
-        found = self.solve(pins, min(cap, probe - 1), first_hit, budget)
-        if found is None and probe <= cap:
-            found = probe
-        return found, None, self.nodes
+            probe, self.found = self.probe
+        if first_hit and probe <= cap:
+            weight, nodes = probe, 0
+        else:
+            weight = self.solve(pins, min(cap, probe - 1), first_hit, budget)
+            nodes = self.nodes
+            if weight is None:
+                if probe > cap:
+                    return None, None, nodes
+                weight = probe
+        two, pos = self.found
+        return weight, [(two >> v & 1) + (pos >> v & 1) for v in range(self.n)], nodes
 
     def solve(self, pins, cap, first_hit, budget) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
-        ``budget`` nodes (``nodes`` counts this call's).
+        ``budget`` nodes (``nodes`` counts this call's); ``found`` then holds
+        the ``(two, pos)`` masks of a function of that weight.
 
         With ``first_hit`` the search stops at the first assignment within
         the cap (the result is then only an upper bound, suitable for
@@ -214,36 +240,83 @@ class _WeightSearch:
                     weight += 1
                 elif val != 0:
                     raise OutOfRangeError(f"pinned weight {val} not in {{0,1,2}}")
+            zero = assigned & ~pos
+            if self.total and zero and self._dead(zero, self.full):
+                return None
         self._rec(assigned, two, pos, 0, sat, weight)
         return self.best if self.best <= cap else None
 
-    def _bound(self, undom: int, unassigned: int, not2: int) -> int:
-        # Admissible completion bound: a future 2 at w satisfies at most
-        # |N[w] & undom| vertices for cost 2, a future 1 satisfies one
-        # vertex for cost 1.
+    def _dead(self, zero: int, m: int) -> bool:
+        """Whether some vertex of ``m`` has every neighbour in ``zero``, the
+        vertices assigned 0: it can then meet neither TRD condition."""
+        adj = self.adj
+        while m:
+            low = m & -m
+            if not adj[low.bit_length() - 1] & ~zero:
+                return True
+            m ^= low
+        return False
+
+    def _packing_pruned(self, unassigned: int, two: int, pos: int, slack: int) -> bool:
+        """Whether the packing proves that every completion adds at least
+        ``slack``: the deficits 2 - f(N[p] & assigned), over disjoint closed
+        neighbourhoods, sum to ``slack``, or some deficit has no unassigned
+        vertex left to fill it."""
+        short = 0
+        for c in self.packing:
+            if c & two:
+                continue
+            k = (c & pos).bit_count()
+            if k < 2:
+                if not c & unassigned:
+                    return True
+                short += 2 - k
+        return short >= slack
+
+    def _cover_pruned(self, undom: int, unassigned: int, not2: int, slack: int) -> bool:
+        """Whether the cover bound reaches ``slack``, for a nonzero ``undom``.
+
+        The bound lets a future 2 at w satisfy at most c = |N[w] & undom|
+        vertices for cost 2 and a future 1 one vertex for cost 1, and takes
+        the 2s greedily, largest c first, while two or more vertices are
+        left.  It lies between 1 and |undom|, and is at most
+        2 + |undom| - c for any c >= 2, so one candidate with
+        c >= |undom| + 3 - slack decides it; otherwise only the
+        (slack - 1) // 2 largest counts can keep it below slack.
+        """
+        if slack <= 2:
+            return slack < 2 or undom & (undom - 1) != 0
         remaining = undom.bit_count()
-        if remaining < 2:
-            return remaining
+        if remaining < slack:
+            return False
+        top = (slack - 1) // 2
+        enough = remaining + 3 - slack
         closed = self.closed
-        counts = []
         m = unassigned & ~not2
+        if top == 1:
+            while m:
+                low = m & -m
+                if (closed[low.bit_length() - 1] & undom).bit_count() >= enough:
+                    return False
+                m ^= low
+            return True
+        counts = []
         while m:
             low = m & -m
             c = (closed[low.bit_length() - 1] & undom).bit_count()
+            if c >= enough:
+                return False
             if c > 1:
                 counts.append(c)
             m ^= low
+        counts.sort(reverse=True)
         cost = 0
-        if counts:
-            counts.sort(reverse=True)
-            for c in counts:
-                # a further 2 only beats finishing with 1s while it can
-                # still satisfy two or more vertices
-                if remaining < 2:
-                    break
-                remaining -= c
-                cost += 2
-        return cost + max(remaining, 0)
+        for c in counts[:top]:
+            if remaining < 2:
+                break
+            remaining -= c
+            cost += 2
+        return cost + max(remaining, 0) >= slack
 
     def _rec(self, assigned, two, pos, not2, sat, weight):
         if self.done:
@@ -254,8 +327,11 @@ class _WeightSearch:
         undom = self.full & ~sat
         unassigned = self.full & ~assigned
         adj = self.adj
+        slack = self.best - weight
+        if self.packing and self._packing_pruned(unassigned, two, pos, slack):
+            return
         if undom:
-            if weight + self._bound(undom, unassigned, not2) >= self.best:
+            if self._cover_pruned(undom, unassigned, not2, slack):
                 return
             # branch vertex: unsatisfied, maximum degree, lowest index
             for bv in self.by_degree:
@@ -270,6 +346,9 @@ class _WeightSearch:
                         return
                 self._rec(assigned | bv, two, pos | bv, not2, sat | bv, weight + 1)
                 if self.done:
+                    return
+                # with f(bv) = 0 a neighbour whose neighbours are all 0 is lost
+                if self.total and self._dead((assigned | bv) & ~pos, adjv):
                     return
                 helpers = adjv & unassigned & ~not2 & ~bv
             else:
@@ -311,44 +390,44 @@ class _WeightSearch:
                 return
         if weight < self.best:
             self.best = weight
+            self.found = (two, pos)
             if self.first_hit and weight <= self.cap:
                 self.done = True
 
 
-def _trd_probe(g: Graph) -> int:
-    """Weight of a cheap feasible TRD-function found by direct construction.
+def _trd_probe(g: Graph) -> tuple[int, tuple[int, int]]:
+    """A cheap feasible TRD-function found by direct construction, as its
+    weight and its ``(two, pos)`` masks.
 
-    Candidates: a 2 on a dominating vertex with a 1 on one neighbour, a
-    2,2 pair on an edge whose closed neighbourhoods cover V, and the
-    all-ones function.  Each candidate is checked against the TRD
-    conditions directly, so the result is always an achieved weight.
+    Candidates: a 2 on a dominating vertex with a 1 on its lowest
+    neighbour, a 2,2 pair on an edge whose closed neighbourhoods cover V,
+    and the all-ones function, which is a TRD-function whenever no vertex
+    is isolated.
     """
-    full = g.full_mask
-    best = g.n  # all-ones is a TRD-function whenever no vertex is isolated
-    for v in range(g.n):
-        if g.adj[v] and g.adj[v] | (1 << v) == full:
-            return min(best, 3)
-    if best > 4:
-        for u in range(g.n):
+    full, n = g.full_mask, g.n
+    for v in range(n):
+        if n > 3 and g.adj[v] | (1 << v) == full:
+            return 3, (1 << v, 1 << v | g.adj[v] & -g.adj[v])
+    if n > 4:
+        for u in range(n):
             au = g.adj[u]
-            rest = au >> (u + 1) << (u + 1)
-            m = rest
+            m = au >> (u + 1) << (u + 1)
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
-                if au | g.adj[v] | (1 << u) | low == full:
-                    return 4
+                if au | g.adj[low.bit_length() - 1] | (1 << u) | low == full:
+                    return 4, (1 << u | low, 1 << u | low)
                 m ^= low
-    return best
+    return n, (0, full)
 
 
-def _rd_probe(g: Graph) -> int:
-    """Weight of a cheap feasible RD-function (all-ones, or a single 2)."""
-    full = g.full_mask
-    for v in range(g.n):
-        if g.adj[v] | (1 << v) == full:
-            return min(g.n, 2)
-    return g.n
+def _rd_probe(g: Graph) -> tuple[int, tuple[int, int]]:
+    """A cheap feasible RD-function, as its weight and its ``(two, pos)``
+    masks: a single 2 on a dominating vertex, else all-ones."""
+    full, n = g.full_mask, g.n
+    for v in range(n):
+        if n > 2 and g.adj[v] | (1 << v) == full:
+            return 2, (1 << v, 1 << v)
+    return n, (0, full)
 
 
 # One memo for every invariant: ``_MEMO[invariant, n]`` is a bytearray
@@ -413,13 +492,19 @@ def _frontier_order(g: Graph) -> list[int] | None:
     order = []
     for _ in range(n):
         best = None
-        for v in iter_bits(g.full_mask & ~placed):
-            low = 1 << v
+        m = g.full_mask & ~placed
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             now = placed | low
             nf = frontier | low
-            for u in iter_bits(frontier & adj[v] | low):
-                if not adj[u] & ~now:
-                    nf ^= 1 << u
+            k = frontier & adj[v] | low
+            while k:
+                bit = k & -k
+                if not adj[bit.bit_length() - 1] & ~now:
+                    nf ^= bit
+                k ^= bit
             key = (nf.bit_count(), -(adj[v] & placed).bit_count(), deg[v], v)
             if best is None or key < best[0]:
                 best = (key, v, nf)
@@ -872,16 +957,20 @@ def _min_cover_size(g: Graph, closed: bool) -> int:
             if size < best[0]:
                 best[0] = size
             return
-        rem = (full & ~covered).bit_count()
-        maxc = 0
+        # prune unless size + ceil(rem / c) < best for the widest candidate
+        # c: with a slack of best - size, one candidate covering at least
+        # ceil(rem / (slack - 1)) uncovered vertices is enough to go on
+        slack = best[0] - size
+        if slack <= 1:
+            return
+        need = -(-(full & ~covered).bit_count() // (slack - 1))
         m = full & ~banned
         while m:
             low = m & -m
-            c = (cover_of[low.bit_length() - 1] & ~covered).bit_count()
-            if c > maxc:
-                maxc = c
+            if (cover_of[low.bit_length() - 1] & ~covered).bit_count() >= need:
+                break
             m ^= low
-        if maxc == 0 or size + (rem + maxc - 1) // maxc >= best[0]:
+        else:
             return
         # cover the uncovered vertex with the fewest remaining candidates
         pick = -1

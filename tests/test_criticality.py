@@ -1,5 +1,8 @@
 """Edge deltas, profile classification, and critical completion."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -34,7 +37,7 @@ from trd.errors import (
     NotANonEdgeError,
     ValueTooSmallError,
 )
-from trd.families import Complete, Cycle, Path
+from trd.families import Complete, Cycle, Path, generate, parse_family
 from trd.graphs import (
     add_edge,
     build_graph,
@@ -122,6 +125,17 @@ class TestEdgeProfile:
         profile = edge_profile(union(Complete(3), Complete(3)))
         assert profile.classification == SUPERCRITICAL
         assert profile.is_supercritical and profile.is_edge_critical
+
+    def test_corona_of_cycle_10_pinned(self):
+        # the paper's extremal corona, with 170 non-edges that all go to
+        # branch and bound; the digest comes from the search without the
+        # packing bound, which took 36 s on a 2-vCPU machine
+        profile = edge_profile(generate(parse_family("cor(cycle(10))")))
+        text = json.dumps([profile.base_value,
+                           [[u, v, d] for (u, v), d in profile.deltas.items()],
+                           profile.classification])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a50016187124f3d5fe61dbf09b3c9c17f2f6986be8ec201efd3d78a64e1ac39d")
 
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)

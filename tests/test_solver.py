@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    any_graphs,
     complete,
     cycle,
     dead_example,
@@ -361,13 +362,13 @@ class TestWitness:
     @pytest.mark.parametrize(
         "family,nodes",
         [
-            ("cycle(6)", 100),  # branch and bound
+            ("cycle(6)", 81),  # branch and bound
             ("path(12)", 129),  # the DP
             ("cycle(14)", 483),
-            ("union(K3,path(11))", 127),  # both
-            ("D(6)", 38909),
-            ("KxK(4,6)", 642),
-            ("cor(K5)", 1972),
+            ("union(K3,path(11))", 123),  # both
+            ("D(6)", 25750),
+            ("KxK(4,6)", 584),
+            ("cor(K5)", 6),
             ("familyG(2,3)", 367),
         ],
     )
@@ -384,6 +385,13 @@ class TestWitness:
 
     def test_invariant_label(self):
         assert gamma_tr(cycle(4)).invariant == "gamma_tR"
+
+    def test_corona_of_k12_is_proved_at_the_root(self):
+        # the twelve leaves are a packing, so gamma_tR >= 24 before any
+        # branching; the witness pins then die at once
+        result = gamma_tr(generate(parse_family("cor(K12)")), node_budget=1000)
+        assert result.value == 24
+        assert result.witness.values == (1,) * 24
 
 
 # --- dead vertices ----------------------------------------------------------
@@ -464,6 +472,120 @@ class TestDeadVertices:
         assert count(lambda: dead_vertices(cor_k4)) == 1
         # one for gamma_R, one for the 2n pinned decisions
         assert count(lambda: dead_vertices(d3, "roman")) == 2
+
+
+# --- branch-and-bound cuts -------------------------------------------------
+
+
+def reference_bound(search, undom, unassigned, not2):
+    """The cover bound worked out in full, every count listed and sorted: a
+    future 2 at w satisfies at most |N[w] & undom| vertices for cost 2, a
+    future 1 satisfies one vertex for cost 1."""
+    remaining = undom.bit_count()
+    if remaining < 2:
+        return remaining
+    closed = search.closed
+    counts = []
+    m = unassigned & ~not2
+    while m:
+        low = m & -m
+        c = (closed[low.bit_length() - 1] & undom).bit_count()
+        if c > 1:
+            counts.append(c)
+        m ^= low
+    cost = 0
+    if counts:
+        counts.sort(reverse=True)
+        for c in counts:
+            # a further 2 only beats finishing with 1s while it can still
+            # satisfy two or more vertices
+            if remaining < 2:
+                break
+            remaining -= c
+            cost += 2
+    return cost + max(remaining, 0)
+
+
+def partial_assignments(n):
+    """Each vertex unassigned (None) or assigned 0, 1 or 2."""
+    return st.lists(st.sampled_from((None, 0, 1, 2)), min_size=n, max_size=n)
+
+
+def lightest_completion(g, partial, total=True):
+    """Least weight of a TRD-function (RD-function) that agrees with the
+    partial assignment, by brute force, or None."""
+    free = [v for v, x in enumerate(partial) if x is None]
+    check = naive_is_trd if total else naive_is_rd
+    best = None
+    for fill in itertools.product((0, 1, 2), repeat=len(free)):
+        values = list(partial)
+        for v, x in zip(free, fill):
+            values[v] = x
+        if check(g, values) and (best is None or sum(values) < best):
+            best = sum(values)
+    return best
+
+
+def masks_of(partial):
+    assigned = two = pos = 0
+    for v, x in enumerate(partial):
+        if x is not None:
+            assigned |= 1 << v
+            two |= (x == 2) << v
+            pos |= (x > 0) << v
+    return assigned, two, pos
+
+
+class TestBranchAndBoundCuts:
+    @given(any_graphs(2, 16), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_slack_test_matches_reference_bound(self, g, data):
+        search = _WeightSearch(g, False)
+        masks = st.integers(0, g.full_mask)
+        undom = data.draw(st.integers(1, g.full_mask))
+        unassigned, not2 = data.draw(masks), data.draw(masks)
+        bound = reference_bound(search, undom, unassigned, not2)
+        for slack in range(-1, 2 * g.n + 3):
+            pruned = search._cover_pruned(undom, unassigned, not2, slack)
+            assert pruned == (bound >= slack)
+
+    @given(solvable_graphs(2, 7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_packing_and_dead_neighbour_cuts_are_admissible(self, g, data):
+        # a pruned node has no completion lighter than weight + slack, and a
+        # dead one has no completion at all
+        search = _WeightSearch(g, True)
+        closed = [g.adj[v] | 1 << v for v in range(g.n)]
+        for a, b in itertools.combinations(search.packing, 2):
+            assert not a & b
+        assert set(search.packing) <= set(closed)
+        partial = data.draw(partial_assignments(g.n))
+        assigned, two, pos = masks_of(partial)
+        weight = sum(x for x in partial if x is not None)
+        lightest = lightest_completion(g, partial)
+        if search._dead(assigned & ~pos, g.full_mask):
+            assert lightest is None
+        for slack in range(-1, 2 * g.n + 3):
+            if search._packing_pruned(g.full_mask & ~assigned, two, pos, slack):
+                assert lightest is None or lightest - weight >= slack
+
+    @given(solvable_graphs(2, 7), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_decide_returns_the_function_it_found(self, g, total, data):
+        search = _WeightSearch(g, total)
+        partial = data.draw(partial_assignments(g.n))
+        pins = {v: x for v, x in enumerate(partial) if x is not None}
+        cap = data.draw(st.integers(0, 2 * g.n))
+        first_hit = data.draw(st.booleans())
+        lightest = lightest_completion(g, partial, total)
+        value, values, _ = search.decide(pins, cap, first_hit)
+        if lightest is None or lightest > cap:
+            assert value is None
+            return
+        assert value == lightest or (first_hit and value <= cap)
+        assert sum(values) == value
+        assert all(values[v] == x for v, x in pins.items())
+        assert (naive_is_trd if total else naive_is_rd)(g, values)
 
 
 # --- structure and errors ---------------------------------------------------
