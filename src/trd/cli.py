@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Every command is one row of ``_COMMANDS``: its handler, the function that
+adds its flags, and its help line.  ``main`` parses in two phases.  A small
+top-level parser reads the global options (``--format``, ``--seed``,
+``--jobs``) and the command name, and keeps the rest of the line; then only
+that command's parser is built, and it parses the rest into the same
+namespace.  Nothing is built at import.
+
 Exit codes: 0 success or pass, 1 verification failure or counterexample
 found, 2 usage error (including unknown theorem/question identifiers),
 3 input or solver error (malformed graph6, isolated vertices, exceeded
@@ -139,51 +146,31 @@ def _add_universe_flags(p: argparse.ArgumentParser) -> None:
                    help="family universe member (repeatable)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="trd",
-        description="total Roman domination workbench",
-    )
-    parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for --random universes (default 0)")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for verify/hunt instances"
-                             " (profile runs serially)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="invariants of one graph")
+def _compute_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument("--budget", type=int, help="solver node budget")
 
-    p = sub.add_parser("profile", help="per-non-edge gamma_tR deltas")
-    _add_input_flags(p)
 
-    p = sub.add_parser("classify", help="criticality classification")
-    _add_input_flags(p)
-
-    p = sub.add_parser("generate", help="emit a family member as graph6")
+def _generate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--dot", action="store_true", help="also emit DOT")
 
-    p = sub.add_parser("recognize", help="structural recognition report")
-    _add_input_flags(p)
 
-    p = sub.add_parser("verify", help="machine-check registered theorems")
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("theorem", nargs="?", metavar="THEOREM_ID",
                    help="registry id; omit to run the whole registry")
     _add_universe_flags(p)
 
-    p = sub.add_parser("hunt", help="search for open-question counterexamples")
+
+def _hunt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("question", choices=("Q1", "Q2", "Q1_supercritical",
                                         "Q2_dead_in_critical"))
     _add_universe_flags(p)
 
-    p = sub.add_parser("complete-critical",
-                       help="grow a graph to an edge-critical supergraph")
+
+def _complete_critical_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument("--dot", action="store_true", help="also emit DOT")
-    return parser
 
 
 def _cmd_compute(args) -> int:
@@ -324,23 +311,56 @@ def _cmd_complete_critical(args) -> int:
     return EXIT_OK
 
 
+# name -> (handler, flags of its own parser, help line)
 _COMMANDS = {
-    "compute": _cmd_compute,
-    "profile": _cmd_profile,
-    "classify": _cmd_classify,
-    "generate": _cmd_generate,
-    "recognize": _cmd_recognize,
-    "verify": _cmd_verify,
-    "hunt": _cmd_hunt,
-    "complete-critical": _cmd_complete_critical,
+    "compute": (_cmd_compute, _compute_flags, "invariants of one graph"),
+    "profile": (_cmd_profile, _add_input_flags, "per-non-edge gamma_tR deltas"),
+    "classify": (_cmd_classify, _add_input_flags, "criticality classification"),
+    "generate": (_cmd_generate, _generate_flags,
+                 "emit a family member as graph6"),
+    "recognize": (_cmd_recognize, _add_input_flags,
+                  "structural recognition report"),
+    "verify": (_cmd_verify, _verify_flags, "machine-check registered theorems"),
+    "hunt": (_cmd_hunt, _hunt_flags, "search for open-question counterexamples"),
+    "complete-critical": (_cmd_complete_critical, _complete_critical_flags,
+                          "grow a graph to an edge-critical supergraph"),
 }
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse in two phases: the global options and the command name, then
+    the command's own flags, by a parser built for that command only."""
+    top = _Parser(
+        prog="trd",
+        description="total Roman domination workbench",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<21}{help_line}"
+            for name, (_, _, help_line) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    top.add_argument("--format", choices=("json", "tsv"), default="json")
+    top.add_argument("--seed", type=int, default=0,
+                     help="seed for --random universes (default 0)")
+    top.add_argument("--jobs", type=_positive_int, default=1,
+                     help="worker processes for verify/hunt instances"
+                          " (profile runs serially)")
+    top.add_argument("command", choices=_COMMANDS, metavar="command",
+                     help="one of the commands below")
+    remainder = top.add_argument(
+        "rest", nargs=argparse.REMAINDER, metavar="ARGS",
+        help="the command's flags (trd <command> --help)")
+    remainder.required = False  # a bare `trd` names only the missing command
+    args = top.parse_args(argv)
+    rest = vars(args).pop("rest")
+    sub = _Parser(prog=f"trd {args.command}")
+    _COMMANDS[args.command][1](sub)
+    return sub.parse_args(rest, namespace=args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (UnknownTheoremError, UnknownQuestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,8 @@ functions that need the new edge, by pinning the values of u and v.
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
 edge mask.  A graph enters the memo only after its solve has validated it.
+Above that order gamma, gamma_t and gamma_R are also summed over the
+components, each solved apart.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -802,7 +804,11 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     table entries included, across all components and searches.
     """
     _require_trd_input(g)
-    value, values, nodes = _solve_trd(g, node_budget, witness=True)
+    try:
+        value, values, nodes = _solve_trd(g, node_budget, witness=True)
+    except BudgetExceededError:
+        # an engine names only what was left of the budget for its search
+        raise BudgetExceededError(f"node budget {node_budget} exhausted") from None
     return SolveResult("gamma_tR", value, WeightFunction(values), nodes)
 
 
@@ -940,7 +946,15 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
 
 
 def _min_cover_size(g: Graph, closed: bool) -> int:
-    """Minimum size of a set whose closed/open neighbourhoods cover V."""
+    """Minimum size of a set whose closed/open neighbourhoods cover V.
+
+    Branch and bound: each level covers the uncovered vertex with the
+    fewest candidate coverers, trying them widest first.  A node is pruned
+    when one more pick cannot fit, when no candidate covers enough
+    uncovered vertices, or by a packing: vertices with pairwise disjoint
+    coverer sets, fixed greedily per graph, fewest coverers first.  Each
+    uncovered packing vertex needs a pick of its own.
+    """
     n, full, adj = g.n, g.full_mask, g.adj
     cover_of = [adj[v] | (1 << v) for v in range(n)] if closed else list(adj)
     coverers = [0] * n
@@ -950,6 +964,11 @@ def _min_cover_size(g: Graph, closed: bool) -> int:
             low = m & -m
             coverers[low.bit_length() - 1] |= 1 << u
             m ^= low
+    packing = used = 0
+    for v in sorted(range(n), key=lambda v: coverers[v].bit_count()):
+        if not coverers[v] & used:
+            packing |= 1 << v
+            used |= coverers[v]
     best = [n]
 
     def rec(covered: int, size: int, banned: int) -> None:
@@ -957,12 +976,13 @@ def _min_cover_size(g: Graph, closed: bool) -> int:
             if size < best[0]:
                 best[0] = size
             return
+        # each uncovered packing vertex takes one of the slack's picks
+        slack = best[0] - size
+        if slack <= 1 or (packing & ~covered).bit_count() >= slack:
+            return
         # prune unless size + ceil(rem / c) < best for the widest candidate
         # c: with a slack of best - size, one candidate covering at least
         # ceil(rem / (slack - 1)) uncovered vertices is enough to go on
-        slack = best[0] - size
-        if slack <= 1:
-            return
         need = -(-(full & ~covered).bit_count() // (slack - 1))
         m = full & ~banned
         while m:
@@ -997,17 +1017,27 @@ def _min_cover_size(g: Graph, closed: bool) -> int:
     return best[0]
 
 
+def _by_component(g: Graph, solve: Callable[[Graph], int]) -> int:
+    """The sum of ``solve`` over the components of G, for an invariant that
+    adds over a disjoint union.  Order <= ``_MEMO_MAX_N`` is solved whole:
+    there a memo miss pays for the split and saves nothing."""
+    if g.n <= _MEMO_MAX_N:
+        return solve(g)
+    return sum(solve(g if c == g.full_mask else induced_subgraph(g, iter_bits(c)))
+               for c in component_masks(g))
+
+
 def _gamma(g: Graph) -> int:
-    return _min_cover_size(g, closed=True)
+    return _by_component(g, lambda h: _min_cover_size(h, closed=True))
 
 
 def _gamma_t(g: Graph) -> int:
     _require_no_isolated(g)
-    return _min_cover_size(g, closed=False)
+    return _by_component(g, lambda h: _min_cover_size(h, closed=False))
 
 
 def _gamma_r(g: Graph) -> int:
-    return _WeightSearch(g, False).decide({}, 2 * g.n)[0]
+    return _by_component(g, lambda h: _WeightSearch(h, False).decide({}, 2 * h.n)[0])
 
 
 def gamma_value(g: Graph) -> int:

@@ -1,13 +1,27 @@
 """CLI behaviour: payload shapes, exit codes, determinism, formats."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trd.cli
 import trd.families
 import trd.graphs
-from trd.cli import main
+from trd.cli import (
+    _COMMANDS,
+    _add_input_flags,
+    _add_universe_flags,
+    _gnp_spec,
+    _parse,
+    _Parser,
+    _positive_int,
+    main,
+)
 from trd.graphs import graph6_decode
 
 
@@ -15,6 +29,55 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The one-phase parser the CLI used before it built only the parser of
+    the command it runs: every subparser, every time."""
+    parser = _Parser(
+        prog="trd",
+        description="total Roman domination workbench",
+    )
+    parser.add_argument("--format", choices=("json", "tsv"), default="json")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for --random universes (default 0)")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for verify/hunt instances"
+                             " (profile runs serially)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compute", help="invariants of one graph")
+    _add_input_flags(p)
+    p.add_argument("--budget", type=int, help="solver node budget")
+
+    p = sub.add_parser("profile", help="per-non-edge gamma_tR deltas")
+    _add_input_flags(p)
+
+    p = sub.add_parser("classify", help="criticality classification")
+    _add_input_flags(p)
+
+    p = sub.add_parser("generate", help="emit a family member as graph6")
+    p.add_argument("--family", required=True)
+    p.add_argument("--dot", action="store_true", help="also emit DOT")
+
+    p = sub.add_parser("recognize", help="structural recognition report")
+    _add_input_flags(p)
+
+    p = sub.add_parser("verify", help="machine-check registered theorems")
+    p.add_argument("theorem", nargs="?", metavar="THEOREM_ID",
+                   help="registry id; omit to run the whole registry")
+    _add_universe_flags(p)
+
+    p = sub.add_parser("hunt", help="search for open-question counterexamples")
+    p.add_argument("question", choices=("Q1", "Q2", "Q1_supercritical",
+                                        "Q2_dead_in_critical"))
+    _add_universe_flags(p)
+
+    p = sub.add_parser("complete-critical",
+                       help="grow a graph to an edge-critical supergraph")
+    _add_input_flags(p)
+    p.add_argument("--dot", action="store_true", help="also emit DOT")
+    return parser
 
 
 GOLDEN = json.loads(
@@ -269,3 +332,124 @@ class TestCompleteCritical:
     def test_value_too_small(self, capsys):
         code, _, _ = run(capsys, "complete-critical", "--graph6", "Bw")  # K_3
         assert code == 3
+
+
+# --- the two-phase parse against the one-phase reference --------------------
+
+VALID_ARGV = [
+    ["compute", "--graph6", "Bg"],
+    ["compute", "--edges", "g.txt", "--budget", "500"],
+    ["compute", "--graph6=Bg", "--budget=7"],
+    ["--format=tsv", "compute", "--family=spider(1,1,3)"],
+    ["--form", "tsv", "profile", "--graph6", "DhC"],
+    ["--jobs", "2", "profile", "--family", "path(5)"],
+    ["classify", "--edges", "g.txt"],
+    ["generate", "--family", "D(3)", "--dot"],
+    ["generate", "--family=K3"],
+    ["recognize", "--family", "cor(K3)"],
+    ["verify"],
+    ["--jobs", "2", "verify"],
+    ["verify", "T_4CRIT", "--all-labeled", "6", "--connected"],
+    ["verify", "--all-labeled=4", "--allow-isolated", "T_TR3"],
+    ["verify", "T_SPIDER_FORMULA", "--family", "spider(2,2,2)",
+     "--family", "spider(1,1,3)"],
+    ["verify", "T_KNKM", "--fam", "K3"],
+    ["--seed", "-3", "verify", "T_TR3", "--random", "3,5,0.5"],
+    ["--seed=7", "--jobs=2", "hunt", "Q1", "--random", "5,6,0.5"],
+    ["hunt", "Q2_dead_in_critical", "--family", "cor(K4)"],
+    ["complete-critical", "--graph6", "Bg", "--dot"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_parse_matches_reference(argv):
+    assert vars(_parse(argv)) == vars(reference_parser().parse_args(argv))
+
+
+def test_parse_table_covers_every_command():
+    named = {next(a for a in argv if a in _COMMANDS) for argv in VALID_ARGV}
+    assert named == set(_COMMANDS)
+
+
+USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["--jobs", "2"],
+    ["compute", "--graph6", "Bg", "--format", "tsv"],
+    ["verify", "T_KNKM", "--jobs", "2"],
+    ["compute", "--graph6", "Bg", "--family", "K3"],
+    ["profile"],
+    ["generate", "--dot"],
+    ["compute", "--graph6", "Bg", "--budget", "many"],
+    ["--jobs", "0", "verify"],
+    ["--jobs=two", "verify"],
+    ["verify", "T_TR3", "--random", "3,5"],
+    ["hunt", "Q3"],
+]
+
+
+@pytest.mark.parametrize("parse", [_parse, reference_parser().parse_args],
+                         ids=["two-phase", "reference"])
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda a: " ".join(a) or "-")
+def test_usage_errors_match_reference(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in captured.err
+
+
+def test_bare_trd_names_the_missing_command(capsys):
+    with pytest.raises(SystemExit):
+        main([])
+    assert capsys.readouterr().err == (
+        "trd: error: the following arguments are required: command\n")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for name, (_, _, help_line) in _COMMANDS.items():
+        assert f"  {name} " in out and help_line in out
+    for flag in ("--format", "--seed", "--jobs"):
+        assert flag in out
+
+
+def test_command_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: trd compute ")
+    for flag in ("--graph6", "--edges", "--family", "--budget"):
+        assert flag in out
+
+
+def test_only_the_command_parser_is_built(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _parse(["--format", "tsv", "verify", "T_KNKM"])
+    assert built == ["trd", "trd verify"]
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1)\n"
+        "import trd.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trd.cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"

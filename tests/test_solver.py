@@ -267,6 +267,31 @@ class TestClassicalNumbers:
             naive_gamma_r(g),
         )
 
+    @given(st.lists(solvable_graphs(2, 6), min_size=2, max_size=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_additive_over_components(self, parts, rnd):
+        # the parts are solved by the raw scans; their union, of order 4-18
+        # and relabelled so that no component is a block of labels, by the
+        # solver, which splits it above order 6
+        g = disjoint_union(parts)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert classical_numbers(g) == tuple(
+            sum(naive(h) for h in parts)
+            for naive in (naive_gamma, naive_gamma_t, naive_gamma_r)
+        )
+
+    @given(any_graphs(1, 8), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_min_cover_size_matches_naive(self, g, closed):
+        if closed:
+            assert solver._min_cover_size(g, closed=True) == naive_gamma(g)
+        else:
+            assume(not g.has_isolated_vertices())
+            assert solver._min_cover_size(g, closed=False) == naive_gamma_t(g)
+
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)
     def test_bound_chain(self, g):
@@ -380,7 +405,9 @@ class TestWitness:
         result = gamma_tr(g)
         assert result.nodes_explored == nodes
         assert gamma_tr(g, node_budget=nodes) == result
-        with pytest.raises(BudgetExceededError):
+        # the message names the budget given, not what an inner search had left
+        with pytest.raises(BudgetExceededError,
+                           match=f"^node budget {nodes - 1} exhausted$"):
             gamma_tr(g, node_budget=nodes - 1)
 
     def test_invariant_label(self):
