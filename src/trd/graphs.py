@@ -53,6 +53,13 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(n) for i in range(j))
 
 
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """``[a][b]``: the colex edge-mask bit of the pair {a, b}, 0 when a = b."""
+    return tuple(tuple(1 << pair_index(a, b) if a != b else 0 for b in range(n))
+                 for a in range(n))
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
@@ -203,8 +210,7 @@ def _canonical_form(adj: list[int]) -> tuple[int, int]:
     for v in sorted(range(n), key=colour.__getitem__):
         by_colour.setdefault(colour[v], []).append(v)
     edges = [(u, v) for v in range(n) for u in nbrs[v] if u < v]
-    bit = [[1 << pair_index(a, b) if a != b else 0 for b in range(n)]
-           for a in range(n)]
+    bit = _pair_bits(n)
     best, count = -1, 0
     pos = [0] * n
     for parts in itertools.product(

@@ -1,20 +1,29 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
-Every gamma_tR question (value, witness, yes/no decision, dead vertex,
-per-edge delta) is answered one connected component at a time by one
-engine object, built once per component by ``_engine``: the frontier
-dynamic program when the component has order >= 10 and a vertex order of
-frontier width <= 2, else branch and bound.  The DP codes each frontier
-state as one base-6 integer and looks its transitions up in rows shared
-by every DP through the step's shape, built lazily.  Both answer through
-``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
-function with the pinned values, else None; a function of that weight;
-and the nodes spent.  The witness search skips every value that a
-returned function already shows to work.
+Every gamma_tR question (value, witness, yes/no decision, dead vertex)
+is answered one connected component at a time by one engine object,
+built once per component by ``_engine``: the frontier dynamic program
+when the component has order >= 10 and a vertex order of frontier width
+<= 2, else branch and bound.  A peel of degree-2 vertices, once per
+component, rules out the order before the greedy looks for one.  The DP
+codes each frontier state as one base-6 integer and looks its transitions
+up in rows shared by every DP through the step's shape, built lazily.
+Both answer through ``decide(pins, cap, first_hit, budget)``: the least
+weight <= cap of a function with the pinned values, else None; a function
+of that weight; and the nodes spent.  The witness search skips every
+value that a returned function already shows to work.  Both list the
+dead vertices through ``dead()``: branch and bound by two pinned searches
+per vertex, the DP by reading its forward tables and its backward
+completion once, with no run per vertex.
 
-A question about a non-edge uv, whether gamma_tR(G+uv) <= cap for a cap
-below gamma_tR(G), is :func:`plus_edge_decision`: it searches only the
-functions that need the new edge, by pinning the values of u and v.
+Questions about non-edges go to :func:`edge_decider`, built once per
+graph: ``decide(u, v)`` gives ``at_most(cap)``, whether gamma_tR(G+uv)
+<= cap for a cap below gamma_tR(G).  It validates and splits G once.
+Order <= 6 reads the memo.  A pair whose components have width-2 orders
+is answered exactly by one DP over G's own orders, which runs only the
+steps between u and v, all but the last once per u.  Any other pair is searched by branch and bound
+over the functions that need the new edge, by pinning the values of u
+and v.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -45,6 +54,7 @@ A deliberately independent oracle, :func:`brute_oracle_gamma_tr`, scans all
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,10 +63,13 @@ from .errors import (
     GraphTooLargeError,
     IsolatedVertexError,
     LengthMismatchError,
+    NotANonEdgeError,
     OutOfRangeError,
     TooSmallError,
 )
-from .graphs import Graph, add_edge, component_masks, induced_subgraph, iter_bits
+from .graphs import (
+    Graph, add_edge, component_masks, induced_subgraph, iter_bits, pair_index,
+)
 
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
@@ -207,6 +220,14 @@ class _WeightSearch:
                 weight = probe
         two, pos = self.found
         return weight, [(two >> v & 1) + (pos >> v & 1) for v in range(self.n)], nodes
+
+    def dead(self, value: int | None = None) -> list[int]:
+        """The vertices that no function of weight ``value``, by default the
+        least, gives a positive value: two pinned first-hit searches each."""
+        if value is None:
+            value = self.decide({}, 2 * self.n)[0]
+        return [v for v in range(self.n)
+                if all(self.decide({v: x}, value, True)[0] is None for x in (1, 2))]
 
     def solve(self, pins, cap, first_hit, budget) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
@@ -449,19 +470,50 @@ def _memo(kind: str, g: Graph, solve: Callable[[Graph], int]) -> int:
         raise GraphTooLargeError(f"{kind} capped at n <= {SOLVER_MAX_N}")
     if n > _MEMO_MAX_N:
         return solve(g)
+    return _memo_at(kind, n, g.edge_mask, solve, g)
+
+
+def _memo_at(kind: str, n: int, key: int, solve: Callable[..., int], *args) -> int:
+    """The memo entry of ``kind`` at order n <= 6 and colex edge mask
+    ``key``, filled by ``solve(*args)`` on a miss."""
     arr = _MEMO.get((kind, n))
     if arr is None:
         arr = _MEMO[kind, n] = bytearray(b"\xff" * (1 << (n * (n - 1) // 2)))
-    key = g.edge_mask
     val = arr[key]
     if val == 0xFF:
-        val = arr[key] = solve(g)
+        val = arr[key] = solve(*args)
     return val
 
 
 def reset_caches() -> None:
     """Drop all memoised invariant values (mainly for tests)."""
     _MEMO.clear()
+
+
+def _two_degenerate(g: Graph) -> bool:
+    """Whether peeling vertices of degree <= 2 leaves nothing.
+
+    An order of frontier width <= 2 gives each vertex at most two earlier
+    neighbours, so a graph that fails this test has no such order; the
+    peel costs less than the greedy of :func:`_frontier_order`, so routing
+    asks it first, once per component.
+    """
+    if g.edge_count > 2 * g.n - 3:
+        return False
+    adj = g.adj
+    left = g.full_mask
+    while left:
+        peel = 0
+        m = left
+        while m:
+            low = m & -m
+            if (adj[low.bit_length() - 1] & left).bit_count() <= 2:
+                peel |= low
+            m ^= low
+        if not peel:
+            return False
+        left ^= peel
+    return True
 
 
 def _frontier_order(g: Graph) -> list[int] | None:
@@ -473,22 +525,6 @@ def _frontier_order(g: Graph) -> list[int] | None:
     then lower degree, then lower index.
     """
     n, adj = g.n, g.adj
-    # under width 2 each vertex has at most two earlier neighbours, so G is
-    # 2-degenerate: peeling vertices of degree <= 2 leaves nothing
-    if g.edge_count > 2 * n - 3:
-        return None
-    left = g.full_mask
-    while left:
-        peel = 0
-        m = left
-        while m:
-            low = m & -m
-            if (adj[low.bit_length() - 1] & left).bit_count() <= 2:
-                peel |= low
-            m ^= low
-        if not peel:
-            return None
-        left ^= peel
     deg = g.degrees
     placed = frontier = 0
     order = []
@@ -520,7 +556,8 @@ def _frontier_order(g: Graph) -> list[int] | None:
 
 # transition rows of the frontier DP, one dict per step shape (see
 # _FrontierDP), filled lazily: a row on the first reach of (shape, state).
-# Under width 2 there are at most 42 shapes, each with at most 36 states.
+# A step of G's width-2 order has at most 36 states; a step of a G+uv span
+# (see _FrontierDP.plus_edge) holds u as one more slot, so at most 216.
 _ROWS: dict[tuple, dict[int, tuple[int, int, int]]] = {}
 
 
@@ -545,6 +582,51 @@ def _row(shape: tuple, state: int) -> tuple[int, int, int]:
     return tuple(row)
 
 
+def _steps(
+    adj: tuple[int, ...] | list[int], order: list[int], frontier: tuple[int, ...] = (),
+    placed: int = 0,
+) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    """The DP steps ``(v, shape, rows)`` that place ``order`` after the
+    vertices of ``placed``, whose frontier is ``frontier``, and the frontier
+    before each step."""
+    steps, frontiers = [], []
+    frontier = list(frontier)
+    for v in order:
+        frontiers.append(tuple(frontier))
+        placed |= 1 << v
+        nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
+        keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
+        leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
+        stays = bool(adj[v] & ~placed)
+        shape = (nbrs, keep, leave, stays)
+        steps.append((v, shape, _ROWS.setdefault(shape, {})))
+        frontier = [frontier[p] for p in keep] + ([v] if stays else [])
+    return steps, frontiers
+
+
+def _advance(table: dict[int, tuple], step: tuple, xs: tuple[int, ...]) -> dict[int, tuple]:
+    """The table after ``step``, the new vertex taking a value in ``xs``.
+
+    A table maps a state to ``(weight, previous state, value)``: the least
+    weight reaching it, and the first entry and value, in table and ``xs``
+    order, that reach it at that weight.
+    """
+    _, shape, rows = step
+    nxt: dict[int, tuple] = {}
+    for state, (weight, _, _) in table.items():
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = _row(shape, state)
+        for x in xs:
+            key = row[x]
+            if key < 0:
+                continue
+            old = nxt.get(key)
+            if old is None or weight + x < old[0]:
+                nxt[key] = (weight + x, state, x)
+    return nxt
+
+
 class _FrontierDP:
     """Minimum TRD-function weight by dynamic programming over a vertex order.
 
@@ -564,27 +646,25 @@ class _FrontierDP:
     so transition rows are shared by every DP with a step of that shape,
     in ``_ROWS``.  Each table entry counts as one node; ``nodes`` holds the
     count of the last run.
+
+    The order may cover only some components of G.  Pinned questions are
+    runs; the questions that pin one vertex or add one edge read two
+    tables built once, on first use (Telle & Proskurowski, SIAM J.
+    Discrete Math. 10, 1997): the forward tables, the least weight per
+    state after each step, and the backward completion, the least weight
+    of the remaining steps from a state.
     """
 
-    __slots__ = ("n", "steps", "nodes")
+    __slots__ = ("n", "adj", "steps", "frontiers", "nodes", "tables", "back", "held")
 
     def __init__(self, g: Graph, order: list[int]):
         self.n = g.n
+        self.adj = g.adj
         self.nodes = 0
-        adj = g.adj
-        placed = 0
-        frontier: list[int] = []
-        steps = []
-        for v in order:
-            placed |= 1 << v
-            nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
-            keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
-            leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
-            stays = bool(adj[v] & ~placed)
-            shape = (nbrs, keep, leave, stays)
-            steps.append((v, shape, _ROWS.setdefault(shape, {})))
-            frontier = [frontier[p] for p in keep] + ([v] if stays else [])
-        self.steps = steps
+        self.steps, self.frontiers = _steps(g.adj, order)
+        self.tables: list[dict[int, tuple]] | None = None
+        self.back: list[dict[int, float]] = []
+        self.held: dict[int, tuple[list, list, list[dict[int, tuple]]]] = {}
 
     def run(
         self, allowed: list[tuple[int, ...]], budget: int | None = None
@@ -597,25 +677,12 @@ class _FrontierDP:
         self.nodes = 0
         table: dict[int, tuple] = {0: (0, None, 0)}
         tables = []
-        for v, shape, rows in self.steps:
-            nxt: dict[int, tuple] = {}
-            xs = allowed[v]
-            for state, (weight, _, _) in table.items():
-                row = rows.get(state)
-                if row is None:
-                    row = rows[state] = _row(shape, state)
-                for x in xs:
-                    key = row[x]
-                    if key < 0:
-                        continue
-                    old = nxt.get(key)
-                    if old is None or weight + x < old[0]:
-                        nxt[key] = (weight + x, state, x)
-            self.nodes += len(nxt)
+        for step in self.steps:
+            table = _advance(table, step, allowed[step[0]])
+            self.nodes += len(table)
             if budget is not None and self.nodes > budget:
                 raise BudgetExceededError(f"node budget {budget} exhausted")
-            tables.append(nxt)
-            table = nxt
+            tables.append(table)
         if 0 not in table:
             return None, []
         values = [0] * self.n
@@ -634,12 +701,91 @@ class _FrontierDP:
             return None, None, self.nodes
         return value, values, self.nodes
 
+    def _forward(self) -> list[dict[int, tuple]]:
+        """The tables after 0, 1, ..., len(steps) steps, every value allowed."""
+        if self.tables is None:
+            tables = [{0: (0, None, 0)}]
+            for step in self.steps:
+                tables.append(_advance(tables[-1], step, (0, 1, 2)))
+            self.tables = tables
+            self.back = [{} for _ in tables]
+            self.back[-1][0] = 0
+        return self.tables
+
+    def _completion(self, k: int, state: int) -> float:
+        """The least weight of steps k.. from ``state``, inf when no
+        completion leaves every vertex met; memoised."""
+        back = self.back[k]
+        best = back.get(state)
+        if best is None:
+            _, shape, rows = self.steps[k]
+            row = rows.get(state)
+            if row is None:
+                row = rows[state] = _row(shape, state)
+            best = back[state] = min(
+                (x + self._completion(k + 1, nxt) for x, nxt in enumerate(row) if nxt >= 0),
+                default=math.inf,
+            )
+        return best
+
+    def _join(self, k: int, table: dict[int, tuple]) -> float:
+        """The least total weight through ``table``, a table after k steps."""
+        return min((entry[0] + self._completion(k, state) for state, entry in table.items()),
+                   default=math.inf)
+
+    def dead(self) -> list[int]:
+        """The ordered vertices that every minimum function assigns 0: after
+        the step that places v with a positive value, no completion reaches
+        the minimum."""
+        tables = self._forward()
+        value = tables[-1][0][0]
+        return [step[0] for i, step in enumerate(self.steps)
+                if self._join(i + 1, _advance(tables[i], step, (1, 2))) > value]
+
+    def plus_edge(self, a: int, b: int) -> int:
+        """The least weight over the ordered vertices of G+uv, where u and v
+        are placed at steps a < b.
+
+        Steps a..b - 1 of G+uv are those of G with u held in one more
+        frontier slot, whatever v is, so they are run once per u
+        (:meth:`_held`); only step b, which meets the new edge, is run per
+        pair.  After step b the frontier of G+uv equals that of G, as a set
+        and in slot order: u, when still in it, joined at step a in both,
+        and v at step b.  So the backward completion of G finishes the sum.
+        """
+        table, frontier = self._held(a, b)
+        u, v = self.steps[a][0], self.steps[b][0]
+        adj = list(self.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        placed = sum(1 << step[0] for step in self.steps[:b])
+        step = _steps(adj, [v], frontier, placed)[0][0]
+        return self._join(b + 1, _advance(table, step, (0, 1, 2)))
+
+    def _held(self, a: int, b: int) -> tuple[dict[int, tuple], tuple[int, ...]]:
+        """The table after steps a..b - 1 when the vertex of step a stays in
+        the frontier throughout, and the frontier before step b.  The tables
+        of each a are kept, and extended only as far as some b asks."""
+        held = self.held.get(a)
+        if held is None:
+            u = self.steps[a][0]
+            adj = list(self.adj)
+            adj[u] |= 1 << self.n  # a neighbour that is never placed
+            placed = sum(1 << step[0] for step in self.steps[:a])
+            steps, frontiers = _steps(adj, [step[0] for step in self.steps[a:]],
+                                      self.frontiers[a], placed)
+            held = self.held[a] = steps, frontiers, [self._forward()[a]]
+        steps, frontiers, tables = held
+        while len(tables) <= b - a:
+            tables.append(_advance(tables[-1], steps[len(tables) - 1], (0, 1, 2)))
+        return tables[b - a], frontiers[b - a]
+
 
 def _engine(h: Graph) -> _FrontierDP | _WeightSearch:
     """The gamma_tR engine for the connected graph H: the frontier DP when H
     has order >= ``_DP_MIN_N`` and a greedy order of width <= 2, else
     branch and bound."""
-    order = _frontier_order(h) if h.n >= _DP_MIN_N else None
+    order = _frontier_order(h) if h.n >= _DP_MIN_N and _two_degenerate(h) else None
     return _WeightSearch(h, True) if order is None else _FrontierDP(h, order)
 
 
@@ -737,54 +883,140 @@ def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     return _solve_trd(g, None, False, cap)[0] is not None
 
 
-def plus_edge_decision(g: Graph, u: int, v: int) -> Callable[[int], bool]:
-    """``at_most(cap)``, whether gamma_tR(G+uv) <= cap, for the non-edge uv
-    and any cap below gamma_tR(G).
+def _require_non_edge(g: Graph, u: int, v: int) -> None:
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
+        raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
 
-    A TRD-function of G+uv lighter than gamma_tR(G) is no TRD-function of
-    G, so the new edge meets a condition at u or v: (f(u), f(v)) is (0, 2)
-    or (2, 0), or both ends are positive.  Three pin groups cover exactly
-    those pairs: f(u) = 2, f(v) = 2, and f(u) = f(v) = 1.  Only the
-    component of G+uv that holds u and v is searched, at the cap less the
-    value of the other components, by one pinned first-hit search per
-    group.  A group that found nothing at some cap finds nothing below it,
-    so it is not searched again at a lower cap.  The work that does not
-    depend on the cap is done once: the other components' value, and the
-    one unpinned run of a component that the frontier DP takes (a pin
-    would cost a full run).  Order <= 6 reads the memo.
+
+def edge_decider(g: Graph) -> Callable[[int, int], Callable[[int], bool]]:
+    """``decide(u, v)`` for G, built once per graph: ``at_most(cap)``,
+    whether gamma_tR(G+uv) <= cap, for the non-edge uv and any cap below
+    gamma_tR(G).  G is validated once, here.
+
+    Order <= 6 reads the memo, keyed by G's edge mask with the pair's bit
+    set, and builds G+uv only on a miss.  Above that, see
+    :class:`_PlusEdge`.
     """
-    h = add_edge(g, u, v)
     _require_trd_input(g)
-    if g.n <= _MEMO_MAX_N:
-        value = gamma_tr_value(h)
-        return lambda cap: value <= cap
-    comps = component_masks(g)
-    joint = next(c for c in comps if c >> u & 1) | next(c for c in comps if c >> v & 1)
-    rest = 0
-    if joint != g.full_mask:
-        rest = _solve_trd(induced_subgraph(g, iter_bits(g.full_mask & ~joint)),
-                          None, False)[0]
-        verts = list(iter_bits(joint))
-        u, v = verts.index(u), verts.index(v)
-        h = induced_subgraph(h, verts)
-    engine = _engine(h)
-    if isinstance(engine, _FrontierDP):
-        value = rest + engine.decide({}, 2 * h.n)[0]
-        return lambda cap: value <= cap
-    groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
-    # the highest cap at which each group found nothing; no weight is < 0
-    missed = [-1] * len(groups)
+    if g.n > _MEMO_MAX_N:
+        return _PlusEdge(g).decide
+    n, mask = g.n, g.edge_mask
 
-    def at_most(cap: int) -> bool:
-        for i, pins in enumerate(groups):
-            if cap <= missed[i]:
-                continue
-            if engine.decide(pins, cap - rest, True)[0] is not None:
-                return True
-            missed[i] = cap
-        return False
+    def decide(u: int, v: int) -> Callable[[int], bool]:
+        _require_non_edge(g, u, v)
+        value = _memo_at("gamma_tR", n, mask | 1 << pair_index(u, v),
+                         _plus_edge_value, g, u, v)
+        return lambda cap: value <= cap
 
-    return at_most
+    return decide
+
+
+def _plus_edge_value(g: Graph, u: int, v: int) -> int:
+    return _trd_value(add_edge(g, u, v))
+
+
+class _PlusEdge:
+    """The non-edge decider of one graph of order > 6.
+
+    G is split into components once; each component is peeled once and,
+    when 2-degenerate, given one frontier order, and its value is found
+    once, on first need.  For the non-edge uv let J be the union of the
+    components of u and v:
+
+    * when J has order >= ``_DP_MIN_N`` and both components have a width-2
+      order, one frontier DP over the concatenated orders of every such
+      component answers exactly from its tables, running only the steps
+      from u to v, and those once per u (:meth:`_FrontierDP.plus_edge`);
+    * otherwise branch and bound searches J+uv.  A TRD-function of G+uv
+      lighter than gamma_tR(G) is no TRD-function of G, so the new edge
+      meets a condition at u or v: (f(u), f(v)) is (0, 2) or (2, 0), or
+      both ends are positive.  Three pin groups cover exactly those pairs:
+      f(u) = 2, f(v) = 2, and f(u) = f(v) = 1, each one pinned first-hit
+      search at the cap less the value of the other components.  A group
+      that found nothing at some cap finds nothing below it, so it is not
+      searched again at a lower cap.
+    """
+
+    __slots__ = ("g", "comps", "parts", "values", "dp")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.comps = component_masks(g)
+        self.parts: dict[int, tuple[Graph, list[int] | None]] = {}
+        self.values: dict[int, int] = {}
+        self.dp: tuple[_FrontierDP, dict[int, int], int] | None = None
+
+    def _part(self, comp: int) -> tuple[Graph, list[int] | None]:
+        """The component's graph, and its width-2 order in G's labels or None."""
+        part = self.parts.get(comp)
+        if part is None:
+            verts = list(iter_bits(comp))
+            h = self.g if comp == self.g.full_mask else induced_subgraph(self.g, verts)
+            order = _frontier_order(h) if _two_degenerate(h) else None
+            part = self.parts[comp] = h, None if order is None else [verts[i] for i in order]
+        return part
+
+    def _dp(self) -> tuple[_FrontierDP, dict[int, int], int]:
+        """The DP over every component with a width-2 order, each vertex's
+        step, and the value of the other components."""
+        if self.dp is None:
+            order, rest = [], 0
+            for comp in self.comps:
+                sub = self._part(comp)[1]
+                if sub is None:
+                    rest += self._value(comp)
+                else:
+                    order += sub
+            self.dp = _FrontierDP(self.g, order), {v: i for i, v in enumerate(order)}, rest
+        return self.dp
+
+    def _value(self, comp: int) -> int:
+        """gamma_tR of the component: the difference of the DP's forward
+        tables across it, whose frontier is empty on both sides, else
+        branch and bound."""
+        value = self.values.get(comp)
+        if value is None:
+            h, order = self._part(comp)
+            if order is None:
+                value = _WeightSearch(h, True).decide({}, 2 * h.n)[0]
+            else:
+                dp, pos, _ = self._dp()
+                tables = dp._forward()
+                value = tables[pos[order[-1]] + 1][0][0] - tables[pos[order[0]]][0][0]
+            self.values[comp] = value
+        return value
+
+    def decide(self, u: int, v: int) -> Callable[[int], bool]:
+        g = self.g
+        _require_non_edge(g, u, v)
+        cu = next(c for c in self.comps if c >> u & 1)
+        cv = next(c for c in self.comps if c >> v & 1)
+        joint = cu | cv
+        if joint.bit_count() >= _DP_MIN_N and self._part(cu)[1] and self._part(cv)[1]:
+            dp, pos, rest = self._dp()
+            value = rest + dp.plus_edge(*sorted((pos[u], pos[v])))
+            return lambda cap: value <= cap
+        rest = sum(self._value(c) for c in self.comps if not c & joint)
+        h = add_edge(g, u, v)
+        if joint != g.full_mask:
+            verts = list(iter_bits(joint))
+            u, v = verts.index(u), verts.index(v)
+            h = induced_subgraph(h, verts)
+        engine = _WeightSearch(h, True)
+        groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
+        # the highest cap at which each group found nothing; no weight is < 0
+        missed = [-1] * len(groups)
+
+        def at_most(cap: int) -> bool:
+            for i, pins in enumerate(groups):
+                if cap <= missed[i]:
+                    continue
+                if engine.decide(pins, cap - rest, True)[0] is not None:
+                    return True
+                missed[i] = cap
+            return False
+
+        return at_most
 
 
 def gamma_tr_equals_order(g: Graph) -> bool:
@@ -915,20 +1147,16 @@ def enumerate_min_trd(g: Graph) -> list[WeightFunction]:
 def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     """Vertices assigned 0 by every minimum TRD-function (or RD-function).
 
-    Decided by pinned searches: v is dead iff neither pin f(v)=1 nor
-    f(v)=2 admits a function of minimum weight.  This avoids full
-    enumeration so the check scales to the solver cap.  In total-Roman
-    mode each component has its own engine and minimum, since the dead set
-    of a disjoint union is the union of the parts' dead sets.
+    Each engine decides it without enumerating the minimum functions:
+    branch and bound by two pinned searches per vertex, f(v) = 1 and
+    f(v) = 2, the frontier DP by reading its forward and backward tables
+    once.  In total-Roman mode each component has its own engine and
+    minimum, since the dead set of a disjoint union is the union of the
+    parts' dead sets.
     """
     key = mode.strip().lower().replace("_", "-")
     if key == "roman":
-        base = gamma_r_value(g)
-        search = _WeightSearch(g, False)
-        return tuple(
-            v for v in range(g.n)
-            if all(search.decide({v: x}, base, True)[0] is None for x in (1, 2))
-        )
+        return tuple(_WeightSearch(g, False).dead(gamma_r_value(g)))
     if key != "total-roman":
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
     _require_trd_input(g)
@@ -936,12 +1164,7 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     for comp in component_masks(g):
         verts = list(iter_bits(comp))
         h = g if comp == g.full_mask else induced_subgraph(g, verts)
-        engine = _engine(h)
-        part = engine.decide({}, 2 * h.n)[0]
-        dead += [
-            v for j, v in enumerate(verts)
-            if all(engine.decide({j: x}, part, True)[0] is None for x in (1, 2))
-        ]
+        dead += [verts[j] for j in _engine(h).dead()]
     return tuple(sorted(dead))
 
 

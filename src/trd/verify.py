@@ -54,13 +54,13 @@ from .graphs import (
 from .solver import (
     ENUMERATION_MAX_N,
     dead_vertices,
+    edge_decider,
     enumerate_min_trd,
     gamma_r_value,
     gamma_t_value,
     gamma_tr_equals_order,
     gamma_tr_value,
     gamma_value,
-    plus_edge_decision,
 )
 
 ALL_LABELED_CEILING = 7
@@ -389,6 +389,7 @@ def _check_5crit(g: Graph, spec) -> str | None:
 
 
 def _check_enddeg3(g: Graph, spec) -> str | None:
+    decide = None
     for w in range(g.n):
         if g.degree(w) != 1:
             continue
@@ -402,9 +403,10 @@ def _check_enddeg3(g: Graph, spec) -> str | None:
         ]
         if not pairs:
             continue  # neighbourhood minus the leaf is complete
-        base = gamma_tr_value(g)
+        if decide is None:
+            base, decide = gamma_tr_value(g), edge_decider(g)
         for u, v in pairs:
-            if plus_edge_decision(g, u, v)(base - 1):
+            if decide(u, v)(base - 1):
                 return (
                     f"support {x} of leaf {w}: non-edge ({u},{v}) inside its"
                     " neighbourhood changes gamma_tR"
@@ -429,7 +431,7 @@ def _check_longlegs(g: Graph, spec) -> str | None:
         return None
     base = gamma_tr_value(g)
     u, v = long_ends[0][0], long_ends[1][0]
-    if plus_edge_decision(g, u, v)(base - 1):
+    if edge_decider(g)(u, v)(base - 1):
         return f"joining long-endpath leaves ({u},{v}) changed gamma_tR"
     if is_edge_critical(g, base):
         return "edge-critical despite two endpaths of length >= 3"
@@ -515,9 +517,10 @@ def _check_dn_edges(g: Graph, spec) -> str | None:
         if after != base:
             return f"joining the two degree-2 rim vertices changed {base}->{after}"
         return None
+    decide = edge_decider(g)
     for u, v in g.non_edges():
         if u in w or v in w:
-            if not plus_edge_decision(g, u, v)(base - 1):
+            if not decide(u, v)(base - 1):
                 return f"non-edge ({u},{v}) at a dead vertex is not critical"
     return None
 

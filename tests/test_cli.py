@@ -1,6 +1,7 @@
 """CLI behaviour: payload shapes, exit codes, determinism, formats."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,13 @@ class TestClassifyAndProfile:
         assert payload["classification"] == "mixed"
         deltas = {(d["u"], d["v"]): d["delta"] for d in payload["deltas"]}
         assert deltas[(0, 4)] == 0 and deltas[(0, 2)] == 1
+
+    def test_profile_corona_of_cycle_12(self, capsys):
+        # order 24; the digest is the one CI pins
+        code, out, _ = run(capsys, "profile", "--family", "cor(cycle(12))")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7ced1eb59177692b5bf14e2dae564b226045d098ee3a32630ae622ddb3e129e8")
 
     def test_profile_jobs_independent(self, capsys):
         _, serial, _ = run(capsys, "profile", "--family", "path(5)")

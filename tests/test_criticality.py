@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +13,7 @@ from conftest import (
     corona_complete,
     cycle,
     dead_example,
+    disjoint_union,
     path,
     solvable_graphs,
     sparse_graphs,
@@ -38,10 +41,12 @@ from trd.errors import (
     ValueTooSmallError,
 )
 from trd.families import Complete, Cycle, Path, generate, parse_family
+from trd import solver
 from trd.graphs import (
     add_edge,
     build_graph,
     complement,
+    component_masks,
     from_edge_mask,
     graph6_decode,
     graph_classes,
@@ -51,6 +56,7 @@ from trd.solver import (
     _frontier_order,
     _WeightSearch,
     brute_oracle_gamma_tr,
+    edge_decider,
     enumerate_min_trd,
     gamma_tr_value,
 )
@@ -136,6 +142,18 @@ class TestEdgeProfile:
                            profile.classification])
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a50016187124f3d5fe61dbf09b3c9c17f2f6986be8ec201efd3d78a64e1ac39d")
+
+    def test_corona_of_cycle_12(self):
+        # order 24, the solver cap: every one of the 252 non-edges is
+        # answered from the graph's own frontier order, including those
+        # whose G+uv has none; a sample is checked against exact values
+        g = generate(parse_family("cor(cycle(12))"))
+        profile = edge_profile(g)
+        assert profile.base_value == 24 and len(profile.deltas) == 252
+        sample = list(profile.deltas)[::9]
+        assert any(_frontier_order(add_edge(g, u, v)) is None for u, v in sample)
+        for u, v in sample:
+            assert profile.deltas[u, v] == 24 - gamma_tr_value(add_edge(g, u, v))
 
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)
@@ -240,14 +258,91 @@ class TestDecidedDeltas:
         self.exact(g)
         TestPredicates.agree(g)
 
-    def test_one_dp_run_per_non_edge(self, monkeypatch):
-        # both questions of a delta share the decider's one unpinned run
-        runs = []
-        run = _FrontierDP.run
-        monkeypatch.setattr(_FrontierDP, "run", lambda *a: runs.append(1) or run(*a))
-        g = cycle(12)
-        assert set(edge_profile(g).deltas.values()) == {1, 2}
-        assert len(runs) == 1 + len(g.non_edges())
+    @staticmethod
+    def count_routing(monkeypatch):
+        """Counts of peels, frontier orders, DP builds, full DP runs and
+        span re-runs, from here on."""
+        counts = Counter()
+        for name in ("_two_degenerate", "_frontier_order"):
+            original = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda h, f=original, k=name:
+                                counts.update([k]) or f(h))
+        for name in ("__init__", "run", "plus_edge"):
+            original = getattr(_FrontierDP, name)
+            monkeypatch.setattr(_FrontierDP, name, lambda self, *a, f=original, k=name:
+                                counts.update([k]) or f(self, *a))
+        return counts
+
+    @pytest.mark.parametrize("g", [
+        cycle(12),
+        spider(2, 2, 3, 4, 4),
+        generate(parse_family("cor(cycle(7))")),
+        union(Cycle(12), Complete(3)),
+    ], ids=["cycle(12)", "spider", "cor(cycle(7))", "cycle(12)+K3"])
+    def test_one_order_and_one_dp_per_decider(self, monkeypatch, g):
+        # each component is peeled and ordered once, one DP serves every
+        # non-edge, and no non-edge costs a full run: only its span
+        base = gamma_tr_value(g)
+        counts = self.count_routing(monkeypatch)
+        decide = edge_decider(g)
+        deltas = [edge_delta(g, u, v, base, decide) for u, v in g.non_edges()]
+        comps = len(component_masks(g))
+        assert counts["_two_degenerate"] == counts["_frontier_order"] == comps
+        assert counts["__init__"] == 1 and counts["run"] == 0
+        assert counts["plus_edge"] == len(deltas)
+
+    @pytest.mark.parametrize("g,orders", [
+        (generate(parse_family("KxK(3,4)")), 0),
+        (union(Complete(4), Cycle(12)), 1),
+        (corona_complete(5), 0),
+    ], ids=["KxK(3,4)", "K4+cycle(12)", "cor(K5)"])
+    def test_no_frontier_order_per_non_edge_without_two_degeneracy(
+        self, monkeypatch, g, orders
+    ):
+        # a component that is not 2-degenerate is peeled once and never
+        # ordered, and neither is any G+uv that touches it
+        base = gamma_tr_value(g)
+        counts = self.count_routing(monkeypatch)
+        decide = edge_decider(g)
+        for u, v in g.non_edges():
+            edge_delta(g, u, v, base, decide)
+        assert counts["_two_degenerate"] == len(component_masks(g))
+        assert counts["_frontier_order"] == counts["__init__"] == orders
+
+    @given(dp_routed_graphs(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_span_deltas_across_components(self, g, data):
+        # u and v in different components: the DP runs over both orders,
+        # concatenated, from u's step to v's
+        other = data.draw(st.sampled_from([path(4), cycle(5), complete(3), spider(1, 2, 3)]))
+        h = disjoint_union([g, other])
+        perm = data.draw(st.permutations(range(h.n)))
+        h = build_graph(h.n, [(perm[a], perm[b]) for a, b in h.edges()])
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, g.n - 1), st.integers(g.n, h.n - 1)),
+            min_size=1, max_size=4, unique=True))
+        self.exact(h, [tuple(sorted((perm[a], perm[b]))) for a, b in pairs])
+
+    def test_span_deltas_beside_a_branch_and_bound_component(self):
+        # pairs inside the cycle go to the DP, and K4, which has no width-2
+        # order, adds its value to every answer
+        g = union(Cycle(12), Complete(4))
+        self.exact(g, [(u, v) for u, v in g.non_edges() if v < 12])
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_span_deltas_without_a_width_two_order(self, monkeypatch, k):
+        # for these non-edges G+uv has no width-2 order, but G does, so the
+        # decider still answers from G's order
+        g = generate(parse_family(f"cor(cycle({k}))"))
+        perm = list(range(g.n))
+        random.Random(k).shuffle(perm)
+        g = build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+        pairs = [(u, v) for u, v in g.non_edges()
+                 if _frontier_order(add_edge(g, u, v)) is None]
+        assert pairs
+        counts = self.count_routing(monkeypatch)
+        self.exact(g, pairs)
+        assert counts["plus_edge"] == len(pairs)
 
     def test_at_most_four_searches_per_delta(self, monkeypatch):
         # three pin groups at base - 1; at base - 2 only the groups that did

@@ -45,6 +45,7 @@ from trd.solver import (
     WeightFunction,
     _FrontierDP,
     _frontier_order,
+    _two_degenerate,
     _WeightSearch,
     brute_oracle_gamma_tr,
     classical_numbers,
@@ -456,7 +457,8 @@ class TestDeadVertices:
 
     def test_one_engine_per_component(self, monkeypatch):
         # each component's frontier order and DP steps are built once, and
-        # its pinned decisions never re-solve the other component
+        # a DP component reads its dead vertices off its tables, with no
+        # full run
         counts = {"run": 0, "order": 0}
         run, order = _FrontierDP.run, _frontier_order
 
@@ -478,7 +480,7 @@ class TestDeadVertices:
         one = dead_and_counts(cycle(12))
         two = dead_and_counts(generate(parse_family("union(cycle(12),cycle(12))")))
         assert one[0] == two[0] == ()
-        assert two[1] == 2 * one[1]
+        assert one[1] == two[1] == 0
         assert (one[2], two[2]) == (1, 2)
 
         # a branch-and-bound component builds one _WeightSearch, which runs
@@ -838,6 +840,33 @@ class TestSparseEngine:
         if order is not None:
             assert sorted(order) == list(range(g.n))
             assert frontier_width(g, order) <= 2
+
+    @given(near_width_two_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_two_degenerate_matches_naive_peel(self, g):
+        left = set(range(g.n))
+        while True:
+            low = [v for v in left if sum(g.has_edge(v, w) for w in left) <= 2]
+            if not low:
+                break
+            left.remove(low[0])
+        assert _two_degenerate(g) == (not left)
+        if _frontier_order(g) is not None:
+            assert _two_degenerate(g)
+
+    @given(width_two_graphs(10, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_dp_dead_vertices_match_pinned_runs(self, g):
+        # the forward and backward tables give the dead set that pinned
+        # runs give, two per vertex
+        order = _frontier_order(g)
+        assume(order is not None)
+        dp = _FrontierDP(g, order)
+        value = dp.decide({}, 2 * g.n)[0]
+        pinned = [v for v in range(g.n)
+                  if all(dp.decide({v: x}, value)[0] is None for x in (1, 2))]
+        assert sorted(dp.dead()) == pinned
+        assert dead_vertices(g) == tuple(pinned)
 
     @pytest.mark.parametrize("g", [complete(4), cube(), petersen()],
                              ids=["K4", "Q3", "Petersen"])
