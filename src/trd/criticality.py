@@ -15,14 +15,15 @@ One lighter than gamma_tR(G) is no TRD-function of G, so (f(u), f(v)) is
 positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  So
 every non-edge question asks whether gamma_tR(G+uv) <= cap for a cap below
 gamma_tR(G): a delta is 0 when it fails at gamma_tR(G) - 1, and 2 when it
-holds at gamma_tR(G) - 2.  Each question goes to the decider of
-:func:`trd.solver.edge_decider`, built once per graph.  Order <= 6 reads
-the memo.  A component that the frontier DP takes answers exactly from
-tables built once, by running only the steps between u and v.  Branch
-and bound searches the three pin groups that cover exactly the pairs
-above, f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, and does not search again
-at gamma_tR(G) - 2 a group that found nothing at gamma_tR(G) - 1, so a
-delta costs at most four searches, and a delta of 0 three.
+holds at gamma_tR(G) - 2.  Each question goes to the solver's one object
+for G, which also gives gamma_tR(G) and is kept between calls, so every
+question about G shares one routing of it.  Order <= 6 reads the memo.  A
+component that the frontier DP takes answers exactly from tables built
+once, by running only the steps between u and v.  Branch and bound
+searches the three pin groups that cover exactly the pairs above,
+f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, and does not search again at
+gamma_tR(G) - 2 a group that found nothing at gamma_tR(G) - 1, so a delta
+costs at most four searches, and a delta of 0 three.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;
@@ -33,11 +34,10 @@ the complement has edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import IsolatedVertexError, ValueTooSmallError
 from .graphs import Graph, add_edge
-from .solver import _require_non_edge, edge_decider, gamma_t_value, gamma_tr_value
+from .solver import _require_non_edge, _solved, gamma_t_value, gamma_tr_value
 
 COMPLETE = "complete"
 SUPERCRITICAL = "supercritical"
@@ -88,21 +88,15 @@ def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
     return MIXED
 
 
-def edge_delta(
-    g: Graph, u: int, v: int, base: int | None = None,
-    decide: Callable[[int, int], Callable[[int], bool]] | None = None,
-) -> int:
-    """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv.
-
-    ``base`` is gamma_tR(G), and ``decide`` is ``edge_decider(g)``, when the
-    caller already has them.
-    """
+def edge_delta(g: Graph, u: int, v: int, base: int | None = None) -> int:
+    """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv; ``base`` is
+    gamma_tR(G) when the caller already has it."""
     _require_non_edge(g, u, v)
     if g.has_isolated_vertices():
         raise IsolatedVertexError("edge deltas need a graph without isolated vertices")
     if base is None:
         base = gamma_tr_value(g)
-    at_most = (decide or edge_decider(g))(u, v)
+    at_most = _solved(g).decide(u, v)
     if not at_most(base - 1):
         return 0
     return 2 if at_most(base - 2) else 1
@@ -113,29 +107,25 @@ def edge_profile(g: Graph) -> EdgeProfile:
     if g.has_isolated_vertices():
         raise IsolatedVertexError("edge profiles need a graph without isolated vertices")
     base = gamma_tr_value(g)
-    decide = edge_decider(g)
-    deltas = {(u, v): edge_delta(g, u, v, base, decide) for u, v in g.non_edges()}
+    deltas = {(u, v): edge_delta(g, u, v, base) for u, v in g.non_edges()}
     return EdgeProfile(base, deltas, classify_deltas(deltas))
 
 
-def _every_non_edge(
-    g: Graph, drop: int, holds: bool, base: int | None = None
-) -> bool:
+def _every_non_edge(g: Graph, drop: int, holds: bool) -> bool:
     """Whether "gamma_tR(G+uv) <= gamma_tR(G) - drop" is ``holds`` for every
     non-edge uv, stopping at the first where it is not; False on complete
-    graphs.  ``base`` is gamma_tR(G) when the caller already knows it."""
+    graphs."""
     non_edges = g.non_edges()
     if not non_edges:
         return False
-    if base is None:
-        base = gamma_tr_value(g)
-    decide = edge_decider(g)
+    base = gamma_tr_value(g)
+    decide = _solved(g).decide
     return all(decide(u, v)(base - drop) == holds for u, v in non_edges)
 
 
-def is_edge_critical(g: Graph, base: int | None = None) -> bool:
+def is_edge_critical(g: Graph) -> bool:
     """Every non-edge lowers gamma_tR (supercritical graphs qualify too)."""
-    return _every_non_edge(g, 1, True, base)
+    return _every_non_edge(g, 1, True)
 
 
 def is_stable(g: Graph) -> bool:
@@ -163,7 +153,7 @@ def complete_to_critical(g: Graph) -> Graph:
         raise ValueTooSmallError(f"completion requires gamma_tR >= 4, got {base}")
     current = g
     while True:
-        decide = edge_decider(current)
+        decide = _solved(current).decide
         for u, v in current.non_edges():
             if not decide(u, v)(base - 1):
                 current = add_edge(current, u, v)

@@ -1,29 +1,36 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
-Every gamma_tR question (value, witness, yes/no decision, dead vertex)
-is answered one connected component at a time by one engine object,
-built once per component by ``_engine``: the frontier dynamic program
-when the component has order >= 10 and a vertex order of frontier width
-<= 2, else branch and bound.  A peel of degree-2 vertices, once per
-component, rules out the order before the greedy looks for one.  The DP
-codes each frontier state as one base-6 integer and looks its transitions
-up in rows shared by every DP through the step's shape, built lazily.
-Both answer through ``decide(pins, cap, first_hit, budget)``: the least
-weight <= cap of a function with the pinned values, else None; a function
-of that weight; and the nodes spent.  The witness search skips every
+Every gamma_tR question about one graph G (value, witness, yes/no
+decision, dead vertices, the effect of adding a non-edge) is asked of one
+object, ``_Solved(G)``, which validates G once.  On first need it splits
+G into connected components and gives each its graph, its vertex order
+of frontier width <= 2 and its engine; questions are answered one
+component at a time.  The engine is the frontier dynamic program when
+the component has order >= 10 and such an order, else branch and bound.
+A peel of degree-2 vertices, once per component, rules out the order
+before the greedy looks for one.  The last object is kept in a one-slot
+cache, so a graph whose questions different functions ask in turn is
+routed once.
+
+The DP codes each frontier state as one base-6 integer and looks its
+transitions up in rows shared by every DP through the step's shape,
+built lazily.  Both engines answer through
+``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
+function with the pinned values, else None; a function of that weight;
+and the nodes spent.  The witness search skips every
 value that a returned function already shows to work.  Both list the
 dead vertices through ``dead()``: branch and bound by two pinned searches
 per vertex, the DP by reading its forward tables and its backward
 completion once, with no run per vertex.
 
-Questions about non-edges go to :func:`edge_decider`, built once per
-graph: ``decide(u, v)`` gives ``at_most(cap)``, whether gamma_tR(G+uv)
-<= cap for a cap below gamma_tR(G).  It validates and splits G once.
-Order <= 6 reads the memo.  A pair whose components have width-2 orders
-is answered exactly by one DP over G's own orders, which runs only the
-steps between u and v, all but the last once per u.  Any other pair is searched by branch and bound
-over the functions that need the new edge, by pinning the values of u
-and v.
+For a non-edge uv, ``_Solved.decide(u, v)`` gives ``at_most(cap)``,
+whether gamma_tR(G+uv) <= cap for a cap below gamma_tR(G).  Order <= 6
+reads the memo.  A pair whose components have width-2 orders is answered
+exactly by one DP over G's own orders, which is the engine of the
+component when only one has such an order, and runs only the steps
+between u and v, all but the last once per u.  Any other pair is
+searched by branch and bound over the functions that need the new edge,
+by pinning the values of u and v.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -68,7 +75,8 @@ from .errors import (
     TooSmallError,
 )
 from .graphs import (
-    Graph, add_edge, component_masks, induced_subgraph, iter_bits, pair_index,
+    Graph, add_edge, cached, component_masks, induced_subgraph, iter_bits,
+    pair_index,
 )
 
 SOLVER_MAX_N = 24
@@ -486,8 +494,11 @@ def _memo_at(kind: str, n: int, key: int, solve: Callable[..., int], *args) -> i
 
 
 def reset_caches() -> None:
-    """Drop all memoised invariant values (mainly for tests)."""
+    """Drop all memoised invariant values and the routed graph kept in
+    ``_LAST`` (mainly for tests)."""
+    global _LAST
     _MEMO.clear()
+    _LAST = None
 
 
 def _two_degenerate(g: Graph) -> bool:
@@ -781,14 +792,6 @@ class _FrontierDP:
         return tables[b - a], frontiers[b - a]
 
 
-def _engine(h: Graph) -> _FrontierDP | _WeightSearch:
-    """The gamma_tR engine for the connected graph H: the frontier DP when H
-    has order >= ``_DP_MIN_N`` and a greedy order of width <= 2, else
-    branch and bound."""
-    order = _frontier_order(h) if h.n >= _DP_MIN_N and _two_degenerate(h) else None
-    return _WeightSearch(h, True) if order is None else _FrontierDP(h, order)
-
-
 def _witness(
     engine: _FrontierDP | _WeightSearch, value: int, values: list[int] | None,
     budget: int | None,
@@ -818,45 +821,6 @@ def _witness(
     return tuple(pins[v] for v in range(engine.n)), nodes
 
 
-def _solve_trd(
-    g: Graph,
-    node_budget: int | None,
-    witness: bool,
-    cap: int | None = None,
-) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """The least weight of a TRD-function on G, with ``witness`` the
-    lexicographically smallest function of that weight, and the nodes spent.
-
-    Components are solved apart, values adding, each by its :func:`_engine`
-    under one shared ``node_budget``.  With ``cap`` the call is a decision:
-    the weight is None when every function weighs more than ``cap``, and the
-    last component may stop at its first hit, so a weight returned is only
-    some weight <= cap.
-    """
-    comps = component_masks(g)
-    limit = 2 * g.n if cap is None else cap
-    value = nodes = 0
-    values = [0] * g.n
-    for i, comp in enumerate(comps):
-        verts = list(iter_bits(comp))
-        h = g if len(comps) == 1 else induced_subgraph(g, verts)
-        budget = None if node_budget is None else node_budget - nodes
-        engine = _engine(h)
-        first_hit = cap is not None and i == len(comps) - 1
-        part, found, used = engine.decide({}, limit - value, first_hit, budget)
-        nodes += used
-        if part is None:
-            return None, None, nodes
-        value += part
-        if witness:
-            budget = None if node_budget is None else node_budget - nodes
-            vec, used = _witness(engine, part, found, budget)
-            nodes += used
-            for v, x in zip(verts, vec):
-                values[v] = x
-    return value, tuple(values) if witness else None, nodes
-
-
 def _require_trd_input(g: Graph) -> None:
     if g.n < 2:
         raise TooSmallError("gamma_tR needs order >= 2")
@@ -865,63 +829,46 @@ def _require_trd_input(g: Graph) -> None:
     _require_no_isolated(g)
 
 
-def _trd_value(g: Graph) -> int:
-    _require_trd_input(g)
-    return _solve_trd(g, None, False)[0]
-
-
-def gamma_tr_value(g: Graph) -> int:
-    """Exact gamma_tR(G), value only, memoised for n <= 6."""
-    return _memo("gamma_tR", g, _trd_value)
-
-
-def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
-    """Whether some TRD-function on G has weight <= cap."""
-    if g.n <= _MEMO_MAX_N:
-        return gamma_tr_value(g) <= cap
-    _require_trd_input(g)
-    return _solve_trd(g, None, False, cap)[0] is not None
-
-
 def _require_non_edge(g: Graph, u: int, v: int) -> None:
     if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
         raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
 
 
-def edge_decider(g: Graph) -> Callable[[int, int], Callable[[int], bool]]:
-    """``decide(u, v)`` for G, built once per graph: ``at_most(cap)``,
-    whether gamma_tR(G+uv) <= cap, for the non-edge uv and any cap below
-    gamma_tR(G).  G is validated once, here.
+class _Part:
+    """One connected component of a routed graph: its vertices in G's
+    labels and its graph, and, each on first need, its width-2 order in its
+    own labels, its engine and its value."""
 
-    Order <= 6 reads the memo, keyed by G's edge mask with the pair's bit
-    set, and builds G+uv only on a miss.  Above that, see
-    :class:`_PlusEdge`.
-    """
-    _require_trd_input(g)
-    if g.n > _MEMO_MAX_N:
-        return _PlusEdge(g).decide
-    n, mask = g.n, g.edge_mask
+    def __init__(self, g: Graph, mask: int):
+        self.mask = mask
+        self.verts = list(iter_bits(mask))
+        self.h = g if mask == g.full_mask else induced_subgraph(g, self.verts)
 
-    def decide(u: int, v: int) -> Callable[[int], bool]:
-        _require_non_edge(g, u, v)
-        value = _memo_at("gamma_tR", n, mask | 1 << pair_index(u, v),
-                         _plus_edge_value, g, u, v)
-        return lambda cap: value <= cap
+    @cached
+    def order(self) -> list[int] | None:
+        """A greedy order of frontier width <= 2, sought only when the peel
+        leaves nothing, else None."""
+        return _frontier_order(self.h) if _two_degenerate(self.h) else None
 
-    return decide
+    @cached
+    def engine(self) -> _FrontierDP | _WeightSearch:
+        """The frontier DP from order ``_DP_MIN_N`` when there is an order,
+        else branch and bound."""
+        if self.h.n >= _DP_MIN_N and self.order is not None:
+            return _FrontierDP(self.h, self.order)
+        return _WeightSearch(self.h, True)
+
+    @cached
+    def value(self) -> int:
+        """gamma_tR of the component, by its engine."""
+        return self.engine.decide({}, 2 * self.h.n)[0]
 
 
-def _plus_edge_value(g: Graph, u: int, v: int) -> int:
-    return _trd_value(add_edge(g, u, v))
+class _Solved:
+    """Every gamma_tR question about one graph G, with G validated and
+    routed once (see the module docstring).
 
-
-class _PlusEdge:
-    """The non-edge decider of one graph of order > 6.
-
-    G is split into components once; each component is peeled once and,
-    when 2-degenerate, given one frontier order, and its value is found
-    once, on first need.  For the non-edge uv let J be the union of the
-    components of u and v:
+    For the non-edge uv let J be the union of the components of u and v:
 
     * when J has order >= ``_DP_MIN_N`` and both components have a width-2
       order, one frontier DP over the concatenated orders of every such
@@ -937,66 +884,85 @@ class _PlusEdge:
       searched again at a lower cap.
     """
 
-    __slots__ = ("g", "comps", "parts", "values", "dp")
-
     def __init__(self, g: Graph):
+        _require_trd_input(g)
         self.g = g
-        self.comps = component_masks(g)
-        self.parts: dict[int, tuple[Graph, list[int] | None]] = {}
-        self.values: dict[int, int] = {}
-        self.dp: tuple[_FrontierDP, dict[int, int], int] | None = None
 
-    def _part(self, comp: int) -> tuple[Graph, list[int] | None]:
-        """The component's graph, and its width-2 order in G's labels or None."""
-        part = self.parts.get(comp)
-        if part is None:
-            verts = list(iter_bits(comp))
-            h = self.g if comp == self.g.full_mask else induced_subgraph(self.g, verts)
-            order = _frontier_order(h) if _two_degenerate(h) else None
-            part = self.parts[comp] = h, None if order is None else [verts[i] for i in order]
-        return part
+    @cached
+    def parts(self) -> list[_Part]:
+        return [_Part(self.g, mask) for mask in component_masks(self.g)]
 
-    def _dp(self) -> tuple[_FrontierDP, dict[int, int], int]:
+    def value(self) -> int:
+        return sum(part.value for part in self.parts)
+
+    def solve(
+        self, budget: int | None, witness: bool, cap: int | None = None,
+    ) -> tuple[int | None, tuple[int, ...] | None, int]:
+        """The least weight of a TRD-function on G, with ``witness`` the
+        lexicographically smallest function of that weight, and the nodes
+        spent.
+
+        Components are solved apart, values adding, each by its engine under
+        one shared ``budget``.  With ``cap`` the call is a decision: the
+        weight is None when every function weighs more than ``cap``, and the
+        last component may stop at its first hit, so a weight returned is
+        only some weight <= cap.
+        """
+        limit = 2 * self.g.n if cap is None else cap
+        value = nodes = 0
+        values = [0] * self.g.n
+        for i, part in enumerate(self.parts):
+            left = None if budget is None else budget - nodes
+            first_hit = cap is not None and i == len(self.parts) - 1
+            weight, found, used = part.engine.decide({}, limit - value, first_hit, left)
+            nodes += used
+            if weight is None:
+                return None, None, nodes
+            value += weight
+            if witness:
+                left = None if budget is None else budget - nodes
+                vec, used = _witness(part.engine, weight, found, left)
+                nodes += used
+                for v, x in zip(part.verts, vec):
+                    values[v] = x
+        return value, tuple(values) if witness else None, nodes
+
+    def dead(self) -> tuple[int, ...]:
+        """The dead vertices: those of each component's engine, since the
+        dead set of a disjoint union is the union of the parts' dead sets."""
+        return tuple(sorted(
+            part.verts[j] for part in self.parts for j in part.engine.dead()))
+
+    @cached
+    def _joint(self) -> tuple[_FrontierDP, dict[int, int], int]:
         """The DP over every component with a width-2 order, each vertex's
-        step, and the value of the other components."""
-        if self.dp is None:
-            order, rest = [], 0
-            for comp in self.comps:
-                sub = self._part(comp)[1]
-                if sub is None:
-                    rest += self._value(comp)
-                else:
-                    order += sub
-            self.dp = _FrontierDP(self.g, order), {v: i for i, v in enumerate(order)}, rest
-        return self.dp
-
-    def _value(self, comp: int) -> int:
-        """gamma_tR of the component: the difference of the DP's forward
-        tables across it, whose frontier is empty on both sides, else
-        branch and bound."""
-        value = self.values.get(comp)
-        if value is None:
-            h, order = self._part(comp)
-            if order is None:
-                value = _WeightSearch(h, True).decide({}, 2 * h.n)[0]
-            else:
-                dp, pos, _ = self._dp()
-                tables = dp._forward()
-                value = tables[pos[order[-1]] + 1][0][0] - tables[pos[order[0]]][0][0]
-            self.values[comp] = value
-        return value
+        step, and the value of the other components.  When only one
+        component has an order, a pair that asks for this DP lies in it, so
+        it has order >= ``_DP_MIN_N`` and its engine is that DP."""
+        ordered = [part for part in self.parts if part.order is not None]
+        rest = sum(part.value for part in self.parts if part.order is None)
+        order = [part.verts[i] for part in ordered for i in part.order]
+        dp = ordered[0].engine if len(ordered) == 1 else _FrontierDP(self.g, order)
+        return dp, {v: i for i, v in enumerate(order)}, rest
 
     def decide(self, u: int, v: int) -> Callable[[int], bool]:
+        """``at_most(cap)``: whether gamma_tR(G+uv) <= cap, for the non-edge
+        uv and any cap below gamma_tR(G).  Order <= 6 reads the memo, keyed
+        by G's edge mask with the pair's bit set, and builds G+uv only on a
+        miss."""
         g = self.g
         _require_non_edge(g, u, v)
-        cu = next(c for c in self.comps if c >> u & 1)
-        cv = next(c for c in self.comps if c >> v & 1)
-        joint = cu | cv
-        if joint.bit_count() >= _DP_MIN_N and self._part(cu)[1] and self._part(cv)[1]:
-            dp, pos, rest = self._dp()
+        if g.n <= _MEMO_MAX_N:
+            value = _memo_at("gamma_tR", g.n, g.edge_mask | 1 << pair_index(u, v),
+                             lambda: _Solved(add_edge(g, u, v)).value())
+            return lambda cap: value <= cap
+        pu, pv = (next(p for p in self.parts if p.mask >> w & 1) for w in (u, v))
+        joint = pu.mask | pv.mask
+        if joint.bit_count() >= _DP_MIN_N and pu.order and pv.order:
+            dp, pos, rest = self._joint
             value = rest + dp.plus_edge(*sorted((pos[u], pos[v])))
             return lambda cap: value <= cap
-        rest = sum(self._value(c) for c in self.comps if not c & joint)
+        rest = sum(part.value for part in self.parts if not part.mask & joint)
         h = add_edge(g, u, v)
         if joint != g.full_mask:
             verts = list(iter_bits(joint))
@@ -1019,6 +985,32 @@ class _PlusEdge:
         return at_most
 
 
+# The last graph routed: value, witness, dead set and non-edges of one graph
+# are often asked in turn by different functions, and then route it once.
+_LAST: _Solved | None = None
+
+
+def _solved(g: Graph) -> _Solved:
+    """The routed graph of G: the one kept when it is G's, else a new one,
+    which is kept instead."""
+    global _LAST
+    if _LAST is None or _LAST.g.adj != g.adj:
+        _LAST = _Solved(g)
+    return _LAST
+
+
+def gamma_tr_value(g: Graph) -> int:
+    """Exact gamma_tR(G), value only, memoised for n <= 6."""
+    return _memo("gamma_tR", g, lambda h: _solved(h).value())
+
+
+def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
+    """Whether some TRD-function on G has weight <= cap."""
+    if g.n <= _MEMO_MAX_N:
+        return gamma_tr_value(g) <= cap
+    return _solved(g).solve(None, False, cap)[0] is not None
+
+
 def gamma_tr_equals_order(g: Graph) -> bool:
     """Decide gamma_tR(G) = |V(G)| without always computing the exact value."""
     return not has_trd_weight_at_most(g, g.n - 1)
@@ -1035,9 +1027,9 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     searches in index order.  ``node_budget`` bounds the total nodes, DP
     table entries included, across all components and searches.
     """
-    _require_trd_input(g)
+    solved = _solved(g)
     try:
-        value, values, nodes = _solve_trd(g, node_budget, witness=True)
+        value, values, nodes = solved.solve(node_budget, witness=True)
     except BudgetExceededError:
         # an engine names only what was left of the budget for its search
         raise BudgetExceededError(f"node budget {node_budget} exhausted") from None
@@ -1151,21 +1143,14 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     branch and bound by two pinned searches per vertex, f(v) = 1 and
     f(v) = 2, the frontier DP by reading its forward and backward tables
     once.  In total-Roman mode each component has its own engine and
-    minimum, since the dead set of a disjoint union is the union of the
-    parts' dead sets.
+    minimum (:meth:`_Solved.dead`).
     """
     key = mode.strip().lower().replace("_", "-")
     if key == "roman":
         return tuple(_WeightSearch(g, False).dead(gamma_r_value(g)))
     if key != "total-roman":
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
-    _require_trd_input(g)
-    dead = []
-    for comp in component_masks(g):
-        verts = list(iter_bits(comp))
-        h = g if comp == g.full_mask else induced_subgraph(g, verts)
-        dead += [verts[j] for j in _engine(h).dead()]
-    return tuple(sorted(dead))
+    return _solved(g).dead()
 
 
 def _min_cover_size(g: Graph, closed: bool) -> int:

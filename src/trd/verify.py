@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Union
 from . import families as fam
 from .criticality import (
     complete_to_critical,
+    edge_delta,
     is_edge_critical,
     is_k_gamma_t_edge_critical,
     is_stable,
@@ -54,7 +55,6 @@ from .graphs import (
 from .solver import (
     ENUMERATION_MAX_N,
     dead_vertices,
-    edge_decider,
     enumerate_min_trd,
     gamma_r_value,
     gamma_t_value,
@@ -295,14 +295,14 @@ def _check_hen1(g: Graph, spec) -> str | None:
 
 def _check_ncrit(g: Graph, spec) -> str | None:
     predicted = fam.predict_n_critical(g)
-    measured = gamma_tr_equals_order(g) and is_edge_critical(g, g.n)
+    measured = gamma_tr_equals_order(g) and is_edge_critical(g)
     if predicted != measured:
         return f"predicted={predicted} but measured criticality is {measured}"
     return None
 
 
 def _check_4crit(g: Graph, spec) -> str | None:
-    lhs = gamma_tr_value(g) == 4 and is_edge_critical(g, 4)
+    lhs = gamma_tr_value(g) == 4 and is_edge_critical(g)
     rhs = fam.is_galaxy(complement(g))
     if lhs != rhs:
         return f"4-edge-critical is {lhs} but complement-galaxy is {rhs}"
@@ -372,7 +372,7 @@ def _check_t2iff(g: Graph, spec) -> str | None:
 
 
 def _check_5crit(g: Graph, spec) -> str | None:
-    if gamma_tr_value(g) != 5 or not is_edge_critical(g, 5):
+    if gamma_tr_value(g) != 5 or not is_edge_critical(g):
         return None
     if is_k_gamma_t_edge_critical(g, 3):
         return None
@@ -389,7 +389,6 @@ def _check_5crit(g: Graph, spec) -> str | None:
 
 
 def _check_enddeg3(g: Graph, spec) -> str | None:
-    decide = None
     for w in range(g.n):
         if g.degree(w) != 1:
             continue
@@ -403,15 +402,13 @@ def _check_enddeg3(g: Graph, spec) -> str | None:
         ]
         if not pairs:
             continue  # neighbourhood minus the leaf is complete
-        if decide is None:
-            base, decide = gamma_tr_value(g), edge_decider(g)
         for u, v in pairs:
-            if decide(u, v)(base - 1):
+            if edge_delta(g, u, v):
                 return (
                     f"support {x} of leaf {w}: non-edge ({u},{v}) inside its"
                     " neighbourhood changes gamma_tR"
                 )
-        if is_edge_critical(g, base):
+        if is_edge_critical(g):
             return f"edge-critical despite leaf {w} with non-complete N({x})-w"
     return None
 
@@ -429,11 +426,10 @@ def _check_longlegs(g: Graph, spec) -> str | None:
     long_ends = [(leaf, ln) for leaf, ln in _endpath_leaves(g) if ln >= 3]
     if len(long_ends) < 2:
         return None
-    base = gamma_tr_value(g)
     u, v = long_ends[0][0], long_ends[1][0]
-    if edge_decider(g)(u, v)(base - 1):
+    if edge_delta(g, u, v):
         return f"joining long-endpath leaves ({u},{v}) changed gamma_tR"
-    if is_edge_critical(g, base):
+    if is_edge_critical(g):
         return "edge-critical despite two endpaths of length >= 3"
     return None
 
@@ -460,7 +456,7 @@ def _check_span(g: Graph, spec) -> str | None:
     after = gamma_tr_value(h)
     if after != base:
         return f"completion changed gamma_tR from {base} to {after}"
-    if not is_edge_critical(h, base):
+    if not is_edge_critical(h):
         return "completion is not edge-critical"
     return None
 
@@ -489,7 +485,7 @@ def _check_diam2(g: Graph, spec) -> str | None:
         h = complete_to_critical(g)
         if gamma_tr_value(h) != expected:
             return "completion changed gamma_tR"
-        if not is_edge_critical(h, expected):
+        if not is_edge_critical(h):
             return "completion is not edge-critical"
         if metrics(h).diameter != 2:
             return f"completion has diameter {metrics(h).diameter}"
@@ -517,10 +513,9 @@ def _check_dn_edges(g: Graph, spec) -> str | None:
         if after != base:
             return f"joining the two degree-2 rim vertices changed {base}->{after}"
         return None
-    decide = edge_decider(g)
     for u, v in g.non_edges():
         if u in w or v in w:
-            if not decide(u, v)(base - 1):
+            if not edge_delta(g, u, v, base):
                 return f"non-edge ({u},{v}) at a dead vertex is not critical"
     return None
 

@@ -56,10 +56,13 @@ from trd.solver import (
     _frontier_order,
     _WeightSearch,
     brute_oracle_gamma_tr,
-    edge_decider,
+    dead_vertices,
     enumerate_min_trd,
+    gamma_tr,
     gamma_tr_value,
+    reset_caches,
 )
+from trd.verify import verify_theorem
 
 
 def complete_bipartite(a: int, b: int):
@@ -181,7 +184,6 @@ class TestPredicates:
     def agree(g):
         profile = edge_profile(g)
         assert is_edge_critical(g) == profile.is_edge_critical
-        assert is_edge_critical(g, profile.base_value) == profile.is_edge_critical
         assert is_stable(g) == profile.is_stable
         assert is_supercritical(g) == profile.is_supercritical
 
@@ -261,35 +263,48 @@ class TestDecidedDeltas:
     @staticmethod
     def count_routing(monkeypatch):
         """Counts of peels, frontier orders, DP builds, full DP runs and
-        span re-runs, from here on."""
+        span re-runs, from here on; a peel or order is also counted under
+        ``(name, graph)``."""
         counts = Counter()
         for name in ("_two_degenerate", "_frontier_order"):
             original = getattr(solver, name)
             monkeypatch.setattr(solver, name, lambda h, f=original, k=name:
-                                counts.update([k]) or f(h))
+                                counts.update([k, (k, h)]) or f(h))
         for name in ("__init__", "run", "plus_edge"):
             original = getattr(_FrontierDP, name)
             monkeypatch.setattr(_FrontierDP, name, lambda self, *a, f=original, k=name:
                                 counts.update([k]) or f(self, *a))
         return counts
 
-    @pytest.mark.parametrize("g", [
-        cycle(12),
-        spider(2, 2, 3, 4, 4),
-        generate(parse_family("cor(cycle(7))")),
-        union(Cycle(12), Complete(3)),
+    @staticmethod
+    def every_question(g, counts):
+        """Ask G's value, witness and dead set, then its edge profile;
+        return the full DP runs that the profile made, and the profile."""
+        gamma_tr_value(g)
+        gamma_tr(g)
+        dead_vertices(g)
+        runs = counts["run"]
+        profile = edge_profile(g)
+        return counts["run"] - runs, profile
+
+    @pytest.mark.parametrize("g,dps", [
+        (cycle(12), 1),
+        (spider(2, 2, 3, 4, 4), 1),
+        (generate(parse_family("cor(cycle(7))")), 1),
+        (union(Cycle(12), Complete(3)), 2),
     ], ids=["cycle(12)", "spider", "cor(cycle(7))", "cycle(12)+K3"])
-    def test_one_order_and_one_dp_per_decider(self, monkeypatch, g):
-        # each component is peeled and ordered once, one DP serves every
-        # non-edge, and no non-edge costs a full run: only its span
-        base = gamma_tr_value(g)
+    def test_one_order_and_one_dp_per_decider(self, monkeypatch, g, dps):
+        # value, witness, dead set and every non-edge share one peel and one
+        # order per component; the engine of the only ordered component is
+        # also its non-edge DP, and two ordered components add one DP over
+        # both; no non-edge costs a full run, only its span
+        reset_caches()
         counts = self.count_routing(monkeypatch)
-        decide = edge_decider(g)
-        deltas = [edge_delta(g, u, v, base, decide) for u, v in g.non_edges()]
+        runs, profile = self.every_question(g, counts)
         comps = len(component_masks(g))
         assert counts["_two_degenerate"] == counts["_frontier_order"] == comps
-        assert counts["__init__"] == 1 and counts["run"] == 0
-        assert counts["plus_edge"] == len(deltas)
+        assert counts["__init__"] == dps and runs == 0
+        assert counts["plus_edge"] == len(profile.deltas)
 
     @pytest.mark.parametrize("g,orders", [
         (generate(parse_family("KxK(3,4)")), 0),
@@ -300,14 +315,25 @@ class TestDecidedDeltas:
         self, monkeypatch, g, orders
     ):
         # a component that is not 2-degenerate is peeled once and never
-        # ordered, and neither is any G+uv that touches it
-        base = gamma_tr_value(g)
+        # ordered, and neither is any G+uv that touches it; beside one, the
+        # engine of the ordered component answers its non-edges
+        reset_caches()
         counts = self.count_routing(monkeypatch)
-        decide = edge_decider(g)
-        for u, v in g.non_edges():
-            edge_delta(g, u, v, base, decide)
+        self.every_question(g, counts)
         assert counts["_two_degenerate"] == len(component_masks(g))
         assert counts["_frontier_order"] == counts["__init__"] == orders
+
+    @pytest.mark.parametrize("theorem", ["T_LONGLEGS", "T_ENDDEG3"])
+    def test_verify_orders_each_graph_once(self, monkeypatch, theorem):
+        # the checks ask a value, some deltas and whether G is edge-critical,
+        # all of one routing of G
+        reset_caches()
+        counts = self.count_routing(monkeypatch)
+        assert verify_theorem(theorem).outcome == "pass"
+        ordered = [key for key in counts if key[0] == "_frontier_order"]
+        assert all(counts[key] == 1 for key in ordered)
+        if theorem == "T_LONGLEGS":
+            assert ordered
 
     @given(dp_routed_graphs(), st.data())
     @settings(max_examples=15, deadline=None)

@@ -1,6 +1,7 @@
 """Graph construction, editing, metrics, and the graph6 / edge-list codecs."""
 
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -167,6 +168,16 @@ class TestEdgeMask:
         expected = sum(1 << pair_index(u, v) for u, v in g.edges())
         assert g.edge_mask == expected
         assert from_edge_mask(g.n, g.edge_mask) == g
+
+    def test_kept_after_the_first_read(self):
+        # the mask is stored on the graph, but equality, hashing and
+        # pickling still see only n and adj
+        g, h = cycle(6), cycle(6)
+        mask = g.edge_mask
+        assert g.__dict__["edge_mask"] == mask == h.edge_mask
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.edge_mask == mask
 
 
 class TestGraph6:

@@ -255,8 +255,10 @@ class TestClassicalNumbers:
         values = [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs]
         assert {"gamma_tR", "gamma", "gamma_t", "gamma_R"} <= {
             kind for kind, _ in solver._MEMO}
+        assert gamma_tr_value(cycle(12)) == 12
+        assert solver._LAST.g == cycle(12)
         reset_caches()
-        assert solver._MEMO == {}
+        assert solver._MEMO == {} and solver._LAST is None
         assert [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs] == values
 
     @given(solvable_graphs(2, 6))
@@ -364,7 +366,8 @@ class TestEnumerateMinTrd:
             raise AssertionError("the enumeration reached a gamma_tR engine")
 
         monkeypatch.setattr(solver, "gamma_tr_value", engine)
-        monkeypatch.setattr(solver, "_solve_trd", engine)
+        monkeypatch.setattr(solver, "_Solved", engine)
+        reset_caches()
         for g, vectors in zip(graphs, expected):
             assert [f.values for f in enumerate_min_trd(g)] == vectors
 
@@ -456,9 +459,9 @@ class TestDeadVertices:
             dead_vertices(cycle(4), "nonsense")
 
     def test_one_engine_per_component(self, monkeypatch):
-        # each component's frontier order and DP steps are built once, and
-        # a DP component reads its dead vertices off its tables, with no
-        # full run
+        # each component's frontier order and DP steps are built once, for
+        # the dead vertices, the value and the witness together, and a DP
+        # component reads its dead vertices off its tables, with no full run
         counts = {"run": 0, "order": 0}
         run, order = _FrontierDP.run, _frontier_order
 
@@ -474,8 +477,11 @@ class TestDeadVertices:
         monkeypatch.setattr(solver, "_frontier_order", counted_order)
 
         def dead_and_counts(g):
+            reset_caches()
             counts.update(run=0, order=0)
-            return dead_vertices(g), counts["run"], counts["order"]
+            dead, runs = dead_vertices(g), counts["run"]
+            assert gamma_tr(g).value == gamma_tr_value(g) == g.n
+            return dead, runs, counts["order"]
 
         one = dead_and_counts(cycle(12))
         two = dead_and_counts(generate(parse_family("union(cycle(12),cycle(12))")))
@@ -484,7 +490,7 @@ class TestDeadVertices:
         assert (one[2], two[2]) == (1, 2)
 
         # a branch-and-bound component builds one _WeightSearch, which runs
-        # every pinned search, witness or dead vertex
+        # every search: value, witness and dead vertices
         builds = []
         init = _WeightSearch.__init__
         monkeypatch.setattr(_WeightSearch, "__init__",
@@ -497,8 +503,9 @@ class TestDeadVertices:
 
         cor_k4 = generate(parse_family("cor(K4)"))
         d3 = generate(parse_family("D(3)"))
-        assert count(lambda: gamma_tr(cor_k4)) == 1
-        assert count(lambda: dead_vertices(cor_k4)) == 1
+        reset_caches()
+        assert count(lambda: (gamma_tr_value(cor_k4), gamma_tr(cor_k4),
+                              dead_vertices(cor_k4))) == 1
         # one for gamma_R, one for the 2n pinned decisions
         assert count(lambda: dead_vertices(d3, "roman")) == 2
 
