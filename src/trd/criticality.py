@@ -102,6 +102,12 @@ def edge_delta(g: Graph, u: int, v: int, base: int | None = None) -> int:
     return 2 if at_most(base - 2) else 1
 
 
+def is_critical_edge(g: Graph, u: int, v: int) -> bool:
+    """Whether adding the non-edge uv lowers gamma_tR: the one question of
+    :func:`edge_delta` that decides whether its delta is nonzero."""
+    return _solved(g).decide(u, v)(gamma_tr_value(g) - 1)
+
+
 def edge_profile(g: Graph) -> EdgeProfile:
     """Deltas for every non-edge plus the classification."""
     if g.has_isolated_vertices():

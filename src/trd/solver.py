@@ -2,13 +2,16 @@
 
 Every gamma_tR question about one graph G (value, witness, yes/no
 decision, dead vertices, the effect of adding a non-edge) is asked of one
-object, ``_Solved(G)``, which validates G once.  On first need it splits
-G into connected components and gives each its graph, its vertex order
-of frontier width <= 2 and its engine; questions are answered one
-component at a time.  The engine is the frontier dynamic program when
-the component has order >= 10 and such an order, else branch and bound.
-A peel of degree-2 vertices, once per component, rules out the order
-before the greedy looks for one.  The last object is kept in a one-slot
+object, ``_Solved(G)``, which validates G once.  gamma_R, the same
+minimum without the total condition (Cockayne, Dreyer, Hedetniemi &
+Hedetniemi, Discrete Math. 278, 2004), and its dead vertices are asked of
+``_Solved(G, total=False)``.  On first need the object splits G into
+connected components and gives each its graph, its vertex order of
+frontier width <= 2 and its engine; questions are answered one component
+at a time.  The engine is the frontier dynamic program when the component
+has order >= 10 and such an order, else branch and bound.  A peel of
+degree-2 vertices, once per component, rules out the order before the
+greedy looks for one.  The last gamma_tR object is kept in a one-slot
 cache, so a graph whose questions different functions ask in turn is
 routed once.
 
@@ -35,8 +38,8 @@ by pinning the values of u and v.
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
 edge mask.  A graph enters the memo only after its solve has validated it.
-Above that order gamma, gamma_t and gamma_R are also summed over the
-components, each solved apart.
+Above that order gamma and gamma_t are also summed over the components,
+each solved apart by a cover search.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -45,8 +48,7 @@ over the choices of lowest-index neighbour that will carry the required
 2, so every level of the tree satisfies at least one new vertex.  A node
 is pruned by a slack test, whether a greedy cover bound reaches
 best - weight, which reads only the candidate counts that decision needs.
-The same engine, with the total condition disabled, answers gamma_R and
-the Roman dead vertices.  In total mode two more cuts apply.  Every
+In total mode two more cuts apply.  Every
 TRD-function has f(N[v]) >= 2, so over a packing P fixed per engine
 (closed neighbourhoods pairwise disjoint) the deficits
 2 - f(N[p] & assigned) bound what a completion adds, whence
@@ -215,7 +217,7 @@ class _WeightSearch:
             probe = cap + 1
         else:
             if self.probe is None:
-                self.probe = (_trd_probe if self.total else _rd_probe)(self.g)
+                self.probe = _probe(self.g, self.total)
             probe, self.found = self.probe
         if first_hit and probe <= cap:
             weight, nodes = probe, 0
@@ -229,11 +231,10 @@ class _WeightSearch:
         two, pos = self.found
         return weight, [(two >> v & 1) + (pos >> v & 1) for v in range(self.n)], nodes
 
-    def dead(self, value: int | None = None) -> list[int]:
-        """The vertices that no function of weight ``value``, by default the
-        least, gives a positive value: two pinned first-hit searches each."""
-        if value is None:
-            value = self.decide({}, 2 * self.n)[0]
+    def dead(self) -> list[int]:
+        """The vertices that no minimum function gives a positive value: two
+        pinned first-hit searches each."""
+        value = self.decide({}, 2 * self.n)[0]
         return [v for v in range(self.n)
                 if all(self.decide({v: x}, value, True)[0] is None for x in (1, 2))]
 
@@ -426,20 +427,20 @@ class _WeightSearch:
                 self.done = True
 
 
-def _trd_probe(g: Graph) -> tuple[int, tuple[int, int]]:
-    """A cheap feasible TRD-function found by direct construction, as its
-    weight and its ``(two, pos)`` masks.
+def _probe(g: Graph, total: bool) -> tuple[int, tuple[int, int]]:
+    """A cheap feasible TRD-function (RD-function) found by direct
+    construction, as its weight and its ``(two, pos)`` masks.
 
-    Candidates: a 2 on a dominating vertex with a 1 on its lowest
-    neighbour, a 2,2 pair on an edge whose closed neighbourhoods cover V,
-    and the all-ones function, which is a TRD-function whenever no vertex
-    is isolated.
+    Candidates: a 2 on a dominating vertex, with a 1 on its lowest
+    neighbour in total mode; in total mode a 2,2 pair on an edge whose
+    closed neighbourhoods cover V; and the all-ones function, which is an
+    RD-function, and a TRD-function whenever no vertex is isolated.
     """
     full, n = g.full_mask, g.n
     for v in range(n):
-        if n > 3 and g.adj[v] | (1 << v) == full:
-            return 3, (1 << v, 1 << v | g.adj[v] & -g.adj[v])
-    if n > 4:
+        if n > 2 + total and g.adj[v] | (1 << v) == full:
+            return 2 + total, (1 << v, 1 << v | (g.adj[v] & -g.adj[v] if total else 0))
+    if total and n > 4:
         for u in range(n):
             au = g.adj[u]
             m = au >> (u + 1) << (u + 1)
@@ -448,16 +449,6 @@ def _trd_probe(g: Graph) -> tuple[int, tuple[int, int]]:
                 if au | g.adj[low.bit_length() - 1] | (1 << u) | low == full:
                     return 4, (1 << u | low, 1 << u | low)
                 m ^= low
-    return n, (0, full)
-
-
-def _rd_probe(g: Graph) -> tuple[int, tuple[int, int]]:
-    """A cheap feasible RD-function, as its weight and its ``(two, pos)``
-    masks: a single 2 on a dominating vertex, else all-ones."""
-    full, n = g.full_mask, g.n
-    for v in range(n):
-        if n > 2 and g.adj[v] | (1 << v) == full:
-            return 2, (1 << v, 1 << v)
     return n, (0, full)
 
 
@@ -574,8 +565,9 @@ _ROWS: dict[tuple, dict[int, tuple[int, int, int]]] = {}
 
 def _row(shape: tuple, state: int) -> tuple[int, int, int]:
     """The next state for x = 0, 1, 2 from ``state`` over one step of
-    ``shape``, or -1 where x is rejected."""
-    nbrs, keep, leave, stays = shape
+    ``shape``, or -1 where x is rejected.  Without the total condition a
+    positive vertex is met at once."""
+    nbrs, keep, leave, stays, total = shape
     codes = [state // 6 ** p % 6 for p in range(len(keep) + len(leave))]
     near = max((codes[p] for p in nbrs), default=0)
     row = []
@@ -584,7 +576,7 @@ def _row(shape: tuple, state: int) -> tuple[int, int, int]:
         for p in nbrs:
             if x == 2 or (x and new[p] >= 2):
                 new[p] |= 1
-        met = near >= 4 if x == 0 else near >= 2
+        met = near >= 4 if x == 0 else near >= 2 or not total
         if any(not new[p] & 1 for p in leave) or not (stays or met):
             row.append(-1)
             continue
@@ -594,12 +586,12 @@ def _row(shape: tuple, state: int) -> tuple[int, int, int]:
 
 
 def _steps(
-    adj: tuple[int, ...] | list[int], order: list[int], frontier: tuple[int, ...] = (),
-    placed: int = 0,
+    adj: tuple[int, ...] | list[int], order: list[int], total: bool,
+    frontier: tuple[int, ...] = (), placed: int = 0,
 ) -> tuple[list[tuple], list[tuple[int, ...]]]:
     """The DP steps ``(v, shape, rows)`` that place ``order`` after the
     vertices of ``placed``, whose frontier is ``frontier``, and the frontier
-    before each step."""
+    before each step, with or without the ``total`` condition."""
     steps, frontiers = [], []
     frontier = list(frontier)
     for v in order:
@@ -609,7 +601,7 @@ def _steps(
         keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
         leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
         stays = bool(adj[v] & ~placed)
-        shape = (nbrs, keep, leave, stays)
+        shape = (nbrs, keep, leave, stays, total)
         steps.append((v, shape, _ROWS.setdefault(shape, {})))
         frontier = [frontier[p] for p in keep] + ([v] if stays else [])
     return steps, frontiers
@@ -639,7 +631,7 @@ def _advance(table: dict[int, tuple], step: tuple, xs: tuple[int, ...]) -> dict[
 
 
 class _FrontierDP:
-    """Minimum TRD-function weight by dynamic programming over a vertex order.
+    """Minimum TRD-function (RD-function) weight by DP over a vertex order.
 
     Walking the order, a table maps each reachable state of the frontier
     to the least weight of the placed vertices.  A frontier vertex's state
@@ -650,12 +642,12 @@ class _FrontierDP:
     frontier once all its neighbours are placed, and only with its
     condition met.
 
-    Each step has a shape, ``(nbrs, keep, leave, stays)``: the frontier
-    slots that neighbour the new vertex, the slots that stay and the slots
-    that leave, and whether the new vertex joins the frontier.  The next
-    state depends only on the shape, the state and the new vertex's value,
-    so transition rows are shared by every DP with a step of that shape,
-    in ``_ROWS``.  Each table entry counts as one node; ``nodes`` holds the
+    Each step has a shape, ``(nbrs, keep, leave, stays, total)``: the
+    frontier slots that neighbour the new vertex, the slots that stay and
+    the slots that leave, whether the new vertex joins the frontier, and
+    whether the total condition applies.  The next state depends only on
+    the shape, the state and the new vertex's value, so transition rows
+    are shared by every DP with a step of that shape, in ``_ROWS``.  Each table entry counts as one node; ``nodes`` holds the
     count of the last run.
 
     The order may cover only some components of G.  Pinned questions are
@@ -666,13 +658,15 @@ class _FrontierDP:
     of the remaining steps from a state.
     """
 
-    __slots__ = ("n", "adj", "steps", "frontiers", "nodes", "tables", "back", "held")
+    __slots__ = ("n", "adj", "total", "steps", "frontiers", "nodes", "tables", "back",
+                 "held")
 
-    def __init__(self, g: Graph, order: list[int]):
+    def __init__(self, g: Graph, order: list[int], total: bool):
         self.n = g.n
         self.adj = g.adj
+        self.total = total
         self.nodes = 0
-        self.steps, self.frontiers = _steps(g.adj, order)
+        self.steps, self.frontiers = _steps(g.adj, order, total)
         self.tables: list[dict[int, tuple]] | None = None
         self.back: list[dict[int, float]] = []
         self.held: dict[int, tuple[list, list, list[dict[int, tuple]]]] = {}
@@ -682,7 +676,7 @@ class _FrontierDP:
     ) -> tuple[int | None, list[int]]:
         """Least weight with f(v) in ``allowed[v]``, and a function attaining it.
 
-        Returns ``(None, [])`` when no TRD-function respects ``allowed``;
+        Returns ``(None, [])`` when no function respects ``allowed``;
         raises once the run's table entries exceed ``budget``.
         """
         self.nodes = 0
@@ -770,7 +764,7 @@ class _FrontierDP:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         placed = sum(1 << step[0] for step in self.steps[:b])
-        step = _steps(adj, [v], frontier, placed)[0][0]
+        step = _steps(adj, [v], self.total, frontier, placed)[0][0]
         return self._join(b + 1, _advance(table, step, (0, 1, 2)))
 
     def _held(self, a: int, b: int) -> tuple[dict[int, tuple], tuple[int, ...]]:
@@ -784,7 +778,7 @@ class _FrontierDP:
             adj[u] |= 1 << self.n  # a neighbour that is never placed
             placed = sum(1 << step[0] for step in self.steps[:a])
             steps, frontiers = _steps(adj, [step[0] for step in self.steps[a:]],
-                                      self.frontiers[a], placed)
+                                      self.total, self.frontiers[a], placed)
             held = self.held[a] = steps, frontiers, [self._forward()[a]]
         steps, frontiers, tables = held
         while len(tables) <= b - a:
@@ -821,14 +815,6 @@ def _witness(
     return tuple(pins[v] for v in range(engine.n)), nodes
 
 
-def _require_trd_input(g: Graph) -> None:
-    if g.n < 2:
-        raise TooSmallError("gamma_tR needs order >= 2")
-    if g.n > SOLVER_MAX_N:
-        raise GraphTooLargeError(f"gamma_tR capped at n <= {SOLVER_MAX_N}")
-    _require_no_isolated(g)
-
-
 def _require_non_edge(g: Graph, u: int, v: int) -> None:
     if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
         raise NotANonEdgeError(f"({u}, {v}) is not a non-edge")
@@ -839,7 +825,8 @@ class _Part:
     labels and its graph, and, each on first need, its width-2 order in its
     own labels, its engine and its value."""
 
-    def __init__(self, g: Graph, mask: int):
+    def __init__(self, g: Graph, mask: int, total: bool):
+        self.total = total
         self.mask = mask
         self.verts = list(iter_bits(mask))
         self.h = g if mask == g.full_mask else induced_subgraph(g, self.verts)
@@ -855,18 +842,19 @@ class _Part:
         """The frontier DP from order ``_DP_MIN_N`` when there is an order,
         else branch and bound."""
         if self.h.n >= _DP_MIN_N and self.order is not None:
-            return _FrontierDP(self.h, self.order)
-        return _WeightSearch(self.h, True)
+            return _FrontierDP(self.h, self.order, self.total)
+        return _WeightSearch(self.h, self.total)
 
     @cached
     def value(self) -> int:
-        """gamma_tR of the component, by its engine."""
+        """gamma_tR (gamma_R) of the component, by its engine."""
         return self.engine.decide({}, 2 * self.h.n)[0]
 
 
 class _Solved:
     """Every gamma_tR question about one graph G, with G validated and
-    routed once (see the module docstring).
+    routed once (see the module docstring); without ``total``, gamma_R and
+    its dead vertices, for any G of order <= 24.
 
     For the non-edge uv let J be the union of the components of u and v:
 
@@ -884,13 +872,20 @@ class _Solved:
       searched again at a lower cap.
     """
 
-    def __init__(self, g: Graph):
-        _require_trd_input(g)
+    def __init__(self, g: Graph, total: bool = True):
+        if total and g.n < 2:
+            raise TooSmallError("gamma_tR needs order >= 2")
+        if g.n > SOLVER_MAX_N:
+            kind = "gamma_tR" if total else "gamma_R"
+            raise GraphTooLargeError(f"{kind} capped at n <= {SOLVER_MAX_N}")
+        if total:
+            _require_no_isolated(g)
         self.g = g
+        self.total = total
 
     @cached
     def parts(self) -> list[_Part]:
-        return [_Part(self.g, mask) for mask in component_masks(self.g)]
+        return [_Part(self.g, mask, self.total) for mask in component_masks(self.g)]
 
     def value(self) -> int:
         return sum(part.value for part in self.parts)
@@ -906,7 +901,8 @@ class _Solved:
         one shared ``budget``.  With ``cap`` the call is a decision: the
         weight is None when every function weighs more than ``cap``, and the
         last component may stop at its first hit, so a weight returned is
-        only some weight <= cap.
+        only some weight <= cap.  All ones is a TRD-function, so a miss at
+        cap n - 1 proves that each part's value is its order.
         """
         limit = 2 * self.g.n if cap is None else cap
         value = nodes = 0
@@ -917,6 +913,9 @@ class _Solved:
             weight, found, used = part.engine.decide({}, limit - value, first_hit, left)
             nodes += used
             if weight is None:
+                if cap == self.g.n - 1:
+                    for each in self.parts:
+                        each.value = each.h.n
                 return None, None, nodes
             value += weight
             if witness:
@@ -942,7 +941,7 @@ class _Solved:
         ordered = [part for part in self.parts if part.order is not None]
         rest = sum(part.value for part in self.parts if part.order is None)
         order = [part.verts[i] for part in ordered for i in part.order]
-        dp = ordered[0].engine if len(ordered) == 1 else _FrontierDP(self.g, order)
+        dp = ordered[0].engine if len(ordered) == 1 else _FrontierDP(self.g, order, True)
         return dp, {v: i for i, v in enumerate(order)}, rest
 
     def decide(self, u: int, v: int) -> Callable[[int], bool]:
@@ -1139,15 +1138,15 @@ def enumerate_min_trd(g: Graph) -> list[WeightFunction]:
 def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     """Vertices assigned 0 by every minimum TRD-function (or RD-function).
 
-    Each engine decides it without enumerating the minimum functions:
+    Each component has its own engine and minimum (:meth:`_Solved.dead`),
+    and each engine decides it without enumerating the minimum functions:
     branch and bound by two pinned searches per vertex, f(v) = 1 and
     f(v) = 2, the frontier DP by reading its forward and backward tables
-    once.  In total-Roman mode each component has its own engine and
-    minimum (:meth:`_Solved.dead`).
+    once.  Both modes refuse order > 24 before any search.
     """
     key = mode.strip().lower().replace("_", "-")
     if key == "roman":
-        return tuple(_WeightSearch(g, False).dead(gamma_r_value(g)))
+        return _Solved(g, total=False).dead()
     if key != "total-roman":
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
     return _solved(g).dead()
@@ -1244,10 +1243,6 @@ def _gamma_t(g: Graph) -> int:
     return _by_component(g, lambda h: _min_cover_size(h, closed=False))
 
 
-def _gamma_r(g: Graph) -> int:
-    return _by_component(g, lambda h: _WeightSearch(h, False).decide({}, 2 * h.n)[0])
-
-
 def gamma_value(g: Graph) -> int:
     """The domination number gamma(G), memoised for n <= 6."""
     return _memo("gamma", g, _gamma)
@@ -1260,7 +1255,7 @@ def gamma_t_value(g: Graph) -> int:
 
 def gamma_r_value(g: Graph) -> int:
     """The Roman domination number gamma_R(G), memoised for n <= 6."""
-    return _memo("gamma_R", g, _gamma_r)
+    return _memo("gamma_R", g, lambda h: _Solved(h, total=False).value())
 
 
 def classical_numbers(g: Graph) -> tuple[int, int, int]:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Union
 from . import families as fam
 from .criticality import (
     complete_to_critical,
-    edge_delta,
+    is_critical_edge,
     is_edge_critical,
     is_k_gamma_t_edge_critical,
     is_stable,
@@ -403,7 +403,7 @@ def _check_enddeg3(g: Graph, spec) -> str | None:
         if not pairs:
             continue  # neighbourhood minus the leaf is complete
         for u, v in pairs:
-            if edge_delta(g, u, v):
+            if is_critical_edge(g, u, v):
                 return (
                     f"support {x} of leaf {w}: non-edge ({u},{v}) inside its"
                     " neighbourhood changes gamma_tR"
@@ -427,7 +427,7 @@ def _check_longlegs(g: Graph, spec) -> str | None:
     if len(long_ends) < 2:
         return None
     u, v = long_ends[0][0], long_ends[1][0]
-    if edge_delta(g, u, v):
+    if is_critical_edge(g, u, v):
         return f"joining long-endpath leaves ({u},{v}) changed gamma_tR"
     if is_edge_critical(g):
         return "edge-critical despite two endpaths of length >= 3"
@@ -506,8 +506,8 @@ def _check_dn(g: Graph, spec) -> str | None:
 
 def _check_dn_edges(g: Graph, spec) -> str | None:
     w = set(fam.dead_example_w_vertices(spec.n))
-    base = gamma_tr_value(g)
     if spec.n == 2:
+        base = gamma_tr_value(g)
         w1, w2 = sorted(w)
         after = gamma_tr_value(add_edge(g, w1, w2))
         if after != base:
@@ -515,7 +515,7 @@ def _check_dn_edges(g: Graph, spec) -> str | None:
         return None
     for u, v in g.non_edges():
         if u in w or v in w:
-            if not edge_delta(g, u, v, base):
+            if not is_critical_edge(g, u, v):
                 return f"non-edge ({u},{v}) at a dead vertex is not critical"
     return None
 

@@ -30,6 +30,7 @@ from trd.criticality import (
     edge_delta,
     edge_profile,
     gamma_t_edge_delta,
+    is_critical_edge,
     is_edge_critical,
     is_k_gamma_t_edge_critical,
     is_stable,
@@ -108,6 +109,7 @@ class TestEdgeDelta:
         u, v = data.draw(st.sampled_from(non_edges))
         assert edge_delta(g, u, v) in (0, 1, 2)
         assert edge_delta(g, u, v, gamma_tr_value(g)) == edge_delta(g, u, v)
+        assert is_critical_edge(g, u, v) == (edge_delta(g, u, v) > 0)
         assert gamma_t_edge_delta(g, u, v) in (0, 1, 2)
 
 
@@ -389,6 +391,20 @@ class TestDecidedDeltas:
             else:
                 assert len(calls) <= 4
         assert deltas == {0, 1, 2}
+
+    def test_critical_edge_checks_ask_one_question(self, monkeypatch):
+        # the dead-vertex edge checks ask only whether gamma_tR(G+uv) <=
+        # gamma_tR(G) - 1, never the base - 2 question of a delta
+        reset_caches()
+        pinned = []
+        solve = _WeightSearch.solve
+        monkeypatch.setattr(_WeightSearch, "solve",
+                            lambda self, pins, *a: pinned.append(bool(pins))
+                            or solve(self, pins, *a))
+        report = verify_theorem("T_DN_EDGES")
+        assert (report.outcome, report.instances_checked) == ("pass", 3)
+        assert not report.counterexamples
+        assert sum(pinned) <= 70
 
     @given(sparse_graphs(7, 10), st.data())
     @settings(max_examples=25, deadline=None)

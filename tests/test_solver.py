@@ -40,7 +40,7 @@ from trd.errors import (
     TooSmallError,
 )
 from trd.families import Complete, generate, parse_family
-from trd.graphs import Graph, build_graph
+from trd.graphs import Graph, build_graph, from_edge_mask, graph_classes
 from trd.solver import (
     WeightFunction,
     _FrontierDP,
@@ -506,8 +506,8 @@ class TestDeadVertices:
         reset_caches()
         assert count(lambda: (gamma_tr_value(cor_k4), gamma_tr(cor_k4),
                               dead_vertices(cor_k4))) == 1
-        # one for gamma_R, one for the 2n pinned decisions
-        assert count(lambda: dead_vertices(d3, "roman")) == 2
+        # the Roman dead set: one for gamma_R and the 2n pinned decisions
+        assert count(lambda: dead_vertices(d3, "roman")) == 1
 
 
 # --- branch-and-bound cuts -------------------------------------------------
@@ -678,6 +678,17 @@ class TestStructuralProperties:
         with pytest.raises(GraphTooLargeError):
             classical_numbers(cycle(25))
 
+    def test_roman_dead_set_refuses_before_any_search(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("a search ran on an oversized graph")
+
+        for name in ("component_masks", "_frontier_order", "_probe"):
+            monkeypatch.setattr(solver, name, search)
+        monkeypatch.setattr(_WeightSearch, "solve", search)
+        monkeypatch.setattr(_FrontierDP, "__init__", search)
+        with pytest.raises(GraphTooLargeError):
+            dead_vertices(cycle(25), "roman")
+
 
 # --- the component split and the frontier DP -------------------------------
 
@@ -718,11 +729,12 @@ def frontier_width(g, order):
 def reference_run(dp, allowed, budget=None):
     """``dp.run`` on tuple-coded frontier states, one code per slot, with
     every transition worked out per table entry: ``(value, values, nodes)``.
+    Without the total condition a positive vertex is met at once.
     """
     nodes = 0
     table = {(): (0, None, 0)}
     tables = []
-    for v, (nbrs, keep, leave, stays), _ in dp.steps:
+    for v, (nbrs, keep, leave, stays, total), _ in dp.steps:
         nxt = {}
         for state, (weight, _, _) in table.items():
             near = max((state[p] for p in nbrs), default=0)
@@ -734,7 +746,7 @@ def reference_run(dp, allowed, budget=None):
                         codes[p] = c | 1
                 if any(not codes[p] & 1 for p in leave):
                     continue
-                met = near >= 4 if x == 0 else near >= 2
+                met = near >= 4 if x == 0 else near >= 2 or not total
                 if not stays and not met:
                     continue
                 key = tuple(codes[p] for p in keep)
@@ -791,7 +803,7 @@ class TestSparseEngine:
     def test_dp_matches_branch_and_bound(self, g):
         order = _frontier_order(g)
         assume(order is not None)
-        value, values = _FrontierDP(g, order).run([(0, 1, 2)] * g.n)
+        value, values = _FrontierDP(g, order, True).run([(0, 1, 2)] * g.n)
         assert value == _WeightSearch(g, True).decide({}, 2 * g.n)[0]
         f = WeightFunction(tuple(values))
         assert f.weight == value and is_trd_function(g, f).valid
@@ -800,10 +812,11 @@ class TestSparseEngine:
     @settings(max_examples=150, deadline=None)
     def test_dp_matches_tuple_reference(self, g, data):
         # integer states and shared rows change no value, witness, node
-        # count or budget failure, under any pins and allowed-value order
+        # count or budget failure, under any pins and allowed-value order,
+        # with or without the total condition
         order = _frontier_order(g)
         assume(order is not None)
-        dp = _FrontierDP(g, order)
+        dp = _FrontierDP(g, order, data.draw(st.booleans()))
         subsets = st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
                            unique=True).map(tuple)
         allowed = [data.draw(subsets) for _ in range(g.n)]
@@ -828,7 +841,7 @@ class TestSparseEngine:
             print(len(solver._ROWS))
             edge_profile(generate(parse_family("spider(1,2,2,3,4,5)")))
             print(json.dumps([[len(keep) + len(leave), [len(r) for r in rows.values()]]
-                              for (_, keep, leave, _), rows in solver._ROWS.items()]))
+                              for (_, keep, leave, _, _), rows in solver._ROWS.items()]))
         """)
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
@@ -868,7 +881,7 @@ class TestSparseEngine:
         # runs give, two per vertex
         order = _frontier_order(g)
         assume(order is not None)
-        dp = _FrontierDP(g, order)
+        dp = _FrontierDP(g, order, True)
         value = dp.decide({}, 2 * g.n)[0]
         pinned = [v for v in range(g.n)
                   if all(dp.decide({v: x}, value)[0] is None for x in (1, 2))]
@@ -906,6 +919,62 @@ class TestSparseEngine:
         dead = naive_dead(sparse, min_trd_vectors(sparse))
         dead += tuple(sparse.n + v for v in naive_dead(dense, min_trd_vectors(dense)))
         assert dead_vertices(g) == tuple(sorted(perm[v] for v in dead))
+
+    @given(width_two_graphs(10, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_roman_dp_matches_branch_and_bound(self, g):
+        # gamma_R and the Roman dead set by the frontier DP, against one
+        # whole-graph branch and bound
+        assume(_frontier_order(g) is not None)
+        solved = solver._Solved(g, total=False)
+        search = _WeightSearch(g, False)
+        assert solved.value() == search.decide({}, 2 * g.n)[0]
+        assert solved.dead() == tuple(search.dead())
+        assert [type(part.engine) for part in solved.parts] == [_FrontierDP]
+
+    @given(width_two_graphs(10, 14), dense_graphs(), st.randoms())
+    @settings(max_examples=20, deadline=None)
+    def test_roman_route_on_unions(self, sparse, dense, rnd):
+        # one DP component, one branch-and-bound component and one isolated
+        # vertex, which gamma_R allows
+        g = disjoint_union([sparse, dense, build_graph(1, [])])
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assume(_frontier_order(sparse) is not None)
+        reset_caches()
+        solved = solver._Solved(g, total=False)
+        search = _WeightSearch(g, False)
+        assert gamma_r_value(g) == solved.value() == search.decide({}, 2 * g.n)[0]
+        assert dead_vertices(g, "roman") == tuple(search.dead())
+        engines = sorted(type(part.engine).__name__ for part in solved.parts)
+        assert engines == ["_FrontierDP", "_WeightSearch", "_WeightSearch"]
+        # the one-slot cache serves gamma_tR only
+        assert solver._LAST is None
+
+    def test_failed_decision_at_n_minus_1_keeps_the_value(self, monkeypatch):
+        # gamma_tR <= n, so once gamma_tR(G) <= n - 1 fails the value is n,
+        # and asking for it searches no more
+        unpinned = []
+        solve = _WeightSearch.solve
+
+        def counted(self, pins, *args):
+            unpinned.append(not pins)
+            return solve(self, pins, *args)
+
+        monkeypatch.setattr(_WeightSearch, "solve", counted)
+        graphs = [from_edge_mask(7, mask) for mask, _ in graph_classes(7)]
+        full = 0
+        for g in graphs:
+            if g.has_isolated_vertices():
+                continue
+            reset_caches()
+            if gamma_tr_equals_order(g):
+                full += 1
+                unpinned.clear()
+                assert gamma_tr_value(g) == 7
+                assert not any(unpinned)
+        assert full == 11
 
     @pytest.mark.parametrize(
         "family,value",
