@@ -11,7 +11,7 @@ frontier width <= 2 and its engine; questions are answered one component
 at a time.  The engine is the frontier dynamic program when the component
 has order >= 10 and such an order, else branch and bound.  A peel of
 degree-2 vertices, once per component, rules out the order before the
-greedy looks for one.  The last gamma_tR object is kept in a one-slot
+greedy looks for one.  The last object of each mode is kept in a one-slot
 cache, so a graph whose questions different functions ask in turn is
 routed once.
 
@@ -22,9 +22,10 @@ built lazily.  Both engines answer through
 function with the pinned values, else None; a function of that weight;
 and the nodes spent.  The witness search skips every
 value that a returned function already shows to work.  Both list the
-dead vertices through ``dead()``: branch and bound by two pinned searches
-per vertex, the DP by reading its forward tables and its backward
-completion once, with no run per vertex.
+dead vertices through ``dead(value)``, given the value their component
+already has: branch and bound by two pinned searches per vertex, the DP
+by reading the tables of its unpinned run and its backward completion
+once, with no run per vertex.
 
 For a non-edge uv, ``_Solved.decide(u, v)`` gives ``at_most(cap)``,
 whether gamma_tR(G+uv) <= cap for a cap below gamma_tR(G).  Order <= 6
@@ -56,13 +57,13 @@ gamma_tR >= 2 |P| (Ahangar, Henning, Samodivkin & Yero, "Total Roman
 domination in graphs", 2016).  And a vertex whose neighbours are all
 assigned 0 can meet neither condition.
 
-A deliberately independent oracle, :func:`brute_oracle_gamma_tr`, scans all
-3^n weight vectors and shares nothing with either engine.
+One deliberately independent scan of all 3^n weight vectors, which shares
+nothing with either engine, is both the oracle :func:`brute_oracle_gamma_tr`
+and the enumeration :func:`enumerate_min_trd`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -231,10 +232,9 @@ class _WeightSearch:
         two, pos = self.found
         return weight, [(two >> v & 1) + (pos >> v & 1) for v in range(self.n)], nodes
 
-    def dead(self) -> list[int]:
-        """The vertices that no minimum function gives a positive value: two
-        pinned first-hit searches each."""
-        value = self.decide({}, 2 * self.n)[0]
+    def dead(self, value: int) -> list[int]:
+        """The vertices that no function of weight ``value``, the minimum,
+        gives a positive value: two pinned first-hit searches each."""
         return [v for v in range(self.n)
                 if all(self.decide({v: x}, value, True)[0] is None for x in (1, 2))]
 
@@ -485,11 +485,10 @@ def _memo_at(kind: str, n: int, key: int, solve: Callable[..., int], *args) -> i
 
 
 def reset_caches() -> None:
-    """Drop all memoised invariant values and the routed graph kept in
+    """Drop all memoised invariant values and the routed graphs kept in
     ``_LAST`` (mainly for tests)."""
-    global _LAST
     _MEMO.clear()
-    _LAST = None
+    _LAST.clear()
 
 
 def _two_degenerate(g: Graph) -> bool:
@@ -647,15 +646,15 @@ class _FrontierDP:
     the slots that leave, whether the new vertex joins the frontier, and
     whether the total condition applies.  The next state depends only on
     the shape, the state and the new vertex's value, so transition rows
-    are shared by every DP with a step of that shape, in ``_ROWS``.  Each table entry counts as one node; ``nodes`` holds the
-    count of the last run.
+    are shared by every DP with a step of that shape, in ``_ROWS``.  Each
+    table entry counts as one node; ``nodes`` holds the count of the last
+    run.
 
-    The order may cover only some components of G.  Pinned questions are
-    runs; the questions that pin one vertex or add one edge read two
-    tables built once, on first use (Telle & Proskurowski, SIAM J.
+    The order may cover only some components of G.  Every question is
+    answered by runs, or by two tables (Telle & Proskurowski, SIAM J.
     Discrete Math. 10, 1997): the forward tables, the least weight per
-    state after each step, and the backward completion, the least weight
-    of the remaining steps from a state.
+    state after each step, which the unpinned run keeps, and the backward
+    completion, the least weight of the remaining steps from a state.
     """
 
     __slots__ = ("n", "adj", "total", "steps", "frontiers", "nodes", "tables", "back",
@@ -668,7 +667,7 @@ class _FrontierDP:
         self.nodes = 0
         self.steps, self.frontiers = _steps(g.adj, order, total)
         self.tables: list[dict[int, tuple]] | None = None
-        self.back: list[dict[int, float]] = []
+        self.back: list[dict[int, float]] = [{} for _ in self.steps] + [{0: 0}]
         self.held: dict[int, tuple[list, list, list[dict[int, tuple]]]] = {}
 
     def run(
@@ -677,24 +676,26 @@ class _FrontierDP:
         """Least weight with f(v) in ``allowed[v]``, and a function attaining it.
 
         Returns ``(None, [])`` when no function respects ``allowed``;
-        raises once the run's table entries exceed ``budget``.
+        raises once the run's table entries exceed ``budget``.  A run that
+        allows every value, in the order 0, 1, 2, keeps its tables, those
+        after 0, 1, ..., len(steps) steps, as the forward tables.
         """
         self.nodes = 0
-        table: dict[int, tuple] = {0: (0, None, 0)}
-        tables = []
+        tables = [{0: (0, None, 0)}]
         for step in self.steps:
-            table = _advance(table, step, allowed[step[0]])
-            self.nodes += len(table)
+            tables.append(_advance(tables[-1], step, allowed[step[0]]))
+            self.nodes += len(tables[-1])
             if budget is not None and self.nodes > budget:
                 raise BudgetExceededError(f"node budget {budget} exhausted")
-            tables.append(table)
-        if 0 not in table:
+        if all(xs == (0, 1, 2) for xs in allowed):
+            self.tables = tables
+        if 0 not in tables[-1]:
             return None, []
         values = [0] * self.n
         state = 0
         for (v, _, _), entries in zip(reversed(self.steps), reversed(tables)):
             _, state, values[v] = entries[state]
-        return table[0][0], values
+        return tables[-1][0][0], values
 
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
                budget: int | None = None) -> tuple[int | None, list | None, int]:
@@ -707,14 +708,10 @@ class _FrontierDP:
         return value, values, self.nodes
 
     def _forward(self) -> list[dict[int, tuple]]:
-        """The tables after 0, 1, ..., len(steps) steps, every value allowed."""
+        """The forward tables: those of the last unpinned run, else of one
+        run made now."""
         if self.tables is None:
-            tables = [{0: (0, None, 0)}]
-            for step in self.steps:
-                tables.append(_advance(tables[-1], step, (0, 1, 2)))
-            self.tables = tables
-            self.back = [{} for _ in tables]
-            self.back[-1][0] = 0
+            self.run([(0, 1, 2)] * self.n)
         return self.tables
 
     def _completion(self, k: int, state: int) -> float:
@@ -738,12 +735,11 @@ class _FrontierDP:
         return min((entry[0] + self._completion(k, state) for state, entry in table.items()),
                    default=math.inf)
 
-    def dead(self) -> list[int]:
-        """The ordered vertices that every minimum function assigns 0: after
-        the step that places v with a positive value, no completion reaches
-        the minimum."""
+    def dead(self, value: int) -> list[int]:
+        """The ordered vertices that every function of weight ``value``, the
+        minimum, assigns 0: after the step that places v with a positive
+        value, no completion reaches the minimum."""
         tables = self._forward()
-        value = tables[-1][0][0]
         return [step[0] for i, step in enumerate(self.steps)
                 if self._join(i + 1, _advance(tables[i], step, (1, 2))) > value]
 
@@ -929,8 +925,8 @@ class _Solved:
     def dead(self) -> tuple[int, ...]:
         """The dead vertices: those of each component's engine, since the
         dead set of a disjoint union is the union of the parts' dead sets."""
-        return tuple(sorted(
-            part.verts[j] for part in self.parts for j in part.engine.dead()))
+        return tuple(sorted(part.verts[j] for part in self.parts
+                            for j in part.engine.dead(part.value)))
 
     @cached
     def _joint(self) -> tuple[_FrontierDP, dict[int, int], int]:
@@ -984,18 +980,19 @@ class _Solved:
         return at_most
 
 
-# The last graph routed: value, witness, dead set and non-edges of one graph
-# are often asked in turn by different functions, and then route it once.
-_LAST: _Solved | None = None
+# The last graph routed in each mode, keyed by ``total``: value, witness,
+# dead set and non-edges of one graph are often asked in turn by different
+# functions, and then route it once.
+_LAST: dict[bool, _Solved] = {}
 
 
-def _solved(g: Graph) -> _Solved:
-    """The routed graph of G: the one kept when it is G's, else a new one,
-    which is kept instead."""
-    global _LAST
-    if _LAST is None or _LAST.g.adj != g.adj:
-        _LAST = _Solved(g)
-    return _LAST
+def _solved(g: Graph, total: bool = True) -> _Solved:
+    """The routed graph of G in the mode ``total``: the one kept when it is
+    G's, else a new one, which is kept instead."""
+    last = _LAST.get(total)
+    if last is None or last.g.adj != g.adj:
+        last = _LAST[total] = _Solved(g, total)
+    return last
 
 
 def gamma_tr_value(g: Graph) -> int:
@@ -1035,21 +1032,23 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     return SolveResult("gamma_tR", value, WeightFunction(values), nodes)
 
 
-def brute_oracle_gamma_tr(g: Graph) -> int:
-    """Exact gamma_tR(G) by exhausting all 3^n weight vectors.
-
-    Independent of the branch-and-bound path: vectors are enumerated as
-    (two-set, one-set) bitmask pairs and checked against the raw TRD
-    conditions.  Enforced cap n <= 12.
+def _scan(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int]]]:
+    """The least weight of a TRD-function on G, over all 3^n weight vectors,
+    and the ``(two, pos)`` masks found at that weight: every one with
+    ``ties``, which then tries vectors as heavy as the best so far, else
+    only lighter vectors and the first mask.  Enforced cap n <= 12.
     """
     if g.n > ENUMERATION_MAX_N:
-        raise GraphTooLargeError(f"oracle capped at n <= {ENUMERATION_MAX_N}")
+        kind = "enumeration" if ties else "oracle"
+        raise GraphTooLargeError(f"{kind} capped at n <= {ENUMERATION_MAX_N}")
     _require_no_isolated(g)
     n, full, adj = g.n, g.full_mask, g.adj
     best = 2 * n + 1
+    bound = best + ties  # a vector is tried while it weighs less than this
+    found: list[tuple[int, int]] = []
     for two_set in range(1 << n):
         w2 = 2 * two_set.bit_count()
-        if w2 >= best:
+        if w2 >= bound:
             continue
         nbr = 0
         m = two_set
@@ -1060,13 +1059,13 @@ def brute_oracle_gamma_tr(g: Graph) -> int:
         covered = two_set | nbr
         mandatory = full & ~covered  # weight-1 on these or the vector fails
         base = w2 + mandatory.bit_count()
-        if base >= best:
+        if base >= bound:
             continue
         free = covered & ~two_set
         extra = 0
         while True:
             w = base + extra.bit_count()
-            if w < best:
+            if w < bound:
                 posmask = two_set | mandatory | extra
                 mm = posmask
                 ok = True
@@ -1077,61 +1076,26 @@ def brute_oracle_gamma_tr(g: Graph) -> int:
                         break
                     mm ^= low
                 if ok:
-                    best = w
+                    if w < best:
+                        best, bound = w, w + ties
+                        found = []
+                    found.append((two_set, posmask))
             if extra == free:
                 break
             extra = (extra - free) & free
-    return best
+    return best, found
+
+
+def brute_oracle_gamma_tr(g: Graph) -> int:
+    """Exact gamma_tR(G) by the independent 3^n scan; cap n <= 12."""
+    return _scan(g, False)[0]
 
 
 def enumerate_min_trd(g: Graph) -> list[WeightFunction]:
-    """All minimum TRD-functions, in lexicographic value-vector order.
-
-    Shares nothing with the engines: the target weight is the oracle's.
-    """
-    if g.n > ENUMERATION_MAX_N:
-        raise GraphTooLargeError(f"enumeration capped at n <= {ENUMERATION_MAX_N}")
-    _require_no_isolated(g)
-    target = brute_oracle_gamma_tr(g)
-    n, full, adj = g.n, g.full_mask, g.adj
-    vectors = []
-    for two_set in range(1 << n):
-        w2 = 2 * two_set.bit_count()
-        if w2 > target:
-            continue
-        nbr = 0
-        m = two_set
-        while m:
-            low = m & -m
-            nbr |= adj[low.bit_length() - 1]
-            m ^= low
-        covered = two_set | nbr
-        mandatory = full & ~covered
-        need = target - w2 - mandatory.bit_count()
-        if need < 0:
-            continue
-        free_bits = list(iter_bits(covered & ~two_set))
-        if need > len(free_bits):
-            continue
-        for combo in itertools.combinations(free_bits, need):
-            ones = mandatory
-            for b in combo:
-                ones |= 1 << b
-            posmask = two_set | ones
-            mm = posmask
-            ok = True
-            while mm:
-                low = mm & -mm
-                if not adj[low.bit_length() - 1] & posmask:
-                    ok = False
-                    break
-                mm ^= low
-            if ok:
-                vectors.append(tuple(
-                    2 if two_set >> v & 1 else 1 if ones >> v & 1 else 0
-                    for v in range(n)
-                ))
-    vectors.sort()
+    """All minimum TRD-functions, in lexicographic value-vector order, by
+    the independent 3^n scan; cap n <= 12."""
+    vectors = sorted(tuple((two >> v & 1) + (pos >> v & 1) for v in range(g.n))
+                     for two, pos in _scan(g, True)[1])
     return [WeightFunction(vec) for vec in vectors]
 
 
@@ -1146,7 +1110,7 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     """
     key = mode.strip().lower().replace("_", "-")
     if key == "roman":
-        return _Solved(g, total=False).dead()
+        return _solved(g, False).dead()
     if key != "total-roman":
         raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
     return _solved(g).dead()
@@ -1255,7 +1219,7 @@ def gamma_t_value(g: Graph) -> int:
 
 def gamma_r_value(g: Graph) -> int:
     """The Roman domination number gamma_R(G), memoised for n <= 6."""
-    return _memo("gamma_R", g, lambda h: _Solved(h, total=False).value())
+    return _memo("gamma_R", g, lambda h: _solved(h, False).value())
 
 
 def classical_numbers(g: Graph) -> tuple[int, int, int]:

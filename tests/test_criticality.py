@@ -63,7 +63,7 @@ from trd.solver import (
     gamma_tr_value,
     reset_caches,
 )
-from trd.verify import verify_theorem
+from trd.verify import run_registry, verify_theorem
 
 
 def complete_bipartite(a: int, b: int):
@@ -299,13 +299,14 @@ class TestDecidedDeltas:
         # value, witness, dead set and every non-edge share one peel and one
         # order per component; the engine of the only ordered component is
         # also its non-edge DP, and two ordered components add one DP over
-        # both; no non-edge costs a full run, only its span
+        # both, whose forward tables are its one full run; no non-edge
+        # costs a full run, only its span
         reset_caches()
         counts = self.count_routing(monkeypatch)
         runs, profile = self.every_question(g, counts)
         comps = len(component_masks(g))
         assert counts["_two_degenerate"] == counts["_frontier_order"] == comps
-        assert counts["__init__"] == dps and runs == 0
+        assert counts["__init__"] == dps and runs == dps - 1
         assert counts["plus_edge"] == len(profile.deltas)
 
     @pytest.mark.parametrize("g,orders", [
@@ -336,6 +337,22 @@ class TestDecidedDeltas:
         assert all(counts[key] == 1 for key in ordered)
         if theorem == "T_LONGLEGS":
             assert ordered
+
+    @pytest.mark.parametrize("question,most", [
+        (lambda: edge_profile(cycle(24)), 550),
+        (run_registry, 1147),
+    ], ids=["profile(cycle(24))", "registry"])
+    def test_one_forward_walk_per_dp(self, monkeypatch, question, most):
+        # the value run's tables are the forward tables that the dead set
+        # and the non-edge spans read, so no DP walks its steps twice
+        # unpinned
+        reset_caches()
+        steps = []
+        advance = solver._advance
+        monkeypatch.setattr(solver, "_advance",
+                            lambda *a: steps.append(1) or advance(*a))
+        question()
+        assert len(steps) <= most
 
     @given(dp_routed_graphs(), st.data())
     @settings(max_examples=15, deadline=None)

@@ -7,6 +7,7 @@ through the raw definitions) that share nothing with the package's
 search code.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -61,7 +62,7 @@ from trd.solver import (
     is_trd_function,
     reset_caches,
 )
-from trd.verify import AllLabeled, enumerate_graphs
+from trd.verify import AllLabeled, enumerate_graphs, verify_theorem
 
 
 # --- test-local oracles: raw definition scans, no search tricks ------------
@@ -255,10 +256,13 @@ class TestClassicalNumbers:
         values = [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs]
         assert {"gamma_tR", "gamma", "gamma_t", "gamma_R"} <= {
             kind for kind, _ in solver._MEMO}
+        # one routed graph is kept per mode, gamma_tR and gamma_R
         assert gamma_tr_value(cycle(12)) == 12
-        assert solver._LAST.g == cycle(12)
+        assert gamma_r_value(path(12)) == 8
+        assert solver._LAST[True].g == cycle(12)
+        assert solver._LAST[False].g == path(12)
         reset_caches()
-        assert solver._MEMO == {} and solver._LAST is None
+        assert solver._MEMO == {} and solver._LAST == {}
         assert [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs] == values
 
     @given(solvable_graphs(2, 6))
@@ -369,7 +373,27 @@ class TestEnumerateMinTrd:
         monkeypatch.setattr(solver, "_Solved", engine)
         reset_caches()
         for g, vectors in zip(graphs, expected):
+            assert brute_oracle_gamma_tr(g) == sum(vectors[0])
             assert [f.values for f in enumerate_min_trd(g)] == vectors
+
+    @pytest.mark.parametrize("family,value,count,digest", [
+        ("path(12)", 12, 421, "871e7d9e29e5"),
+        ("cycle(12)", 12, 1111, "cf13324516c4"),
+        ("cor(K6)", 12, 64, "280091c23b00"),
+        ("KxK(3,4)", 6, 4, "32783f6c578e"),
+        ("union(K3,K3,K3,K3)", 12, 2401, "2d1eebef8f83"),
+        ("spider(2,2,2,5)", 12, 142, "7563a8d27994"),
+        ("K12", 3, 132, "008d2519332b"),
+        ("D(3)", 7, 8, "71b5e3d3c2c2"),
+    ])
+    def test_oracle_and_enumeration_pinned(self, family, value, count, digest):
+        # the oracle and the enumeration share one scan; its value, the
+        # number of minimum functions and the sha256 of their vectors
+        g = generate(parse_family(family))
+        vectors = [f.values for f in enumerate_min_trd(g)]
+        assert brute_oracle_gamma_tr(g) == value
+        assert len(vectors) == count
+        assert hashlib.sha256(repr(vectors).encode()).hexdigest()[:12] == digest
 
 
 # --- witnesses --------------------------------------------------------------
@@ -461,7 +485,8 @@ class TestDeadVertices:
     def test_one_engine_per_component(self, monkeypatch):
         # each component's frontier order and DP steps are built once, for
         # the dead vertices, the value and the witness together, and a DP
-        # component reads its dead vertices off its tables, with no full run
+        # component reads its dead vertices off the tables of the run that
+        # found its value, with no other full run
         counts = {"run": 0, "order": 0}
         run, order = _FrontierDP.run, _frontier_order
 
@@ -486,7 +511,7 @@ class TestDeadVertices:
         one = dead_and_counts(cycle(12))
         two = dead_and_counts(generate(parse_family("union(cycle(12),cycle(12))")))
         assert one[0] == two[0] == ()
-        assert one[1] == two[1] == 0
+        assert (one[1], two[1]) == (1, 2)
         assert (one[2], two[2]) == (1, 2)
 
         # a branch-and-bound component builds one _WeightSearch, which runs
@@ -508,6 +533,42 @@ class TestDeadVertices:
                               dead_vertices(cor_k4))) == 1
         # the Roman dead set: one for gamma_R and the 2n pinned decisions
         assert count(lambda: dead_vertices(d3, "roman")) == 1
+
+    def test_dead_set_reuses_the_value(self, monkeypatch):
+        # each part's unpinned search runs once, for its value and its dead
+        # set together: T_DN asks gamma_tR and then the dead set of D(2),
+        # D(3) and D(4)
+        unpinned = []
+        solve = _WeightSearch.solve
+
+        def counted(self, pins, *args):
+            weight = solve(self, pins, *args)
+            if not pins:
+                unpinned.append(self.nodes)
+            return weight
+
+        monkeypatch.setattr(_WeightSearch, "solve", counted)
+        reset_caches()
+        assert verify_theorem("T_DN").outcome == "pass"
+        assert unpinned == [53, 203, 759]
+
+    def test_roman_questions_share_one_routing(self, monkeypatch):
+        # the Roman dead set and gamma_R of one graph share its routed
+        # graph, kept in the gamma_R slot
+        builds, calls = [], []
+        init, solve = solver._Solved.__init__, _WeightSearch.solve
+
+        def counted_init(self, g, total=True):
+            builds.append(total)
+            init(self, g, total)
+
+        monkeypatch.setattr(solver._Solved, "__init__", counted_init)
+        monkeypatch.setattr(_WeightSearch, "solve",
+                            lambda self, *a: calls.append(1) or solve(self, *a))
+        reset_caches()
+        assert verify_theorem("T_RD_DEADPAIR").outcome == "pass"
+        assert builds.count(False) <= 76
+        assert len(calls) <= 343
 
 
 # --- branch-and-bound cuts -------------------------------------------------
@@ -885,7 +946,7 @@ class TestSparseEngine:
         value = dp.decide({}, 2 * g.n)[0]
         pinned = [v for v in range(g.n)
                   if all(dp.decide({v: x}, value)[0] is None for x in (1, 2))]
-        assert sorted(dp.dead()) == pinned
+        assert sorted(dp.dead(value)) == pinned
         assert dead_vertices(g) == tuple(pinned)
 
     @pytest.mark.parametrize("g", [complete(4), cube(), petersen()],
@@ -928,8 +989,9 @@ class TestSparseEngine:
         assume(_frontier_order(g) is not None)
         solved = solver._Solved(g, total=False)
         search = _WeightSearch(g, False)
-        assert solved.value() == search.decide({}, 2 * g.n)[0]
-        assert solved.dead() == tuple(search.dead())
+        value = search.decide({}, 2 * g.n)[0]
+        assert solved.value() == value
+        assert solved.dead() == tuple(search.dead(value))
         assert [type(part.engine) for part in solved.parts] == [_FrontierDP]
 
     @given(width_two_graphs(10, 14), dense_graphs(), st.randoms())
@@ -943,14 +1005,18 @@ class TestSparseEngine:
         g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assume(_frontier_order(sparse) is not None)
         reset_caches()
+        gamma_tr_value(sparse)
         solved = solver._Solved(g, total=False)
         search = _WeightSearch(g, False)
-        assert gamma_r_value(g) == solved.value() == search.decide({}, 2 * g.n)[0]
-        assert dead_vertices(g, "roman") == tuple(search.dead())
+        value = search.decide({}, 2 * g.n)[0]
+        assert gamma_r_value(g) == solved.value() == value
+        assert dead_vertices(g, "roman") == tuple(search.dead(value))
         engines = sorted(type(part.engine).__name__ for part in solved.parts)
         assert engines == ["_FrontierDP", "_WeightSearch", "_WeightSearch"]
-        # the one-slot cache serves gamma_tR only
-        assert solver._LAST is None
+        # gamma_R and the Roman dead set share the gamma_R slot, and leave
+        # the gamma_tR slot alone
+        assert solver._LAST[False].g == g
+        assert solver._LAST[True].g == sparse
 
     def test_failed_decision_at_n_minus_1_keeps_the_value(self, monkeypatch):
         # gamma_tR <= n, so once gamma_tR(G) <= n - 1 fails the value is n,
