@@ -11,19 +11,19 @@ neighbour of value 2 in G, so G has a TRD-function of weight <= w(f) + 2.
 
 The same argument splits the functions of G+uv by how they use the edge.
 One lighter than gamma_tR(G) is no TRD-function of G, so (f(u), f(v)) is
-(0, 2) or (2, 0), where the 2 dominates the 0 across uv, or has both ends
-positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  So
-every non-edge question asks whether gamma_tR(G+uv) <= cap for a cap below
+(2, 0) or (0, 2), where the 2 dominates the 0 across uv, or has both ends
+positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  In each
+case uv meets the condition of the 0, or of both positive ends, and no
+other: such a function is one of G with those conditions waived.  Every
+non-edge question asks whether gamma_tR(G+uv) <= cap for a cap below
 gamma_tR(G): a delta is 0 when it fails at gamma_tR(G) - 1, and 2 when it
 holds at gamma_tR(G) - 2.  Each question goes to the solver's one object
-for G, which also gives gamma_tR(G) and is kept between calls, so every
-question about G shares one routing of it.  Order <= 6 reads the memo.  A
-component that the frontier DP takes answers exactly from tables built
-once, by running only the steps between u and v.  Branch and bound
-searches the three pin groups that cover exactly the pairs above,
-f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, and does not search again at
-gamma_tR(G) - 2 a group that found nothing at gamma_tR(G) - 1, so a delta
-costs at most four searches, and a delta of 0 three.
+for G, kept between calls, so every question about G shares one routing of
+it.  Order <= 6 reads the memo.  The frontier DP runs the three cases on
+G's own order, with the waivers.  Branch and bound searches the three pin
+groups that cover the cases exactly, f(u) = 2, f(v) = 2 and
+f(u) = f(v) = 1, and not again at gamma_tR(G) - 2 a group that found
+nothing at gamma_tR(G) - 1: a delta costs at most four searches.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;

@@ -7,11 +7,11 @@ minimum without the total condition (Cockayne, Dreyer, Hedetniemi &
 Hedetniemi, Discrete Math. 278, 2004), and its dead vertices are asked of
 ``_Solved(G, total=False)``.  On first need the object splits G into
 connected components and gives each its graph, its vertex order of
-frontier width <= 2 and its engine; questions are answered one component
+frontier width <= 3 and its engine; questions are answered one component
 at a time.  The engine is the frontier dynamic program when the component
-has order >= 10 and such an order, else branch and bound.  A peel of
-degree-2 vertices, once per component, rules out the order before the
-greedy looks for one.  The last object of each mode is kept in a one-slot
+has order >= 10 and such an order, else branch and bound.  The greedy
+seeks an order only for a component that a peel of degree-2 vertices
+empties.  The last object of each mode is kept in a one-slot
 cache, so a graph whose questions different functions ask in turn is
 routed once.
 
@@ -29,12 +29,13 @@ once, with no run per vertex.
 
 For a non-edge uv, ``_Solved.decide(u, v)`` gives ``at_most(cap)``,
 whether gamma_tR(G+uv) <= cap for a cap below gamma_tR(G).  Order <= 6
-reads the memo.  A pair whose components have width-2 orders is answered
-exactly by one DP over G's own orders, which is the engine of the
-component when only one has such an order, and runs only the steps
-between u and v, all but the last once per u.  Any other pair is
-searched by branch and bound over the functions that need the new edge,
-by pinning the values of u and v.
+reads the memo.  A function lighter than gamma_tR(G) uses uv in one of
+three cases (see :mod:`trd.criticality`), each of which waives the
+conditions that uv meets.  A pair whose components have orders is
+answered by one DP over G's own orders, the engine of the component when
+only one has an order, which runs each case on G's steps between u and
+v, all but the last once per u.  Any other pair is searched by branch
+and bound, by pinning the values of u and v.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 from .errors import (
@@ -91,7 +93,7 @@ _MEMO_MAX_N = 6
 # against 0.29 s in-process, best of 6) and would change nodes_explored
 # at orders 7-9, so the cut stays at 10
 _DP_MIN_N = 10
-_DP_MAX_WIDTH = 2
+_DP_MAX_WIDTH = 3
 
 
 @dataclass(frozen=True)
@@ -492,13 +494,10 @@ def reset_caches() -> None:
 
 
 def _two_degenerate(g: Graph) -> bool:
-    """Whether peeling vertices of degree <= 2 leaves nothing.
-
-    An order of frontier width <= 2 gives each vertex at most two earlier
-    neighbours, so a graph that fails this test has no such order; the
-    peel costs less than the greedy of :func:`_frontier_order`, so routing
-    asks it first, once per component.
-    """
+    """Whether peeling vertices of degree <= 2 leaves nothing: routing
+    seeks a frontier order only then, which keeps denser components, where
+    the DP loses to branch and bound, off the DP, at less cost than the
+    greedy of :func:`_frontier_order`."""
     if g.edge_count > 2 * g.n - 3:
         return False
     adj = g.adj
@@ -517,8 +516,8 @@ def _two_degenerate(g: Graph) -> bool:
     return True
 
 
-def _frontier_order(g: Graph) -> list[int] | None:
-    """A vertex order of frontier width <= 2, found greedily, else None.
+def _frontier_order(g: Graph, width: int = _DP_MAX_WIDTH) -> list[int] | None:
+    """A vertex order of frontier width <= ``width``, found greedily, or None.
 
     After a prefix of the order, the frontier is the set of placed vertices
     that still have an unplaced neighbour.  Each step places the vertex
@@ -548,7 +547,7 @@ def _frontier_order(g: Graph) -> list[int] | None:
             if best is None or key < best[0]:
                 best = (key, v, nf)
         key, v, frontier = best
-        if key[0] > _DP_MAX_WIDTH:
+        if key[0] > width:
             return None
         placed |= 1 << v
         order.append(v)
@@ -557,53 +556,47 @@ def _frontier_order(g: Graph) -> list[int] | None:
 
 # transition rows of the frontier DP, one dict per step shape (see
 # _FrontierDP), filled lazily: a row on the first reach of (shape, state).
-# A step of G's width-2 order has at most 36 states; a step of a G+uv span
-# (see _FrontierDP.plus_edge) holds u as one more slot, so at most 216.
 _ROWS: dict[tuple, dict[int, tuple[int, int, int]]] = {}
 
 
 def _row(shape: tuple, state: int) -> tuple[int, int, int]:
     """The next state for x = 0, 1, 2 from ``state`` over one step of
-    ``shape``, or -1 where x is rejected.  Without the total condition a
-    positive vertex is met at once."""
-    nbrs, keep, leave, stays, total = shape
-    codes = [state // 6 ** p % 6 for p in range(len(keep) + len(leave))]
-    near = max((codes[p] for p in nbrs), default=0)
-    row = []
+    ``shape``, or -1 where x is rejected, in one pass over the digits.
+    Without the total condition a positive vertex is met at once, and a
+    waived vertex is met when placed."""
+    nbrs, keep, leave, stays, total, waive = shape
+    row = [0, 0, 0]  # None once x leaves a slot unmet
+    near = 0
+    scale = 1
+    for p in range(len(keep) + len(leave)):
+        c = state % 6
+        state //= 6
+        codes = (c, c, c)
+        if p in nbrs:
+            near = max(near, c)
+            codes = (c, c | (c > 1), c | 1)
+        for x in (0, 1, 2):
+            if p in leave and not codes[x] & 1:
+                row[x] = None
+            elif p in keep and row[x] is not None:
+                row[x] += codes[x] * scale
+        if p in keep:
+            scale *= 6
     for x in (0, 1, 2):
-        new = list(codes)
-        for p in nbrs:
-            if x == 2 or (x and new[p] >= 2):
-                new[p] |= 1
-        met = near >= 4 if x == 0 else near >= 2 or not total
-        if any(not new[p] & 1 for p in leave) or not (stays or met):
-            row.append(-1)
-            continue
-        kept = [new[p] for p in keep] + ([2 * x + met] if stays else [])
-        row.append(sum(c * 6 ** i for i, c in enumerate(kept)))
+        met = waive or (near >= 4 if x == 0 else near >= 2 or not total)
+        if row[x] is None or not (stays or met):
+            row[x] = -1
+        elif stays:
+            row[x] += (2 * x + met) * scale
     return tuple(row)
 
 
-def _steps(
-    adj: tuple[int, ...] | list[int], order: list[int], total: bool,
-    frontier: tuple[int, ...] = (), placed: int = 0,
-) -> tuple[list[tuple], list[tuple[int, ...]]]:
-    """The DP steps ``(v, shape, rows)`` that place ``order`` after the
-    vertices of ``placed``, whose frontier is ``frontier``, and the frontier
-    before each step, with or without the ``total`` condition."""
-    steps, frontiers = [], []
-    frontier = list(frontier)
-    for v in order:
-        frontiers.append(tuple(frontier))
-        placed |= 1 << v
-        nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
-        keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
-        leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
-        stays = bool(adj[v] & ~placed)
-        shape = (nbrs, keep, leave, stays, total)
-        steps.append((v, shape, _ROWS.setdefault(shape, {})))
-        frontier = [frontier[p] for p in keep] + ([v] if stays else [])
-    return steps, frontiers
+def _waived(step: tuple, waive: bool) -> tuple:
+    """``step``, with its vertex placed met (condition waived) if ``waive``."""
+    if not waive:
+        return step
+    shape = step[1][:5] + (True,)
+    return step[0], shape, _ROWS.setdefault(shape, {})
 
 
 def _advance(table: dict[int, tuple], step: tuple, xs: tuple[int, ...]) -> dict[int, tuple]:
@@ -629,6 +622,12 @@ def _advance(table: dict[int, tuple], step: tuple, xs: tuple[int, ...]) -> dict[
     return nxt
 
 
+# How a function lighter than gamma_tR(G) uses the non-edge uv, u placed
+# first: (values of u, u waived, values of v, v waived).
+_CASES = (((2,), False, (0,), True), ((0,), True, (2,), False),
+          ((1, 2), True, (1, 2), True))
+
+
 class _FrontierDP:
     """Minimum TRD-function (RD-function) weight by DP over a vertex order.
 
@@ -641,10 +640,11 @@ class _FrontierDP:
     frontier once all its neighbours are placed, and only with its
     condition met.
 
-    Each step has a shape, ``(nbrs, keep, leave, stays, total)``: the
-    frontier slots that neighbour the new vertex, the slots that stay and
-    the slots that leave, whether the new vertex joins the frontier, and
-    whether the total condition applies.  The next state depends only on
+    Each step has a shape, ``(nbrs, keep, leave, stays, total, waive)``:
+    the frontier slots that neighbour the new vertex, the slots that stay
+    and the slots that leave, whether the new vertex joins the frontier,
+    whether the total condition applies, and whether the new vertex is
+    placed met, its condition waived.  The next state depends only on
     the shape, the state and the new vertex's value, so transition rows
     are shared by every DP with a step of that shape, in ``_ROWS``.  Each
     table entry counts as one node; ``nodes`` holds the count of the last
@@ -657,18 +657,25 @@ class _FrontierDP:
     completion, the least weight of the remaining steps from a state.
     """
 
-    __slots__ = ("n", "adj", "total", "steps", "frontiers", "nodes", "tables", "back",
-                 "held")
+    __slots__ = ("n", "steps", "nodes", "tables", "back", "cases")
 
     def __init__(self, g: Graph, order: list[int], total: bool):
         self.n = g.n
-        self.adj = g.adj
-        self.total = total
         self.nodes = 0
-        self.steps, self.frontiers = _steps(g.adj, order, total)
+        self.steps: list[tuple] = []  # (v, shape, rows), none waived
+        adj, frontier, placed = g.adj, [], 0
+        for v in order:
+            placed |= 1 << v
+            nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
+            keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
+            leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
+            stays = bool(adj[v] & ~placed)
+            shape = (nbrs, keep, leave, stays, total, False)
+            self.steps.append((v, shape, _ROWS.setdefault(shape, {})))
+            frontier = [frontier[p] for p in keep] + ([v] if stays else [])
         self.tables: list[dict[int, tuple]] | None = None
         self.back: list[dict[int, float]] = [{} for _ in self.steps] + [{0: 0}]
-        self.held: dict[int, tuple[list, list, list[dict[int, tuple]]]] = {}
+        self.cases: dict[int, list[list[dict[int, tuple]]]] = {}
 
     def run(
         self, allowed: list[tuple[int, ...]], budget: int | None = None
@@ -743,43 +750,26 @@ class _FrontierDP:
         return [step[0] for i, step in enumerate(self.steps)
                 if self._join(i + 1, _advance(tables[i], step, (1, 2))) > value]
 
-    def plus_edge(self, a: int, b: int) -> int:
-        """The least weight over the ordered vertices of G+uv, where u and v
-        are placed at steps a < b.
-
-        Steps a..b - 1 of G+uv are those of G with u held in one more
-        frontier slot, whatever v is, so they are run once per u
-        (:meth:`_held`); only step b, which meets the new edge, is run per
-        pair.  After step b the frontier of G+uv equals that of G, as a set
-        and in slot order: u, when still in it, joined at step a in both,
-        and v at step b.  So the backward completion of G finishes the sum.
+    def plus_edge(self, a: int, b: int) -> float:
+        """The least weight over the ordered vertices of G+uv, u and v placed
+        at steps a < b, of a function in one of ``_CASES``: exact whenever
+        it is below gamma_tR(G).  In each case uv does nothing but meet the
+        conditions it waives, so the case runs on G's own steps.  The tables
+        through step b - 1 are kept per u, extended as far as some b asks;
+        step b is run per pair, and G's backward completion ends the sum.
         """
-        table, frontier = self._held(a, b)
-        u, v = self.steps[a][0], self.steps[b][0]
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        placed = sum(1 << step[0] for step in self.steps[:b])
-        step = _steps(adj, [v], self.total, frontier, placed)[0][0]
-        return self._join(b + 1, _advance(table, step, (0, 1, 2)))
-
-    def _held(self, a: int, b: int) -> tuple[dict[int, tuple], tuple[int, ...]]:
-        """The table after steps a..b - 1 when the vertex of step a stays in
-        the frontier throughout, and the frontier before step b.  The tables
-        of each a are kept, and extended only as far as some b asks."""
-        held = self.held.get(a)
-        if held is None:
-            u = self.steps[a][0]
-            adj = list(self.adj)
-            adj[u] |= 1 << self.n  # a neighbour that is never placed
-            placed = sum(1 << step[0] for step in self.steps[:a])
-            steps, frontiers = _steps(adj, [step[0] for step in self.steps[a:]],
-                                      self.total, self.frontiers[a], placed)
-            held = self.held[a] = steps, frontiers, [self._forward()[a]]
-        steps, frontiers, tables = held
-        while len(tables) <= b - a:
-            tables.append(_advance(tables[-1], steps[len(tables) - 1], (0, 1, 2)))
-        return tables[b - a], frontiers[b - a]
+        cases = self.cases.get(a)
+        if cases is None:
+            start = self._forward()[a]
+            cases = self.cases[a] = [[_advance(start, _waived(self.steps[a], waive), xs)]
+                                     for xs, waive, _, _ in _CASES]
+        best = math.inf
+        for tables, (_, _, xs, waive) in zip(cases, _CASES):
+            while len(tables) < b - a:
+                tables.append(_advance(tables[-1], self.steps[a + len(tables)], (0, 1, 2)))
+            table = _advance(tables[b - a - 1], _waived(self.steps[b], waive), xs)
+            best = min(best, self._join(b + 1, table))
+        return best
 
 
 def _witness(
@@ -818,8 +808,8 @@ def _require_non_edge(g: Graph, u: int, v: int) -> None:
 
 class _Part:
     """One connected component of a routed graph: its vertices in G's
-    labels and its graph, and, each on first need, its width-2 order in its
-    own labels, its engine and its value."""
+    labels and its graph, and, each on first need, its frontier order in
+    its own labels, its engine, its first unpinned search and its value."""
 
     def __init__(self, g: Graph, mask: int, total: bool):
         self.total = total
@@ -829,7 +819,7 @@ class _Part:
 
     @cached
     def order(self) -> list[int] | None:
-        """A greedy order of frontier width <= 2, sought only when the peel
+        """A greedy order of frontier width <= 3, sought only when the peel
         leaves nothing, else None."""
         return _frontier_order(self.h) if _two_degenerate(self.h) else None
 
@@ -841,10 +831,19 @@ class _Part:
             return _FrontierDP(self.h, self.order, self.total)
         return _WeightSearch(self.h, self.total)
 
+    def first(self, budget: int | None) -> tuple[int, list[int], int]:
+        """The engine's unpinned search, (weight, function, nodes), run once
+        within ``budget`` and kept; it raises as a run would have."""
+        if "kept" not in self.__dict__:
+            self.kept = self.engine.decide({}, 2 * self.h.n, False, budget)
+        elif budget is not None and self.kept[2] > budget:
+            raise BudgetExceededError(f"node budget {budget} exhausted")
+        return self.kept
+
     @cached
     def value(self) -> int:
         """gamma_tR (gamma_R) of the component, by its engine."""
-        return self.engine.decide({}, 2 * self.h.n)[0]
+        return self.first(None)[0]
 
 
 class _Solved:
@@ -852,20 +851,20 @@ class _Solved:
     routed once (see the module docstring); without ``total``, gamma_R and
     its dead vertices, for any G of order <= 24.
 
-    For the non-edge uv let J be the union of the components of u and v:
+    A TRD-function of G+uv lighter than gamma_tR(G) is no TRD-function of
+    G, so uv meets a condition at u or v: (f(u), f(v)) is (2, 0) or
+    (0, 2), or both ends are positive.  Let J be the union of the
+    components of u and v:
 
-    * when J has order >= ``_DP_MIN_N`` and both components have a width-2
-      order, one frontier DP over the concatenated orders of every such
-      component answers exactly from its tables, running only the steps
-      from u to v, and those once per u (:meth:`_FrontierDP.plus_edge`);
-    * otherwise branch and bound searches J+uv.  A TRD-function of G+uv
-      lighter than gamma_tR(G) is no TRD-function of G, so the new edge
-      meets a condition at u or v: (f(u), f(v)) is (0, 2) or (2, 0), or
-      both ends are positive.  Three pin groups cover exactly those pairs:
-      f(u) = 2, f(v) = 2, and f(u) = f(v) = 1, each one pinned first-hit
-      search at the cap less the value of the other components.  A group
-      that found nothing at some cap finds nothing below it, so it is not
-      searched again at a lower cap.
+    * when J has order >= ``_DP_MIN_N`` and both components have an order,
+      one frontier DP over the orders of every such component runs the
+      three cases on G's own steps, with the conditions uv meets waived
+      (:meth:`_FrontierDP.plus_edge`);
+    * otherwise branch and bound searches J+uv with three pin groups,
+      f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, which cover the cases
+      exactly, each one pinned first-hit search at the cap less the value
+      of the other components.  A group that found nothing at some cap
+      finds nothing below it, so it is not searched again at a lower cap.
     """
 
     def __init__(self, g: Graph, total: bool = True):
@@ -894,19 +893,22 @@ class _Solved:
         spent.
 
         Components are solved apart, values adding, each by its engine under
-        one shared ``budget``.  With ``cap`` the call is a decision: the
+        one shared ``budget``, from the part's kept unpinned search when it
+        has one.  With ``cap`` the call is a decision: the
         weight is None when every function weighs more than ``cap``, and the
         last component may stop at its first hit, so a weight returned is
         only some weight <= cap.  All ones is a TRD-function, so a miss at
         cap n - 1 proves that each part's value is its order.
         """
-        limit = 2 * self.g.n if cap is None else cap
         value = nodes = 0
         values = [0] * self.g.n
         for i, part in enumerate(self.parts):
             left = None if budget is None else budget - nodes
-            first_hit = cap is not None and i == len(self.parts) - 1
-            weight, found, used = part.engine.decide({}, limit - value, first_hit, left)
+            if cap is None:
+                weight, found, used = part.first(left)
+            else:
+                weight, found, used = part.engine.decide(
+                    {}, cap - value, i == len(self.parts) - 1, left)
             nodes += used
             if weight is None:
                 if cap == self.g.n - 1:
@@ -1036,7 +1038,8 @@ def _scan(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int]]]:
     """The least weight of a TRD-function on G, over all 3^n weight vectors,
     and the ``(two, pos)`` masks found at that weight: every one with
     ``ties``, which then tries vectors as heavy as the best so far, else
-    only lighter vectors and the first mask.  Enforced cap n <= 12.
+    only lighter vectors and the first mask.  Each 2-set's optional 1s are
+    tried fewest first, only while they weigh less.  Enforced cap n <= 12.
     """
     if g.n > ENUMERATION_MAX_N:
         kind = "enumeration" if ties else "oracle"
@@ -1061,28 +1064,25 @@ def _scan(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int]]]:
         base = w2 + mandatory.bit_count()
         if base >= bound:
             continue
-        free = covered & ~two_set
-        extra = 0
-        while True:
-            w = base + extra.bit_count()
-            if w < bound:
-                posmask = two_set | mandatory | extra
+        free = [1 << v for v in iter_bits(covered & ~two_set)]
+        w = base  # and one more per optional 1
+        while w < bound and w - base <= len(free):
+            for extra in combinations(free, w - base):
+                posmask = two_set | mandatory | sum(extra)
                 mm = posmask
-                ok = True
                 while mm:
                     low = mm & -mm
                     if not adj[low.bit_length() - 1] & posmask:
-                        ok = False
                         break
                     mm ^= low
-                if ok:
+                else:
                     if w < best:
                         best, bound = w, w + ties
                         found = []
                     found.append((two_set, posmask))
-            if extra == free:
-                break
-            extra = (extra - free) & free
+                    if w >= bound:
+                        break
+            w += 1
     return best, found
 
 

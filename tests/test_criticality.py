@@ -55,6 +55,7 @@ from trd.graphs import (
 from trd.solver import (
     _FrontierDP,
     _frontier_order,
+    _two_degenerate,
     _WeightSearch,
     brute_oracle_gamma_tr,
     dead_vertices,
@@ -151,12 +152,13 @@ class TestEdgeProfile:
     def test_corona_of_cycle_12(self):
         # order 24, the solver cap: every one of the 252 non-edges is
         # answered from the graph's own frontier order, including those
-        # whose G+uv has none; a sample is checked against exact values
+        # whose G+uv has no width-2 order; a sample is checked against exact
+        # values
         g = generate(parse_family("cor(cycle(12))"))
         profile = edge_profile(g)
         assert profile.base_value == 24 and len(profile.deltas) == 252
         sample = list(profile.deltas)[::9]
-        assert any(_frontier_order(add_edge(g, u, v)) is None for u, v in sample)
+        assert any(_frontier_order(add_edge(g, u, v), 2) is None for u, v in sample)
         for u, v in sample:
             assert profile.deltas[u, v] == 24 - gamma_tr_value(add_edge(g, u, v))
 
@@ -226,6 +228,21 @@ def dp_routed_graphs(draw):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+@st.composite
+def width_three_graphs(draw, min_n=10, max_n=12):
+    """Relabelled graphs of order min_n to max_n, each vertex joined to one
+    or two earlier ones (so 2-degenerate), whose greedy order has width 3
+    and none has width 2."""
+    n = draw(st.integers(min_n, max_n))
+    edges = [(0, 1)]
+    for v in range(2, n):
+        edges += [(u, v) for u in draw(st.sets(st.integers(0, v - 1), min_size=1, max_size=2))]
+    perm = draw(st.permutations(range(n)))
+    g = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    assume(_frontier_order(g, 2) is None and _frontier_order(g) is not None)
+    return g
+
+
 class TestDecidedDeltas:
     """Deltas decided by first-hit searches over the functions that use the
     new edge equal the difference of the two exact values."""
@@ -265,8 +282,8 @@ class TestDecidedDeltas:
     @staticmethod
     def count_routing(monkeypatch):
         """Counts of peels, frontier orders, DP builds, full DP runs and
-        span re-runs, from here on; a peel or order is also counted under
-        ``(name, graph)``."""
+        non-edges answered by the DP, from here on; a peel or order is also
+        counted under ``(name, graph)``."""
         counts = Counter()
         for name in ("_two_degenerate", "_frontier_order"):
             original = getattr(solver, name)
@@ -300,7 +317,7 @@ class TestDecidedDeltas:
         # order per component; the engine of the only ordered component is
         # also its non-edge DP, and two ordered components add one DP over
         # both, whose forward tables are its one full run; no non-edge
-        # costs a full run, only its span
+        # costs a full run, only its case steps
         reset_caches()
         counts = self.count_routing(monkeypatch)
         runs, profile = self.every_question(g, counts)
@@ -339,13 +356,14 @@ class TestDecidedDeltas:
             assert ordered
 
     @pytest.mark.parametrize("question,most", [
-        (lambda: edge_profile(cycle(24)), 550),
-        (run_registry, 1147),
+        (lambda: edge_profile(cycle(24)), 1602),
+        (run_registry, 3112),
     ], ids=["profile(cycle(24))", "registry"])
     def test_one_forward_walk_per_dp(self, monkeypatch, question, most):
         # the value run's tables are the forward tables that the dead set
-        # and the non-edge spans read, so no DP walks its steps twice
-        # unpinned
+        # and the non-edge cases read, so no DP walks its steps twice
+        # unpinned; each u adds three case tables, kept, and each pair
+        # three steps
         reset_caches()
         steps = []
         advance = solver._advance
@@ -377,22 +395,61 @@ class TestDecidedDeltas:
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_span_deltas_without_a_width_two_order(self, monkeypatch, k):
         # for these non-edges G+uv has no width-2 order, but G does, so the
-        # decider still answers from G's order
+        # decider answers from G's order, as it does every non-edge
         g = generate(parse_family(f"cor(cycle({k}))"))
         perm = list(range(g.n))
         random.Random(k).shuffle(perm)
         g = build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
         pairs = [(u, v) for u, v in g.non_edges()
-                 if _frontier_order(add_edge(g, u, v)) is None]
+                 if _frontier_order(add_edge(g, u, v), 2) is None]
         assert pairs
         counts = self.count_routing(monkeypatch)
         self.exact(g, pairs)
         assert counts["plus_edge"] == len(pairs)
 
+    @staticmethod
+    def waived_cases_match_the_oracle(g, pairs):
+        """The DP's answers for ``pairs`` at gamma_tR(G) - 1 and - 2 against
+        the 3^n scan of each G+uv."""
+        reset_caches()
+        solved = solver._Solved(g)
+        base = solved.value()
+        for u, v in pairs:
+            exact = brute_oracle_gamma_tr(add_edge(g, u, v))
+            at_most = solved.decide(u, v)
+            assert [at_most(base - 1), at_most(base - 2)] == [exact < base, exact < base - 1]
+
+    @given(width_three_graphs(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_waived_cases_on_width_three_orders(self, g, data):
+        # the three cases of the lemma, each run on G's own width-3 order
+        # with the conditions that uv meets waived
+        pairs = data.draw(st.lists(st.sampled_from(g.non_edges()), min_size=1,
+                                   max_size=8, unique=True))
+        self.waived_cases_match_the_oracle(g, pairs)
+        assert [type(part.engine) for part in solver._Solved(g).parts] == [_FrontierDP]
+
+    @given(width_three_graphs(9, 10), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_waived_cases_on_unions(self, g, data):
+        # a second component, and pairs across and within: one DP over both
+        # orders takes every pair of order >= 10
+        other = data.draw(st.sampled_from([complete(2), path(3), complete(3)]))
+        assume(g.n + other.n <= 12)
+        h = disjoint_union([g, other])
+        perm = data.draw(st.permutations(range(h.n)))
+        h = build_graph(h.n, [(perm[a], perm[b]) for a, b in h.edges()])
+        pairs = data.draw(st.lists(st.sampled_from(h.non_edges()), min_size=1,
+                                   max_size=8, unique=True))
+        self.waived_cases_match_the_oracle(h, pairs)
+
     def test_at_most_four_searches_per_delta(self, monkeypatch):
         # three pin groups at base - 1; at base - 2 only the groups that did
-        # not miss already, so a delta of 0 costs exactly three searches
-        g = graph6_decode("M@_?@@GKICK_GK@??")
+        # not miss already, so a delta of 0 costs exactly three searches; a
+        # G(14, 0.3) draw that is not 2-degenerate, so branch and bound
+        # takes every non-edge
+        g = graph6_decode("MG@ISKDcA@dyC?By?")
+        assert not _two_degenerate(g)
         base = gamma_tr_value(g)
         calls = []
         solve = _WeightSearch.solve

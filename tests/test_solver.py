@@ -41,7 +41,7 @@ from trd.errors import (
     TooSmallError,
 )
 from trd.families import Complete, generate, parse_family
-from trd.graphs import Graph, build_graph, from_edge_mask, graph_classes
+from trd.graphs import Graph, build_graph, component_masks, from_edge_mask, graph_classes
 from trd.solver import (
     WeightFunction,
     _FrontierDP,
@@ -419,7 +419,7 @@ class TestWitness:
             ("path(12)", 129),  # the DP
             ("cycle(14)", 483),
             ("union(K3,path(11))", 123),  # both
-            ("D(6)", 25750),
+            ("D(6)", 626),  # the DP, over a width-3 order
             ("KxK(4,6)", 584),
             ("cor(K5)", 6),
             ("familyG(2,3)", 367),
@@ -527,19 +527,19 @@ class TestDeadVertices:
             return len(builds)
 
         cor_k4 = generate(parse_family("cor(K4)"))
-        d3 = generate(parse_family("D(3)"))
+        kxk = generate(parse_family("KxK(3,4)"))  # order 12, not 2-degenerate
         reset_caches()
         assert count(lambda: (gamma_tr_value(cor_k4), gamma_tr(cor_k4),
                               dead_vertices(cor_k4))) == 1
         # the Roman dead set: one for gamma_R and the 2n pinned decisions
-        assert count(lambda: dead_vertices(d3, "roman")) == 1
+        assert count(lambda: dead_vertices(kxk, "roman")) == 1
 
-    def test_dead_set_reuses_the_value(self, monkeypatch):
-        # each part's unpinned search runs once, for its value and its dead
-        # set together: T_DN asks gamma_tR and then the dead set of D(2),
-        # D(3) and D(4)
+    @staticmethod
+    def count_unpinned(monkeypatch):
+        """The nodes of every unpinned search from here on, by either
+        engine."""
         unpinned = []
-        solve = _WeightSearch.solve
+        solve, run = _WeightSearch.solve, _FrontierDP.run
 
         def counted(self, pins, *args):
             weight = solve(self, pins, *args)
@@ -547,10 +547,49 @@ class TestDeadVertices:
                 unpinned.append(self.nodes)
             return weight
 
+        def counted_run(self, allowed, *args):
+            result = run(self, allowed, *args)
+            if all(xs == (0, 1, 2) for xs in allowed):
+                unpinned.append(self.nodes)
+            return result
+
         monkeypatch.setattr(_WeightSearch, "solve", counted)
+        monkeypatch.setattr(_FrontierDP, "run", counted_run)
+        return unpinned
+
+    def test_dead_set_reuses_the_value(self, monkeypatch):
+        # each part's unpinned search runs once, for its value and its dead
+        # set together: T_DN asks gamma_tR and then the dead set of D(2),
+        # by branch and bound, and of D(3) and D(4), by the DP
+        unpinned = self.count_unpinned(monkeypatch)
         reset_caches()
         assert verify_theorem("T_DN").outcome == "pass"
-        assert unpinned == [53, 203, 759]
+        assert unpinned == [53, 102, 148]
+
+    @pytest.mark.parametrize("family", ["D(3)", "KxK(3,4)", "union(K3,path(11))"])
+    def test_witness_reuses_the_value(self, monkeypatch, family):
+        # gamma_tr after gamma_tr_value runs no part's unpinned search
+        # again, yet reports what a cold call does, budget failures included;
+        # a kept search raises exactly when its nodes exceed the budget
+        g = generate(parse_family(family))
+        reset_caches()
+        cold = gamma_tr(g)
+        unpinned = self.count_unpinned(monkeypatch)
+        reset_caches()
+        gamma_tr_value(g)
+        assert gamma_tr(g) == cold
+        assert len(unpinned) == len(component_masks(g))
+        nodes = cold.nodes_explored
+        assert gamma_tr(g, node_budget=nodes) == cold
+        for budget in (nodes - 1, unpinned[0] - 1):
+            with pytest.raises(BudgetExceededError,
+                               match=f"^node budget {budget} exhausted$"):
+                gamma_tr(g, node_budget=budget)
+        assert len(unpinned) == len(component_masks(g))
+        part = solver._solved(g).parts[0]
+        assert part.first(unpinned[0]) == part.first(None)
+        with pytest.raises(BudgetExceededError, match=f"^node budget {unpinned[0] - 1} "):
+            part.first(unpinned[0] - 1)
 
     def test_roman_questions_share_one_routing(self, monkeypatch):
         # the Roman dead set and gamma_R of one graph share its routed
@@ -790,12 +829,13 @@ def frontier_width(g, order):
 def reference_run(dp, allowed, budget=None):
     """``dp.run`` on tuple-coded frontier states, one code per slot, with
     every transition worked out per table entry: ``(value, values, nodes)``.
-    Without the total condition a positive vertex is met at once.
+    Without the total condition a positive vertex is met at once, and a
+    waived vertex is met when placed.
     """
     nodes = 0
     table = {(): (0, None, 0)}
     tables = []
-    for v, (nbrs, keep, leave, stays, total), _ in dp.steps:
+    for v, (nbrs, keep, leave, stays, total, waive), _ in dp.steps:
         nxt = {}
         for state, (weight, _, _) in table.items():
             near = max((state[p] for p in nbrs), default=0)
@@ -807,7 +847,7 @@ def reference_run(dp, allowed, budget=None):
                         codes[p] = c | 1
                 if any(not codes[p] & 1 for p in leave):
                     continue
-                met = near >= 4 if x == 0 else near >= 2 or not total
+                met = waive or (near >= 4 if x == 0 else near >= 2 or not total)
                 if not stays and not met:
                     continue
                 key = tuple(codes[p] for p in keep)
@@ -874,10 +914,12 @@ class TestSparseEngine:
     def test_dp_matches_tuple_reference(self, g, data):
         # integer states and shared rows change no value, witness, node
         # count or budget failure, under any pins and allowed-value order,
-        # with or without the total condition
+        # with or without the total condition, and with any vertices waived
         order = _frontier_order(g)
         assume(order is not None)
         dp = _FrontierDP(g, order, data.draw(st.booleans()))
+        waived = data.draw(st.sets(st.sampled_from(order)))
+        dp.steps = [solver._waived(step, step[0] in waived) for step in dp.steps]
         subsets = st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
                            unique=True).map(tuple)
         allowed = [data.draw(subsets) for _ in range(g.n)]
@@ -902,7 +944,7 @@ class TestSparseEngine:
             print(len(solver._ROWS))
             edge_profile(generate(parse_family("spider(1,2,2,3,4,5)")))
             print(json.dumps([[len(keep) + len(leave), [len(r) for r in rows.values()]]
-                              for (_, keep, leave, _, _), rows in solver._ROWS.items()]))
+                              for (_, keep, leave, *_), rows in solver._ROWS.items()]))
         """)
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
@@ -917,10 +959,17 @@ class TestSparseEngine:
     @given(near_width_two_graphs())
     @settings(max_examples=100, deadline=None)
     def test_frontier_orders_have_width_two(self, g):
+        # an order found within width 2 is the one the default width 3
+        # finds, so a graph that had a width-2 order keeps it
+        narrow = _frontier_order(g, 2)
+        if narrow is not None:
+            assert sorted(narrow) == list(range(g.n))
+            assert frontier_width(g, narrow) <= 2
+            assert _frontier_order(g) == narrow
         order = _frontier_order(g)
         if order is not None:
             assert sorted(order) == list(range(g.n))
-            assert frontier_width(g, order) <= 2
+            assert frontier_width(g, order) <= 3
 
     @given(near_width_two_graphs())
     @settings(max_examples=100, deadline=None)
@@ -952,8 +1001,10 @@ class TestSparseEngine:
     @pytest.mark.parametrize("g", [complete(4), cube(), petersen()],
                              ids=["K4", "Q3", "Petersen"])
     def test_no_frontier_order_without_a_vertex_of_degree_two(self, g):
-        # none of these is 2-degenerate, so no order has width <= 2
-        assert _frontier_order(g) is None
+        # none of these is 2-degenerate, so no order has width <= 2, and
+        # routing orders none of them, though K4 has an order of width 3
+        assert _frontier_order(g, 2) is None
+        assert solver._Part(g, g.full_mask, True).order is None
 
     @given(width_two_graphs(9, 12))
     @settings(max_examples=40, deadline=None)
