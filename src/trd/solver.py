@@ -494,10 +494,10 @@ def reset_caches() -> None:
 
 
 def _two_degenerate(g: Graph) -> bool:
-    """Whether peeling vertices of degree <= 2 leaves nothing: routing
-    seeks a frontier order only then, which keeps denser components, where
-    the DP loses to branch and bound, off the DP, at less cost than the
-    greedy of :func:`_frontier_order`."""
+    """Whether peeling vertices of degree <= 2 leaves nothing: only then is an
+    order sought, so a component that is not 2-degenerate (no width-2 order)
+    keeps branch and bound and its nodes_explored even with a width-3 order
+    (K4 has one); whether the DP would win on such components is unmeasured."""
     if g.edge_count > 2 * g.n - 3:
         return False
     adj = g.adj
@@ -516,8 +516,8 @@ def _two_degenerate(g: Graph) -> bool:
     return True
 
 
-def _frontier_order(g: Graph, width: int = _DP_MAX_WIDTH) -> list[int] | None:
-    """A vertex order of frontier width <= ``width``, found greedily, or None.
+def _frontier_order(g: Graph) -> list[int] | None:
+    """A vertex order of frontier width <= ``_DP_MAX_WIDTH``, found greedily, or None.
 
     After a prefix of the order, the frontier is the set of placed vertices
     that still have an unplaced neighbour.  Each step places the vertex
@@ -547,7 +547,7 @@ def _frontier_order(g: Graph, width: int = _DP_MAX_WIDTH) -> list[int] | None:
             if best is None or key < best[0]:
                 best = (key, v, nf)
         key, v, frontier = best
-        if key[0] > width:
+        if key[0] > _DP_MAX_WIDTH:
             return None
         placed |= 1 << v
         order.append(v)
@@ -599,16 +599,16 @@ def _waived(step: tuple, waive: bool) -> tuple:
     return step[0], shape, _ROWS.setdefault(shape, {})
 
 
-def _advance(table: dict[int, tuple], step: tuple, xs: tuple[int, ...]) -> dict[int, tuple]:
+def _advance(table: dict[int, int], step: tuple, xs: tuple[int, ...]) -> dict[int, int]:
     """The table after ``step``, the new vertex taking a value in ``xs``.
 
-    A table maps a state to ``(weight, previous state, value)``: the least
-    weight reaching it, and the first entry and value, in table and ``xs``
-    order, that reach it at that weight.
+    A table maps a state to the least weight reaching it.  ``run`` walks
+    back through the first entry and value, in table and ``xs`` order,
+    that reach each state at its weight.
     """
     _, shape, rows = step
-    nxt: dict[int, tuple] = {}
-    for state, (weight, _, _) in table.items():
+    nxt: dict[int, int] = {}
+    for state, weight in table.items():
         row = rows.get(state)
         if row is None:
             row = rows[state] = _row(shape, state)
@@ -617,8 +617,8 @@ def _advance(table: dict[int, tuple], step: tuple, xs: tuple[int, ...]) -> dict[
             if key < 0:
                 continue
             old = nxt.get(key)
-            if old is None or weight + x < old[0]:
-                nxt[key] = (weight + x, state, x)
+            if old is None or weight + x < old:
+                nxt[key] = weight + x
     return nxt
 
 
@@ -657,15 +657,17 @@ class _FrontierDP:
     completion, the least weight of the remaining steps from a state.
     """
 
-    __slots__ = ("n", "steps", "nodes", "tables", "back", "cases")
+    __slots__ = ("n", "steps", "nodes", "tables", "back", "cases", "left")
 
     def __init__(self, g: Graph, order: list[int], total: bool):
         self.n = g.n
         self.nodes = 0
         self.steps: list[tuple] = []  # (v, shape, rows), none waived
+        self.left: list[int] = []  # non-edges from each step to a later one
         adj, frontier, placed = g.adj, [], 0
-        for v in order:
+        for i, v in enumerate(order):
             placed |= 1 << v
+            self.left.append(len(order) - i - 1 - (adj[v] & ~placed).bit_count())
             nbrs = tuple(p for p, u in enumerate(frontier) if adj[v] >> u & 1)
             keep = tuple(p for p, u in enumerate(frontier) if adj[u] & ~placed)
             leave = tuple(p for p, u in enumerate(frontier) if not adj[u] & ~placed)
@@ -673,9 +675,9 @@ class _FrontierDP:
             shape = (nbrs, keep, leave, stays, total, False)
             self.steps.append((v, shape, _ROWS.setdefault(shape, {})))
             frontier = [frontier[p] for p in keep] + ([v] if stays else [])
-        self.tables: list[dict[int, tuple]] | None = None
+        self.tables: list[dict[int, int]] | None = None
         self.back: list[dict[int, float]] = [{} for _ in self.steps] + [{0: 0}]
-        self.cases: dict[int, list[list[dict[int, tuple]]]] = {}
+        self.cases: dict[int, list[list[dict[int, int]]]] = {}
 
     def run(
         self, allowed: list[tuple[int, ...]], budget: int | None = None
@@ -688,7 +690,7 @@ class _FrontierDP:
         after 0, 1, ..., len(steps) steps, as the forward tables.
         """
         self.nodes = 0
-        tables = [{0: (0, None, 0)}]
+        tables = [{0: 0}]
         for step in self.steps:
             tables.append(_advance(tables[-1], step, allowed[step[0]]))
             self.nodes += len(tables[-1])
@@ -699,10 +701,12 @@ class _FrontierDP:
         if 0 not in tables[-1]:
             return None, []
         values = [0] * self.n
-        state = 0
-        for (v, _, _), entries in zip(reversed(self.steps), reversed(tables)):
-            _, state, values[v] = entries[state]
-        return tables[-1][0][0], values
+        state, weight = 0, tables[-1][0]
+        for (v, _, rows), table in zip(reversed(self.steps), reversed(tables[:-1])):
+            state, values[v] = next((s, x) for s, w in table.items() for x in allowed[v]
+                                    if w + x == weight and rows[s][x] == state)
+            weight -= values[v]
+        return tables[-1][0], values
 
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
                budget: int | None = None) -> tuple[int | None, list | None, int]:
@@ -714,7 +718,7 @@ class _FrontierDP:
             return None, None, self.nodes
         return value, values, self.nodes
 
-    def _forward(self) -> list[dict[int, tuple]]:
+    def _forward(self) -> list[dict[int, int]]:
         """The forward tables: those of the last unpinned run, else of one
         run made now."""
         if self.tables is None:
@@ -737,9 +741,9 @@ class _FrontierDP:
             )
         return best
 
-    def _join(self, k: int, table: dict[int, tuple]) -> float:
+    def _join(self, k: int, table: dict[int, int]) -> float:
         """The least total weight through ``table``, a table after k steps."""
-        return min((entry[0] + self._completion(k, state) for state, entry in table.items()),
+        return min((weight + self._completion(k, state) for state, weight in table.items()),
                    default=math.inf)
 
     def dead(self, value: int) -> list[int]:
@@ -754,9 +758,9 @@ class _FrontierDP:
         """The least weight over the ordered vertices of G+uv, u and v placed
         at steps a < b, of a function in one of ``_CASES``: exact whenever
         it is below gamma_tR(G).  In each case uv does nothing but meet the
-        conditions it waives, so the case runs on G's own steps.  The tables
-        through step b - 1 are kept per u, extended as far as some b asks;
-        step b is run per pair, and G's backward completion ends the sum.
+        conditions it waives, so the case runs on G's own steps.  Per u, the
+        tables through step b - 1 are kept as far as some b asks, until the
+        last non-edge from u; step b is run per pair, G's completion ends.
         """
         cases = self.cases.get(a)
         if cases is None:
@@ -769,6 +773,9 @@ class _FrontierDP:
                 tables.append(_advance(tables[-1], self.steps[a + len(tables)], (0, 1, 2)))
             table = _advance(tables[b - a - 1], _waived(self.steps[b], waive), xs)
             best = min(best, self._join(b + 1, table))
+        self.left[a] -= 1
+        if not self.left[a]:
+            del self.cases[a]
         return best
 
 
@@ -932,7 +939,7 @@ class _Solved:
 
     @cached
     def _joint(self) -> tuple[_FrontierDP, dict[int, int], int]:
-        """The DP over every component with a width-2 order, each vertex's
+        """The DP over every component with an order, each vertex's
         step, and the value of the other components.  When only one
         component has an order, a pair that asks for this DP lies in it, so
         it has order >= ``_DP_MIN_N`` and its engine is that DP."""
@@ -1019,7 +1026,7 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
 
     The graph is split into components, whose values add and whose
     smallest witnesses are put back in place.  A component of order
-    >= ``_DP_MIN_N`` with a vertex order of frontier width <= 2 is solved
+    >= ``_DP_MIN_N`` with a vertex order of frontier width <= 3 is solved
     by the frontier DP; any other component by branch and bound seeded by
     constructive probes.  Either way the witness is found by pinned
     searches in index order.  ``node_budget`` bounds the total nodes, DP
@@ -1064,11 +1071,11 @@ def _scan(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int]]]:
         base = w2 + mandatory.bit_count()
         if base >= bound:
             continue
-        free = [1 << v for v in iter_bits(covered & ~two_set)]
-        w = base  # and one more per optional 1
-        while w < bound and w - base <= len(free):
-            for extra in combinations(free, w - base):
-                posmask = two_set | mandatory | sum(extra)
+        free = covered & ~two_set
+        w, extras = base, (0,)  # the masks of w - base optional 1s
+        while True:
+            for extra in extras:
+                posmask = two_set | mandatory | extra
                 mm = posmask
                 while mm:
                     low = mm & -mm
@@ -1083,6 +1090,9 @@ def _scan(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int]]]:
                     if w >= bound:
                         break
             w += 1
+            if w >= bound or w - base > free.bit_count():
+                break
+            extras = map(sum, combinations([1 << v for v in iter_bits(free)], w - base))
     return best, found
 
 

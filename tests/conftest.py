@@ -54,6 +54,16 @@ def disjoint_union(graphs) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
+def frontier_width(g: Graph, order: list[int]) -> int:
+    """Largest number of placed vertices with an unplaced neighbour."""
+    placed = width = 0
+    for v in order:
+        placed |= 1 << v
+        width = max(width, sum(1 for u in range(g.n)
+                               if placed >> u & 1 and g.adj[u] & ~placed))
+    return width
+
+
 def rook(n: int, m: int) -> Graph:
     return generate(CartesianComplete(n, m))
 

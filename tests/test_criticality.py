@@ -14,6 +14,7 @@ from conftest import (
     cycle,
     dead_example,
     disjoint_union,
+    frontier_width,
     path,
     solvable_graphs,
     sparse_graphs,
@@ -69,6 +70,12 @@ from trd.verify import run_registry, verify_theorem
 
 def complete_bipartite(a: int, b: int):
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def narrow(g) -> bool:
+    """Whether the greedy frontier order of ``g`` has width <= 2."""
+    order = _frontier_order(g)
+    return order is not None and frontier_width(g, order) <= 2
 
 
 class TestEdgeDelta:
@@ -158,7 +165,7 @@ class TestEdgeProfile:
         profile = edge_profile(g)
         assert profile.base_value == 24 and len(profile.deltas) == 252
         sample = list(profile.deltas)[::9]
-        assert any(_frontier_order(add_edge(g, u, v), 2) is None for u, v in sample)
+        assert any(not narrow(add_edge(g, u, v)) for u, v in sample)
         for u, v in sample:
             assert profile.deltas[u, v] == 24 - gamma_tr_value(add_edge(g, u, v))
 
@@ -239,7 +246,7 @@ def width_three_graphs(draw, min_n=10, max_n=12):
         edges += [(u, v) for u in draw(st.sets(st.integers(0, v - 1), min_size=1, max_size=2))]
     perm = draw(st.permutations(range(n)))
     g = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
-    assume(_frontier_order(g, 2) is None and _frontier_order(g) is not None)
+    assume(_frontier_order(g) is not None and not narrow(g))
     return g
 
 
@@ -401,7 +408,7 @@ class TestDecidedDeltas:
         random.Random(k).shuffle(perm)
         g = build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
         pairs = [(u, v) for u, v in g.non_edges()
-                 if _frontier_order(add_edge(g, u, v), 2) is None]
+                 if not narrow(add_edge(g, u, v))]
         assert pairs
         counts = self.count_routing(monkeypatch)
         self.exact(g, pairs)
@@ -442,6 +449,16 @@ class TestDecidedDeltas:
         pairs = data.draw(st.lists(st.sampled_from(h.non_edges()), min_size=1,
                                    max_size=8, unique=True))
         self.waived_cases_match_the_oracle(h, pairs)
+
+    def test_case_tables_dropped_after_the_last_pair(self):
+        # a step's case tables go once every non-edge from it has been
+        # asked; a pair asked again builds them anew, with the same answer
+        g = generate(parse_family("D(6)"))
+        profile = edge_profile(g)
+        dp = solver._solved(g).parts[0].engine
+        assert isinstance(dp, _FrontierDP) and not dp.cases
+        for (u, v), delta in list(profile.deltas.items())[::20]:
+            assert edge_delta(g, u, v) == delta
 
     def test_at_most_four_searches_per_delta(self, monkeypatch):
         # three pin groups at base - 1; at base - 2 only the groups that did

@@ -26,6 +26,7 @@ from conftest import (
     cycle,
     dead_example,
     disjoint_union,
+    frontier_width,
     path,
     solvable_graphs,
     sparse_graphs,
@@ -816,16 +817,6 @@ def near_width_two_graphs(draw):
     return build_graph(g.n, g.edges() + extra)
 
 
-def frontier_width(g, order):
-    """Largest number of placed vertices with an unplaced neighbour."""
-    placed = width = 0
-    for v in order:
-        placed |= 1 << v
-        width = max(width, sum(1 for u in range(g.n)
-                               if placed >> u & 1 and g.adj[u] & ~placed))
-    return width
-
-
 def reference_run(dp, allowed, budget=None):
     """``dp.run`` on tuple-coded frontier states, one code per slot, with
     every transition worked out per table entry: ``(value, values, nodes)``.
@@ -959,13 +950,8 @@ class TestSparseEngine:
     @given(near_width_two_graphs())
     @settings(max_examples=100, deadline=None)
     def test_frontier_orders_have_width_two(self, g):
-        # an order found within width 2 is the one the default width 3
-        # finds, so a graph that had a width-2 order keeps it
-        narrow = _frontier_order(g, 2)
-        if narrow is not None:
-            assert sorted(narrow) == list(range(g.n))
-            assert frontier_width(g, narrow) <= 2
-            assert _frontier_order(g) == narrow
+        # orders have width <= 3; a graph with a width-2 order keeps it, as
+        # test_nodes_pinned shows on path(12), cycle(14) and familyG(2,3)
         order = _frontier_order(g)
         if order is not None:
             assert sorted(order) == list(range(g.n))
@@ -981,7 +967,10 @@ class TestSparseEngine:
                 break
             left.remove(low[0])
         assert _two_degenerate(g) == (not left)
-        if _frontier_order(g) is not None:
+        # a width-2 order gives each vertex at most two earlier neighbours;
+        # a width-3 order need not (K4 has one)
+        order = _frontier_order(g)
+        if order is not None and frontier_width(g, order) <= 2:
             assert _two_degenerate(g)
 
     @given(width_two_graphs(10, 20))
@@ -1003,7 +992,8 @@ class TestSparseEngine:
     def test_no_frontier_order_without_a_vertex_of_degree_two(self, g):
         # none of these is 2-degenerate, so no order has width <= 2, and
         # routing orders none of them, though K4 has an order of width 3
-        assert _frontier_order(g, 2) is None
+        order = _frontier_order(g)
+        assert order is None or frontier_width(g, order) > 2
         assert solver._Part(g, g.full_mask, True).order is None
 
     @given(width_two_graphs(9, 12))
