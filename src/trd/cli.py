@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Every command is one row of ``_COMMANDS``: its handler, the function that
-adds its flags, and its help line.  ``main`` parses in two phases.  A small
-top-level parser reads the global options (``--format``, ``--seed``,
-``--jobs``) and the command name, and keeps the rest of the line; then only
-that command's parser is built, and it parses the rest into the same
-namespace.  Nothing is built at import.
+Every command is one row of ``_COMMANDS``: its handler, its flags, its
+positional, the flags of which exactly one is required, and its help line.
+``_parse`` reads the line in two phases from these tables alone: the global
+flags (``--format``, ``--seed``, ``--jobs``) and the command name by the
+row ``_TOP``, then the rest of the line by the command's row.  Flags match
+by exact name or unique prefix, as ``--flag VALUE`` or ``--flag=VALUE``,
+and a negative number is a value.  A usage error is one stderr line
+``trd[ <command>]: error: ...`` and ``SystemExit(2)``; ``-h``/``--help``
+prints the help of the phase it is read in and ``SystemExit(0)``.  No
+argument parser is built and ``argparse`` is not imported.
 
 Exit codes: 0 success or pass, 1 verification failure or counterexample
 found, 2 usage error (including unknown theorem/question identifiers),
@@ -16,10 +20,10 @@ TSV with ``--format tsv``); diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import families as fam
 from .criticality import complete_to_critical, edge_profile
@@ -97,20 +101,17 @@ def _universe_from_args(args) -> InstanceUniverse | None:
     return None
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line, exit 2."""
-
-    def error(self, message: str):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+class _Usage(Exception):
+    """A usage error, printed as ``trd[ <command>]: error: <message>``."""
 
 
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise _Usage(f"not an integer: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise _Usage(f"must be at least 1, got {value}")
     return value
 
 
@@ -121,56 +122,36 @@ def _gnp_spec(text: str) -> tuple[int, int, float]:
             raise ValueError
         return int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise _Usage(
             f"wants COUNT,N,P (integer, integer, number), got {text!r}"
         ) from None
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph6", help="short-form graph6 string")
-    group.add_argument("--edges", help="edge-list file ('n m' header)")
-    group.add_argument("--family", help="family descriptor, e.g. spider(2,2,4)")
-
-
-def _add_universe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--all-labeled", type=int, metavar="N",
-                   help="all labelled graphs of order up to N (N <= 7)")
-    p.add_argument("--connected", action="store_true",
-                   help="restrict --all-labeled to connected graphs")
-    p.add_argument("--allow-isolated", action="store_true",
-                   help="keep graphs with isolated vertices in --all-labeled")
-    p.add_argument("--random", type=_gnp_spec, metavar="COUNT,N,P",
-                   help="seeded G(n,p) samples")
-    p.add_argument("--family", action="append", metavar="SPEC",
-                   help="family universe member (repeatable)")
-
-
-def _compute_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
-    p.add_argument("--budget", type=int, help="solver node budget")
-
-
-def _generate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True)
-    p.add_argument("--dot", action="store_true", help="also emit DOT")
-
-
-def _verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("theorem", nargs="?", metavar="THEOREM_ID",
-                   help="registry id; omit to run the whole registry")
-    _add_universe_flags(p)
-
-
-def _hunt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("question", choices=("Q1", "Q2", "Q1_supercritical",
-                                        "Q2_dead_in_critical"))
-    _add_universe_flags(p)
-
-
-def _complete_critical_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
-    p.add_argument("--dot", action="store_true", help="also emit DOT")
+# flag -> (dest, kind, help); the kind is a converter, a tuple of choices,
+# _SWITCH (no value, True when given) or _APPEND (a list of every value)
+_SWITCH, _APPEND = "switch", "append"
+_GLOBAL = {
+    "--format": ("format", ("json", "tsv"), "output format (default json)"),
+    "--seed": ("seed", int, "seed for --random universes (default 0)"),
+    "--jobs": ("jobs", _positive_int, "worker processes for verify/hunt"
+                                      " instances (profile runs serially)"),
+}
+_INPUT = {
+    "--graph6": ("graph6", str, "short-form graph6 string"),
+    "--edges": ("edges", str, "edge-list file ('n m' header)"),
+    "--family": ("family", str, "family descriptor, e.g. spider(2,2,4)"),
+}
+_UNIVERSE = {
+    "--all-labeled": ("all_labeled", int,
+                      "all labelled graphs of order up to this (at most 7)"),
+    "--connected": ("connected", _SWITCH,
+                    "restrict --all-labeled to connected graphs"),
+    "--allow-isolated": ("allow_isolated", _SWITCH, "keep graphs with"
+                         " isolated vertices in --all-labeled"),
+    "--random": ("random", _gnp_spec, "seeded G(n,p) samples, as COUNT,N,P"),
+    "--family": ("family", _APPEND, "family universe member (repeatable)"),
+}
+_DOT = ("dot", _SWITCH, "also emit DOT")
 
 
 def _cmd_compute(args) -> int:
@@ -311,50 +292,179 @@ def _cmd_complete_critical(args) -> int:
     return EXIT_OK
 
 
-# name -> (handler, flags of its own parser, help line)
+# name -> (handler, flags, positional, required, help line): the positional
+# is (dest, choices, help), required when it has choices and optional when
+# they are None; exactly one of the required flags must be given
+_GROUP = tuple(_INPUT)
 _COMMANDS = {
-    "compute": (_cmd_compute, _compute_flags, "invariants of one graph"),
-    "profile": (_cmd_profile, _add_input_flags, "per-non-edge gamma_tR deltas"),
-    "classify": (_cmd_classify, _add_input_flags, "criticality classification"),
-    "generate": (_cmd_generate, _generate_flags,
-                 "emit a family member as graph6"),
-    "recognize": (_cmd_recognize, _add_input_flags,
+    "compute": (_cmd_compute,
+                {**_INPUT, "--budget": ("budget", int, "solver node budget")},
+                None, _GROUP, "invariants of one graph"),
+    "profile": (_cmd_profile, _INPUT, None, _GROUP,
+                "per-non-edge gamma_tR deltas"),
+    "classify": (_cmd_classify, _INPUT, None, _GROUP,
+                 "criticality classification"),
+    "generate": (_cmd_generate,
+                 {"--family": _INPUT["--family"], "--dot": _DOT},
+                 None, ("--family",), "emit a family member as graph6"),
+    "recognize": (_cmd_recognize, _INPUT, None, _GROUP,
                   "structural recognition report"),
-    "verify": (_cmd_verify, _verify_flags, "machine-check registered theorems"),
-    "hunt": (_cmd_hunt, _hunt_flags, "search for open-question counterexamples"),
-    "complete-critical": (_cmd_complete_critical, _complete_critical_flags,
+    "verify": (_cmd_verify, _UNIVERSE,
+               ("theorem", None,
+                "registry id; omit to run the whole registry"),
+               (), "machine-check registered theorems"),
+    "hunt": (_cmd_hunt, _UNIVERSE,
+             ("question",
+              ("Q1", "Q2", "Q1_supercritical", "Q2_dead_in_critical"),
+              "Q1_supercritical or Q2_dead_in_critical (Q1, Q2 for short)"),
+             (), "search for open-question counterexamples"),
+    "complete-critical": (_cmd_complete_critical, {**_INPUT, "--dot": _DOT},
+                          None, _GROUP,
                           "grow a graph to an edge-critical supergraph"),
 }
+# the global flags and the command name; the tokens after it are the command's
+_TOP = (None, _GLOBAL, ("command", tuple(_COMMANDS),
+                        "one of the commands above (trd COMMAND --help)"),
+        (), "total Roman domination workbench\n\ncommands:\n" + "\n".join(
+            f"  {name:<19}{row[-1]}" for name, row in _COMMANDS.items()))
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse in two phases: the global options and the command name, then
-    the command's own flags, by a parser built for that command only."""
-    top = _Parser(
-        prog="trd",
-        description="total Roman domination workbench",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<21}{help_line}"
-            for name, (_, _, help_line) in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    top.add_argument("--format", choices=("json", "tsv"), default="json")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for --random universes (default 0)")
-    top.add_argument("--jobs", type=_positive_int, default=1,
-                     help="worker processes for verify/hunt instances"
-                          " (profile runs serially)")
-    top.add_argument("command", choices=_COMMANDS, metavar="command",
-                     help="one of the commands below")
-    remainder = top.add_argument(
-        "rest", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="the command's flags (trd <command> --help)")
-    remainder.required = False  # a bare `trd` names only the missing command
-    args = top.parse_args(argv)
-    rest = vars(args).pop("rest")
-    sub = _Parser(prog=f"trd {args.command}")
-    _COMMANDS[args.command][1](sub)
-    return sub.parse_args(rest, namespace=args)
+def _classify(tok: str, flags: dict) -> tuple[str | None, str | None]:
+    """What one token is, as argparse read it: (flag, the value after "=" or
+    None) for -h/--help or a flag of ``flags`` by its exact name or a unique
+    prefix, ("", None) for an unknown option, (None, None) for a value."""
+    if tok[:1] != "-" or tok == "-":
+        return None, None
+    if tok[:2] == "-h":
+        return "--help", tok[2:] or None
+    if tok[1] == "-" and tok != "--":
+        name, eq, value = tok.partition("=")
+        matches = ([name] if name in flags
+                   else [f for f in ("--help", *flags) if f.startswith(name)])
+        if len(matches) > 1:
+            raise _Usage(f"ambiguous option: {tok} could match"
+                         f" {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    # a negative number (-3, -1.5, -.5) or a word with a space is a value
+    head, dot, tail = tok[1:].partition(".")
+    number = ((tail if dot else head).isdecimal()
+              and (head.isdecimal() or not head))
+    return (None, None) if number or " " in tok else ("", None)
+
+
+def _value(name: str, kind, text: str):
+    """``text`` converted for the flag or positional ``name``."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise _Usage(f"argument {name}: invalid choice: {text!r} (choose"
+                         f" from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except _Usage as exc:
+        raise _Usage(f"argument {name}: {exc}") from None
+    except ValueError:
+        raise _Usage(f"argument {name}: invalid {kind.__name__} value:"
+                     f" {text!r}") from None
+
+
+def _read(prog: str, argv: list[str], row: tuple, args) -> list[str]:
+    """Read the tokens of one phase into ``args``, in order, then check for
+    a missing positional or required flag and for unrecognized tokens.  At
+    the top level, stop at the command and return the tokens after it."""
+    _, flags, positional, required, _ = row
+    kinds = [_classify(tok, flags) for tok in argv]  # ambiguity comes first
+    for dest, kind, _ in flags.values():
+        vars(args).setdefault(dest, False if kind == _SWITCH else None)
+    slot = positional[0] if positional else None
+    if slot:
+        vars(args).setdefault(slot, None)
+    extras, rest, chosen, i = [], [], None, 0
+    while i < len(argv):
+        (flag, value), tok = kinds[i], argv[i]
+        i += 1
+        if flag is None and slot and getattr(args, slot) is None:
+            setattr(args, slot, _value(slot, positional[1] or str, tok))
+            if row is _TOP:
+                rest = argv[i:]
+                break
+        elif not flag:
+            extras.append(tok)
+        else:
+            dest, kind, _ = flags.get(flag, ("", _SWITCH, ""))  # or --help
+            if kind == _SWITCH:
+                if value is not None:
+                    raise _Usage(f"argument {flag}: ignored explicit argument"
+                                 f" {value!r}")
+                if flag == "--help":
+                    print(_help(prog, row))
+                    raise SystemExit(EXIT_OK)
+                value = True
+            else:
+                if value is None:
+                    if i == len(argv) or kinds[i][0] is not None:
+                        raise _Usage(f"argument {flag}: expected one argument")
+                    value, i = argv[i], i + 1
+                value = _value(flag, str if kind == _APPEND else kind, value)
+            if flag in required:
+                if chosen not in (None, flag):
+                    raise _Usage(f"argument {flag}: not allowed with argument"
+                                 f" {chosen}")
+                chosen = flag
+            if kind == _APPEND:
+                value = (getattr(args, dest) or []) + [value]
+            setattr(args, dest, value)
+    if slot and positional[1] and getattr(args, slot) is None:
+        raise _Usage(f"the following arguments are required: {slot}")
+    if required and chosen is None:
+        raise _Usage(
+            f"one of the arguments {' '.join(required)} is required"
+            if len(required) > 1 else
+            f"the following arguments are required: {required[0]}")
+    if extras:
+        raise _Usage(f"unrecognized arguments: {' '.join(extras)}")
+    return rest
+
+
+def _help(prog: str, row: tuple) -> str:
+    """The -h/--help text of the top level or of one command."""
+    _, flags, positional, required, about = row
+    specs = {}
+    for flag, (dest, kind, _) in flags.items():
+        meta = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                else dest.upper())
+        specs[flag] = flag if kind == _SWITCH else f"{flag} {meta}"
+    words = ["[-h]"]
+    if required:
+        words.append(f"({' | '.join(specs[flag] for flag in required)})")
+    words += [f"[{specs[flag]}]" for flag in flags if flag not in required]
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(specs[flag], flags[flag][2]) for flag in flags]
+    if positional:
+        dest, choices, text = positional
+        words.append(dest if choices else f"[{dest.upper()}]")
+        rows.append((dest if choices else dest.upper(), text))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([f"usage: {prog} {' '.join(words)}", "", about, "",
+                      "options:", *(f"  {left:<{width}}{text}"
+                                    for left, text in rows)])
+
+
+def _parse(argv: list[str] | None) -> SimpleNamespace:
+    """Read the global flags and the command name, then the command's own
+    flags and positional, from the one table of each.  Usage errors print
+    one stderr line and exit 2; -h/--help prints the help and exits 0."""
+    args = SimpleNamespace(format="json", seed=0, jobs=1)
+    prog = "trd"
+    try:
+        rest = _read(prog, sys.argv[1:] if argv is None else argv, _TOP, args)
+        prog = f"trd {args.command}"
+        _read(prog, rest, _COMMANDS[args.command], args)
+    except _Usage as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
