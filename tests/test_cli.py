@@ -454,6 +454,33 @@ def test_usage_errors_match_reference(capsys, parse, argv):
     assert captured.err.count("\n") == 1 and "error" in captured.err
 
 
+# argparse's wording, which the table-driven parser keeps
+USAGE_WORDING = [
+    (["verify", "--al", "4"], "trd verify: error: ambiguous option: --al could"
+                              " match --all-labeled, --allow-isolated"),
+    (["generate", "--family", "K3", "--dot=1"],
+     "trd generate: error: argument --dot: ignored explicit argument '1'"),
+    (["compute", "--graph6"],
+     "trd compute: error: argument --graph6: expected one argument"),
+    (["compute", "--graph6", "Bg", "--family", "K3"], "trd compute: error:"
+     " argument --family: not allowed with argument --graph6"),
+    (["profile"], "trd profile: error: one of the arguments --graph6 --edges"
+                  " --family is required"),
+    (["--format", "xml", "verify"], "trd: error: argument --format: invalid"
+                                    " choice: 'xml' (choose from 'json', 'tsv')"),
+    (["verify", "A", "B", "-x", "C"],
+     "trd verify: error: unrecognized arguments: B -x C"),
+]
+
+
+@pytest.mark.parametrize("argv, err", USAGE_WORDING,
+                         ids=[" ".join(argv) for argv, _ in USAGE_WORDING])
+def test_usage_error_wording(capsys, argv, err):
+    with pytest.raises(SystemExit):
+        _parse(argv)
+    assert capsys.readouterr().err == err + "\n"
+
+
 def test_bare_trd_names_the_missing_command(capsys):
     with pytest.raises(SystemExit):
         main([])
