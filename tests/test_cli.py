@@ -509,6 +509,35 @@ def test_command_help_lists_its_flags(capsys):
         assert flag in out
 
 
+def test_only_the_command_parser_is_built(monkeypatch):
+    # the flag tables are the only parser: a parse builds no argparse one
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    args = _parse(["--format", "tsv", "verify", "T_KNKM"])
+    assert (args.command, args.format) == ("verify", "tsv")
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1)\n"
+        "import trd.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trd.cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
+
+
 def test_main_imports_no_argparse():
     # a command pays for no argparse, and so for no gettext or locale
     script = (
