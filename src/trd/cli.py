@@ -118,12 +118,12 @@ def _positive_int(text: str) -> int:
 def _gnp_spec(text: str) -> tuple[int, int, float]:
     parts = text.split(",")
     try:
-        if len(parts) != 3:
+        if len(parts) != 3 or not 0 <= float(parts[2]) <= 1:
             raise ValueError
         return int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
         raise _Usage(
-            f"wants COUNT,N,P (integer, integer, number), got {text!r}"
+            f"wants COUNT,N,P (integer, integer, probability in [0, 1]), got {text!r}"
         ) from None
 
 

@@ -19,11 +19,13 @@ non-edge question asks whether gamma_tR(G+uv) <= cap for a cap below
 gamma_tR(G): a delta is 0 when it fails at gamma_tR(G) - 1, and 2 when it
 holds at gamma_tR(G) - 2.  Each question goes to the solver's one object
 for G, kept between calls, so every question about G shares one routing of
-it.  Order <= 6 reads the memo.  The frontier DP runs the three cases on
-G's own order, with the waivers.  Branch and bound searches the three pin
-groups that cover the cases exactly, f(u) = 2, f(v) = 2 and
-f(u) = f(v) = 1, and not again at gamma_tR(G) - 2 a group that found
-nothing at gamma_tR(G) - 1: a delta costs at most four searches.
+it.  Order <= 6 reads the memo.  A pair inside one component goes to its
+engine: the frontier DP runs the three cases on its own order, with the
+waivers; branch and bound searches the three pin groups that cover them
+exactly, f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, and not again at
+gamma_tR(G) - 2 a group that found nothing at gamma_tR(G) - 1, so a delta
+costs at most four searches.  A pair across two components builds no
+graph: per case it adds the two components' waived values to the rest.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;

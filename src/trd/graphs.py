@@ -457,10 +457,3 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise MalformedEdgeListError(f"non-integer edge line {ln!r}") from exc
     return build_graph(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"

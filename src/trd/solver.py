@@ -10,10 +10,10 @@ connected components and gives each its graph, its vertex order of
 frontier width <= 3 and its engine; questions are answered one component
 at a time.  The engine is the frontier dynamic program when the component
 has order >= 10 and such an order, else branch and bound.  The greedy
-seeks an order only for a component that a peel of degree-2 vertices
-empties.  The last object of each mode is kept in a one-slot
-cache, so a graph whose questions different functions ask in turn is
-routed once.
+seeks an order only for a component of order >= 10 that a peel of
+degree-2 vertices empties.  The last object of each mode is kept in a
+one-slot cache, so a graph whose questions different functions ask in
+turn is routed once.
 
 The DP codes each frontier state as one base-6 integer and looks its
 transitions up in rows shared by every DP through the step's shape,
@@ -31,11 +31,10 @@ For a non-edge uv, ``_Solved.decide(u, v)`` gives ``at_most(cap)``,
 whether gamma_tR(G+uv) <= cap for a cap below gamma_tR(G).  Order <= 6
 reads the memo.  A function lighter than gamma_tR(G) uses uv in one of
 three cases (see :mod:`trd.criticality`), each of which waives the
-conditions that uv meets.  A pair whose components have orders is
-answered by one DP over G's own orders, the engine of the component when
-only one has an order, which runs each case on G's steps between u and
-v, all but the last once per u.  Any other pair is searched by branch
-and bound, by pinning the values of u and v.
+conditions that uv meets.  A pair inside one component is its engine's
+``pair(u, v)``.  A pair across two builds no graph: per case it adds the
+two ends' ``at(w, xs, waive)``, each component's least weight with f(w)
+in xs and w's condition waived if asked, to the value of the rest.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -185,7 +184,7 @@ class _WeightSearch:
     __slots__ = (
         "g", "n", "adj", "closed", "by_degree", "packing", "full", "total",
         "probe", "budget", "nodes", "best", "found", "cap",
-        "first_hit", "done",
+        "first_hit", "done", "waived", "live",
     )
 
     def __init__(self, g: Graph, total: bool):
@@ -206,7 +205,7 @@ class _WeightSearch:
                 if not closed[w] & used:
                     packing.append(closed[w])
                     used |= closed[w]
-        self.packing = packing
+        self.packing = self.live = packing
         self.full = g.full_mask
         self.total = total
         self.probe = None
@@ -240,14 +239,49 @@ class _WeightSearch:
         return [v for v in range(self.n)
                 if all(self.decide({v: x}, value, True)[0] is None for x in (1, 2))]
 
-    def solve(self, pins, cap, first_hit, budget) -> int | None:
+    def at(self, w: int, xs: tuple[int, ...], waive: bool) -> float:
+        """The least weight with f(w) in ``xs`` and, if ``waive``, w's condition
+        met from outside, else inf: one pinned search per value in ``xs``."""
+        best = math.inf
+        for x in xs:
+            weight = self.solve({w: x}, min(best - 1, 2 * self.n), False, None,
+                                w if waive else None)
+            if weight is not None:
+                best = weight
+        return best
+
+    def pair(self, u: int, v: int) -> Callable[[int], bool]:
+        """``at_most(cap)``: whether G+uv has a TRD-function of weight <= cap
+        in one of ``_CASES``, by first-hit searches on G+uv over the pin
+        groups f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, which cover them
+        exactly; a group that found nothing at some cap is not searched
+        again at a lower cap."""
+        search = _WeightSearch(add_edge(self.g, u, v), True)
+        groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
+        # the highest cap at which each group found nothing; no weight is < 0
+        missed = [-1] * len(groups)
+
+        def at_most(cap: int) -> bool:
+            for i, pins in enumerate(groups):
+                if cap <= missed[i]:
+                    continue
+                if search.decide(pins, cap, True)[0] is not None:
+                    return True
+                missed[i] = cap
+            return False
+
+        return at_most
+
+    def solve(self, pins, cap, first_hit, budget, waive: int | None = None) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
         ``budget`` nodes (``nodes`` counts this call's); ``found`` then holds
         the ``(two, pos)`` masks of a function of that weight.
 
         With ``first_hit`` the search stops at the first assignment within
         the cap (the result is then only an upper bound, suitable for
-        yes/no questions).
+        yes/no questions).  The vertex ``waive`` has its condition met from
+        outside: it starts satisfied, no cut asks it for a neighbour, and the
+        packing drops the member centred at it, the one that changes.
         """
         self.nodes = 0
         if cap < 0:
@@ -257,7 +291,10 @@ class _WeightSearch:
         self.cap = cap
         self.first_hit = first_hit
         self.done = False
-        assigned = two = pos = sat = 0
+        self.waived = sat = 0 if waive is None else 1 << waive
+        self.live = self.packing if waive is None else [
+            c for c in self.packing if c != self.closed[waive]]
+        assigned = two = pos = 0
         weight = 0
         if pins:
             for v, val in pins.items():
@@ -275,7 +312,7 @@ class _WeightSearch:
                 elif val != 0:
                     raise OutOfRangeError(f"pinned weight {val} not in {{0,1,2}}")
             zero = assigned & ~pos
-            if self.total and zero and self._dead(zero, self.full):
+            if self.total and zero and self._dead(zero, self.full & ~self.waived):
                 return None
         self._rec(assigned, two, pos, 0, sat, weight)
         return self.best if self.best <= cap else None
@@ -297,7 +334,7 @@ class _WeightSearch:
         neighbourhoods, sum to ``slack``, or some deficit has no unassigned
         vertex left to fill it."""
         short = 0
-        for c in self.packing:
+        for c in self.live:
             if c & two:
                 continue
             k = (c & pos).bit_count()
@@ -362,7 +399,7 @@ class _WeightSearch:
         unassigned = self.full & ~assigned
         adj = self.adj
         slack = self.best - weight
-        if self.packing and self._packing_pruned(unassigned, two, pos, slack):
+        if self.live and self._packing_pruned(unassigned, two, pos, slack):
             return
         if undom:
             if self._cover_pruned(undom, unassigned, not2, slack):
@@ -382,7 +419,7 @@ class _WeightSearch:
                 if self.done:
                     return
                 # with f(bv) = 0 a neighbour whose neighbours are all 0 is lost
-                if self.total and self._dead((assigned | bv) & ~pos, adjv):
+                if self.total and self._dead((assigned | bv) & ~pos, adjv & ~self.waived):
                     return
                 helpers = adjv & unassigned & ~not2 & ~bv
             else:
@@ -401,7 +438,7 @@ class _WeightSearch:
             return
         if self.total:
             lone = 0
-            m = pos
+            m = pos & ~self.waived
             while m:
                 low = m & -m
                 if not adj[low.bit_length() - 1] & pos:
@@ -650,14 +687,14 @@ class _FrontierDP:
     table entry counts as one node; ``nodes`` holds the count of the last
     run.
 
-    The order may cover only some components of G.  Every question is
-    answered by runs, or by two tables (Telle & Proskurowski, SIAM J.
-    Discrete Math. 10, 1997): the forward tables, the least weight per
-    state after each step, which the unpinned run keeps, and the backward
-    completion, the least weight of the remaining steps from a state.
+    Every question is answered by runs, or by two tables (Telle &
+    Proskurowski, SIAM J. Discrete Math. 10, 1997): the forward tables, the
+    least weight per state after each step, which the unpinned run keeps,
+    and the backward completion, the least weight of the remaining steps
+    from a state.
     """
 
-    __slots__ = ("n", "steps", "nodes", "tables", "back", "cases", "left")
+    __slots__ = ("n", "steps", "index", "nodes", "tables", "back", "cases", "left")
 
     def __init__(self, g: Graph, order: list[int], total: bool):
         self.n = g.n
@@ -675,6 +712,7 @@ class _FrontierDP:
             shape = (nbrs, keep, leave, stays, total, False)
             self.steps.append((v, shape, _ROWS.setdefault(shape, {})))
             frontier = [frontier[p] for p in keep] + ([v] if stays else [])
+        self.index = {v: i for i, v in enumerate(order)}
         self.tables: list[dict[int, int]] | None = None
         self.back: list[dict[int, float]] = [{} for _ in self.steps] + [{0: 0}]
         self.cases: dict[int, list[list[dict[int, int]]]] = {}
@@ -746,22 +784,24 @@ class _FrontierDP:
         return min((weight + self._completion(k, state) for state, weight in table.items()),
                    default=math.inf)
 
-    def dead(self, value: int) -> list[int]:
-        """The ordered vertices that every function of weight ``value``, the
-        minimum, assigns 0: after the step that places v with a positive
-        value, no completion reaches the minimum."""
-        tables = self._forward()
-        return [step[0] for i, step in enumerate(self.steps)
-                if self._join(i + 1, _advance(tables[i], step, (1, 2))) > value]
+    def at(self, w: int, xs: tuple[int, ...], waive: bool) -> float:
+        """The least weight with f(w) in ``xs`` and, if ``waive``, w's condition
+        met from outside: w's step between G's forward table and completion."""
+        i = self.index[w]
+        return self._join(i + 1, _advance(self._forward()[i], _waived(self.steps[i], waive), xs))
 
-    def plus_edge(self, a: int, b: int) -> float:
-        """The least weight over the ordered vertices of G+uv, u and v placed
-        at steps a < b, of a function in one of ``_CASES``: exact whenever
-        it is below gamma_tR(G).  In each case uv does nothing but meet the
-        conditions it waives, so the case runs on G's own steps.  Per u, the
-        tables through step b - 1 are kept as far as some b asks, until the
-        last non-edge from u; step b is run per pair, G's completion ends.
-        """
+    def dead(self, value: int) -> list[int]:
+        """The vertices that every function of weight ``value``, the
+        minimum, assigns 0: with a positive value, none reaches it."""
+        return [v for v, _, _ in self.steps if self.at(v, (1, 2), False) > value]
+
+    def pair(self, u: int, v: int) -> Callable[[int], bool]:
+        """``at_most(cap)``: whether G+uv has a function of weight <= cap in
+        one of ``_CASES``, each run on G's own steps with the conditions uv
+        meets waived.  With u and v placed at steps a < b, the tables through
+        step b - 1 are kept per u as far as some b asks, until the last
+        non-edge from u; step b is run per pair, G's completion ends."""
+        a, b = sorted((self.index[u], self.index[v]))
         cases = self.cases.get(a)
         if cases is None:
             start = self._forward()[a]
@@ -776,7 +816,7 @@ class _FrontierDP:
         self.left[a] -= 1
         if not self.left[a]:
             del self.cases[a]
-        return best
+        return lambda cap: best <= cap
 
 
 def _witness(
@@ -815,14 +855,15 @@ def _require_non_edge(g: Graph, u: int, v: int) -> None:
 
 class _Part:
     """One connected component of a routed graph: its vertices in G's
-    labels and its graph, and, each on first need, its frontier order in
-    its own labels, its engine, its first unpinned search and its value."""
+    labels and its graph, and, on first need, its frontier order in its own
+    labels, its engine, its first unpinned search, value and ``at`` values."""
 
     def __init__(self, g: Graph, mask: int, total: bool):
         self.total = total
         self.mask = mask
         self.verts = list(iter_bits(mask))
         self.h = g if mask == g.full_mask else induced_subgraph(g, self.verts)
+        self.ats: dict[tuple, float] = {}
 
     @cached
     def order(self) -> list[int] | None:
@@ -852,27 +893,20 @@ class _Part:
         """gamma_tR (gamma_R) of the component, by its engine."""
         return self.first(None)[0]
 
+    def at(self, w: int, xs: tuple[int, ...], waive: bool) -> float:
+        """The engine's ``at`` for w, a vertex of G, kept."""
+        key = w, xs, waive
+        if key not in self.ats:
+            self.ats[key] = self.engine.at(self.verts.index(w), xs, waive)
+        return self.ats[key]
+
 
 class _Solved:
     """Every gamma_tR question about one graph G, with G validated and
     routed once (see the module docstring); without ``total``, gamma_R and
-    its dead vertices, for any G of order <= 24.
-
-    A TRD-function of G+uv lighter than gamma_tR(G) is no TRD-function of
-    G, so uv meets a condition at u or v: (f(u), f(v)) is (2, 0) or
-    (0, 2), or both ends are positive.  Let J be the union of the
-    components of u and v:
-
-    * when J has order >= ``_DP_MIN_N`` and both components have an order,
-      one frontier DP over the orders of every such component runs the
-      three cases on G's own steps, with the conditions uv meets waived
-      (:meth:`_FrontierDP.plus_edge`);
-    * otherwise branch and bound searches J+uv with three pin groups,
-      f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, which cover the cases
-      exactly, each one pinned first-hit search at the cap less the value
-      of the other components.  A group that found nothing at some cap
-      finds nothing below it, so it is not searched again at a lower cap.
-    """
+    its dead vertices, for any G of order <= 24.  A pair inside one
+    component goes to that component's engine, and a pair across two adds,
+    per case, the two components' ``at`` values to the value of the rest."""
 
     def __init__(self, g: Graph, total: bool = True):
         if total and g.n < 2:
@@ -937,18 +971,6 @@ class _Solved:
         return tuple(sorted(part.verts[j] for part in self.parts
                             for j in part.engine.dead(part.value)))
 
-    @cached
-    def _joint(self) -> tuple[_FrontierDP, dict[int, int], int]:
-        """The DP over every component with an order, each vertex's
-        step, and the value of the other components.  When only one
-        component has an order, a pair that asks for this DP lies in it, so
-        it has order >= ``_DP_MIN_N`` and its engine is that DP."""
-        ordered = [part for part in self.parts if part.order is not None]
-        rest = sum(part.value for part in self.parts if part.order is None)
-        order = [part.verts[i] for part in ordered for i in part.order]
-        dp = ordered[0].engine if len(ordered) == 1 else _FrontierDP(self.g, order, True)
-        return dp, {v: i for i, v in enumerate(order)}, rest
-
     def decide(self, u: int, v: int) -> Callable[[int], bool]:
         """``at_most(cap)``: whether gamma_tR(G+uv) <= cap, for the non-edge
         uv and any cap below gamma_tR(G).  Order <= 6 reads the memo, keyed
@@ -961,32 +983,13 @@ class _Solved:
                              lambda: _Solved(add_edge(g, u, v)).value())
             return lambda cap: value <= cap
         pu, pv = (next(p for p in self.parts if p.mask >> w & 1) for w in (u, v))
-        joint = pu.mask | pv.mask
-        if joint.bit_count() >= _DP_MIN_N and pu.order and pv.order:
-            dp, pos, rest = self._joint
-            value = rest + dp.plus_edge(*sorted((pos[u], pos[v])))
-            return lambda cap: value <= cap
-        rest = sum(part.value for part in self.parts if not part.mask & joint)
-        h = add_edge(g, u, v)
-        if joint != g.full_mask:
-            verts = list(iter_bits(joint))
-            u, v = verts.index(u), verts.index(v)
-            h = induced_subgraph(h, verts)
-        engine = _WeightSearch(h, True)
-        groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
-        # the highest cap at which each group found nothing; no weight is < 0
-        missed = [-1] * len(groups)
-
-        def at_most(cap: int) -> bool:
-            for i, pins in enumerate(groups):
-                if cap <= missed[i]:
-                    continue
-                if engine.decide(pins, cap - rest, True)[0] is not None:
-                    return True
-                missed[i] = cap
-            return False
-
-        return at_most
+        if pu is pv:
+            rest = self.value() - pu.value
+            at_most = pu.engine.pair(pu.verts.index(u), pu.verts.index(v))
+            return lambda cap: at_most(cap - rest)
+        value = self.value() - pu.value - pv.value + min(
+            pu.at(u, xs, a) + pv.at(v, ys, b) for xs, a, ys, b in _CASES)
+        return lambda cap: value <= cap
 
 
 # The last graph routed in each mode, keyed by ``total``: value, witness,

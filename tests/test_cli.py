@@ -454,7 +454,8 @@ def test_usage_errors_match_reference(capsys, parse, argv):
     assert captured.err.count("\n") == 1 and "error" in captured.err
 
 
-# argparse's wording, which the table-driven parser keeps
+# argparse's wording, which the table-driven parser keeps, and the errors
+# that argparse never raised
 USAGE_WORDING = [
     (["verify", "--al", "4"], "trd verify: error: ambiguous option: --al could"
                               " match --all-labeled, --allow-isolated"),
@@ -470,6 +471,8 @@ USAGE_WORDING = [
                                     " choice: 'xml' (choose from 'json', 'tsv')"),
     (["verify", "A", "B", "-x", "C"],
      "trd verify: error: unrecognized arguments: B -x C"),
+    (["verify", "T_TR3", "--random", "3,5,2.0"], "trd verify: error: argument --random:"
+     " wants COUNT,N,P (integer, integer, probability in [0, 1]), got '3,5,2.0'"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 
@@ -250,6 +251,38 @@ def width_three_graphs(draw, min_n=10, max_n=12):
     return g
 
 
+def waived_minima(g):
+    """``{(w, xs, waive): least weight}`` over every vertex w and every
+    ``(xs, waive)`` of a row of ``_CASES``, by a plain scan of all 3^n
+    weight vectors: a vector counts when f(w) is in ``xs`` and every vertex
+    meets its TRD condition, w excepted when ``waive``."""
+    n, full, adj = g.n, g.full_mask, g.adj
+    nbrs = [0] * (1 << n)  # the open neighbourhood of every vertex set
+    for s in range(1, 1 << n):
+        low = s & -s
+        nbrs[s] = nbrs[s ^ low] | adj[low.bit_length() - 1]
+    rows = [(xs, waive) for xs, waive, _, _ in solver._CASES]
+    best = {}
+    for two in range(1 << n):
+        rest = full & ~two
+        ones = rest
+        while True:
+            pos = two | ones
+            bad = full & ~pos & ~nbrs[two] | pos & ~nbrs[pos]
+            if not bad & (bad - 1):
+                weight = 2 * two.bit_count() + ones.bit_count()
+                for w in range(n) if not bad else (bad.bit_length() - 1,):
+                    x = (two >> w & 1) + (pos >> w & 1)
+                    for xs, waive in rows:
+                        if (x in xs and (waive or not bad)
+                                and weight < best.get((w, xs, waive), math.inf)):
+                            best[w, xs, waive] = weight
+            if not ones:
+                break
+            ones = (ones - 1) & rest
+    return best
+
+
 class TestDecidedDeltas:
     """Deltas decided by first-hit searches over the functions that use the
     new edge equal the difference of the two exact values."""
@@ -296,7 +329,7 @@ class TestDecidedDeltas:
             original = getattr(solver, name)
             monkeypatch.setattr(solver, name, lambda h, f=original, k=name:
                                 counts.update([k, (k, h)]) or f(h))
-        for name in ("__init__", "run", "plus_edge"):
+        for name in ("__init__", "run", "pair"):
             original = getattr(_FrontierDP, name)
             monkeypatch.setattr(_FrontierDP, name, lambda self, *a, f=original, k=name:
                                 counts.update([k]) or f(self, *a))
@@ -317,21 +350,24 @@ class TestDecidedDeltas:
         (cycle(12), 1),
         (spider(2, 2, 3, 4, 4), 1),
         (generate(parse_family("cor(cycle(7))")), 1),
-        (union(Cycle(12), Complete(3)), 2),
+        (union(Cycle(12), Complete(3)), 1),
     ], ids=["cycle(12)", "spider", "cor(cycle(7))", "cycle(12)+K3"])
     def test_one_order_and_one_dp_per_decider(self, monkeypatch, g, dps):
         # value, witness, dead set and every non-edge share one peel and one
-        # order per component; the engine of the only ordered component is
-        # also its non-edge DP, and two ordered components add one DP over
-        # both, whose forward tables are its one full run; no non-edge
-        # costs a full run, only its case steps
+        # order per component of order >= 10, the only ones whose engine
+        # asks for an order (K3 is never peeled); each DP is its
+        # component's engine, whose forward tables are its one full run, so
+        # no non-edge costs a full run, only its case steps; the DP takes
+        # the pairs inside its component, and no DP is built for a pair
+        # across two components
         reset_caches()
         counts = self.count_routing(monkeypatch)
         runs, profile = self.every_question(g, counts)
-        comps = len(component_masks(g))
-        assert counts["_two_degenerate"] == counts["_frontier_order"] == comps
-        assert counts["__init__"] == dps and runs == dps - 1
-        assert counts["plus_edge"] == len(profile.deltas)
+        ordered = [m for m in component_masks(g) if m.bit_count() >= 10]
+        assert counts["_two_degenerate"] == counts["_frontier_order"] == len(ordered)
+        assert counts["__init__"] == dps and runs == 0
+        assert counts["pair"] == sum(any(m >> u & m >> v & 1 for m in ordered)
+                                     for u, v in profile.deltas)
 
     @pytest.mark.parametrize("g,orders", [
         (generate(parse_family("KxK(3,4)")), 0),
@@ -341,13 +377,15 @@ class TestDecidedDeltas:
     def test_no_frontier_order_per_non_edge_without_two_degeneracy(
         self, monkeypatch, g, orders
     ):
-        # a component that is not 2-degenerate is peeled once and never
-        # ordered, and neither is any G+uv that touches it; beside one, the
-        # engine of the ordered component answers its non-edges
+        # a component of order >= 10 that is not 2-degenerate is peeled
+        # once and never ordered, and neither is any G+uv that touches it;
+        # K4, of order 4, is not peeled at all, since no pair asks for its
+        # order; beside it, the engine of the ordered component answers its
+        # non-edges
         reset_caches()
         counts = self.count_routing(monkeypatch)
         self.every_question(g, counts)
-        assert counts["_two_degenerate"] == len(component_masks(g))
+        assert counts["_two_degenerate"] == 1
         assert counts["_frontier_order"] == counts["__init__"] == orders
 
     @pytest.mark.parametrize("theorem", ["T_LONGLEGS", "T_ENDDEG3"])
@@ -382,8 +420,8 @@ class TestDecidedDeltas:
     @given(dp_routed_graphs(), st.data())
     @settings(max_examples=15, deadline=None)
     def test_span_deltas_across_components(self, g, data):
-        # u and v in different components: the DP runs over both orders,
-        # concatenated, from u's step to v's
+        # u and v in different components: each case adds the two
+        # components' values with the condition that uv meets waived
         other = data.draw(st.sampled_from([path(4), cycle(5), complete(3), spider(1, 2, 3)]))
         h = disjoint_union([g, other])
         perm = data.draw(st.permutations(range(h.n)))
@@ -412,7 +450,7 @@ class TestDecidedDeltas:
         assert pairs
         counts = self.count_routing(monkeypatch)
         self.exact(g, pairs)
-        assert counts["plus_edge"] == len(pairs)
+        assert counts["pair"] == len(pairs)
 
     @staticmethod
     def waived_cases_match_the_oracle(g, pairs):
@@ -439,8 +477,9 @@ class TestDecidedDeltas:
     @given(width_three_graphs(9, 10), st.data())
     @settings(max_examples=20, deadline=None)
     def test_waived_cases_on_unions(self, g, data):
-        # a second component, and pairs across and within: one DP over both
-        # orders takes every pair of order >= 10
+        # a second component, and pairs across and within: a pair within
+        # goes to its component's engine, a pair across adds the two
+        # components' waived values
         other = data.draw(st.sampled_from([complete(2), path(3), complete(3)]))
         assume(g.n + other.n <= 12)
         h = disjoint_union([g, other])
@@ -449,6 +488,33 @@ class TestDecidedDeltas:
         pairs = data.draw(st.lists(st.sampled_from(h.non_edges()), min_size=1,
                                    max_size=8, unique=True))
         self.waived_cases_match_the_oracle(h, pairs)
+
+    @given(width_three_graphs())
+    @settings(max_examples=8, deadline=None)
+    def test_case_values_of_both_engines_match_a_scan(self, g):
+        # per vertex and case, branch and bound with the DP's waiver, the DP
+        # on G's own order and a plain scan give the same least weight,
+        # inf where no function exists
+        expected = waived_minima(g)
+        search, dp = _WeightSearch(g, True), _FrontierDP(g, _frontier_order(g), True)
+        for w in range(g.n):
+            for xs, waive, _, _ in solver._CASES:
+                value = expected.get((w, xs, waive), math.inf)
+                assert search.at(w, xs, waive) == dp.at(w, xs, waive) == value
+
+    def test_no_graph_built_for_a_pair_across_components(self, monkeypatch):
+        # KxK(3,4) takes branch and bound and cycle(12) the DP; a pair
+        # across them adds the two parts' case values, so no search runs on
+        # more than one component
+        g = generate(parse_family("union(KxK(3,4),cycle(12))"))
+        orders = []
+        init = _WeightSearch.__init__
+        monkeypatch.setattr(_WeightSearch, "__init__",
+                            lambda self, h, *a: orders.append(h.n) or init(self, h, *a))
+        reset_caches()
+        profile = edge_profile(g)
+        assert len(profile.deltas) == 12 * 12 + (66 - 30) + (66 - 12)
+        assert orders and max(orders) <= 12
 
     def test_case_tables_dropped_after_the_last_pair(self):
         # a step's case tables go once every non-edge from it has been

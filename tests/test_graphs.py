@@ -31,7 +31,6 @@ from trd.graphs import (
     add_edge,
     build_graph,
     complement,
-    format_edge_list,
     from_edge_mask,
     graph6_decode,
     graph6_encode,
@@ -243,10 +242,6 @@ class TestGraph6:
 
 
 class TestEdgeList:
-    def test_roundtrip(self):
-        text = format_edge_list(cycle(5))
-        assert parse_edge_list(text) == cycle(5)
-
     def test_parse(self):
         g = parse_edge_list("3 2\n0 1\n1 2\n")
         assert g == path(3)
