@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every command is one row of ``_COMMANDS``: its handler, its flags, its
-positional, the flags of which exactly one is required, and its help line.
+positional, a group of flags of which at most one may be given (exactly
+one when the group is required), and its help line.
 ``_parse`` reads the line in two phases from these tables alone: the global
 flags (``--format``, ``--seed``, ``--jobs``) and the command name by the
 row ``_TOP``, then the rest of the line by the command's row.  Flags match
@@ -142,7 +143,7 @@ _INPUT = {
     "--family": ("family", str, "family descriptor, e.g. spider(2,2,4)"),
 }
 _UNIVERSE = {
-    "--all-labeled": ("all_labeled", int,
+    "--all-labeled": ("all_labeled", _positive_int,
                       "all labelled graphs of order up to this (at most 7)"),
     "--connected": ("connected", _SWITCH,
                     "restrict --all-labeled to connected graphs"),
@@ -292,13 +293,16 @@ def _cmd_complete_critical(args) -> int:
     return EXIT_OK
 
 
-# name -> (handler, flags, positional, required, help line): the positional
+# name -> (handler, flags, positional, group, help line): the positional
 # is (dest, choices, help), required when it has choices and optional when
-# they are None; exactly one of the required flags must be given
-_GROUP = tuple(_INPUT)
+# they are None; the group is (flags, required), of whose flags at most one
+# may be given, and exactly one when required
+_GROUP = (tuple(_INPUT), True)
+_ONE_UNIVERSE = (("--all-labeled", "--random", "--family"), False)
 _COMMANDS = {
     "compute": (_cmd_compute,
-                {**_INPUT, "--budget": ("budget", int, "solver node budget")},
+                {**_INPUT, "--budget": ("budget", _positive_int,
+                                        "solver node budget")},
                 None, _GROUP, "invariants of one graph"),
     "profile": (_cmd_profile, _INPUT, None, _GROUP,
                 "per-non-edge gamma_tR deltas"),
@@ -306,18 +310,18 @@ _COMMANDS = {
                  "criticality classification"),
     "generate": (_cmd_generate,
                  {"--family": _INPUT["--family"], "--dot": _DOT},
-                 None, ("--family",), "emit a family member as graph6"),
+                 None, (("--family",), True), "emit a family member as graph6"),
     "recognize": (_cmd_recognize, _INPUT, None, _GROUP,
                   "structural recognition report"),
     "verify": (_cmd_verify, _UNIVERSE,
                ("theorem", None,
                 "registry id; omit to run the whole registry"),
-               (), "machine-check registered theorems"),
+               _ONE_UNIVERSE, "machine-check registered theorems"),
     "hunt": (_cmd_hunt, _UNIVERSE,
              ("question",
               ("Q1", "Q2", "Q1_supercritical", "Q2_dead_in_critical"),
               "Q1_supercritical or Q2_dead_in_critical (Q1, Q2 for short)"),
-             (), "search for open-question counterexamples"),
+             _ONE_UNIVERSE, "search for open-question counterexamples"),
     "complete-critical": (_cmd_complete_critical, {**_INPUT, "--dot": _DOT},
                           None, _GROUP,
                           "grow a graph to an edge-critical supergraph"),
@@ -325,7 +329,8 @@ _COMMANDS = {
 # the global flags and the command name; the tokens after it are the command's
 _TOP = (None, _GLOBAL, ("command", tuple(_COMMANDS),
                         "one of the commands above (trd COMMAND --help)"),
-        (), "total Roman domination workbench\n\ncommands:\n" + "\n".join(
+        ((), False),
+        "total Roman domination workbench\n\ncommands:\n" + "\n".join(
             f"  {name:<19}{row[-1]}" for name, row in _COMMANDS.items()))
 
 
@@ -373,7 +378,7 @@ def _read(prog: str, argv: list[str], row: tuple, args) -> list[str]:
     """Read the tokens of one phase into ``args``, in order, then check for
     a missing positional or required flag and for unrecognized tokens.  At
     the top level, stop at the command and return the tokens after it."""
-    _, flags, positional, required, _ = row
+    _, flags, positional, (group, required), _ = row
     kinds = [_classify(tok, flags) for tok in argv]  # ambiguity comes first
     for dest, kind, _ in flags.values():
         vars(args).setdefault(dest, False if kind == _SWITCH else None)
@@ -407,7 +412,7 @@ def _read(prog: str, argv: list[str], row: tuple, args) -> list[str]:
                         raise _Usage(f"argument {flag}: expected one argument")
                     value, i = argv[i], i + 1
                 value = _value(flag, str if kind == _APPEND else kind, value)
-            if flag in required:
+            if flag in group:
                 if chosen not in (None, flag):
                     raise _Usage(f"argument {flag}: not allowed with argument"
                                  f" {chosen}")
@@ -419,9 +424,9 @@ def _read(prog: str, argv: list[str], row: tuple, args) -> list[str]:
         raise _Usage(f"the following arguments are required: {slot}")
     if required and chosen is None:
         raise _Usage(
-            f"one of the arguments {' '.join(required)} is required"
-            if len(required) > 1 else
-            f"the following arguments are required: {required[0]}")
+            f"one of the arguments {' '.join(group)} is required"
+            if len(group) > 1 else
+            f"the following arguments are required: {group[0]}")
     if extras:
         raise _Usage(f"unrecognized arguments: {' '.join(extras)}")
     return rest
@@ -429,16 +434,17 @@ def _read(prog: str, argv: list[str], row: tuple, args) -> list[str]:
 
 def _help(prog: str, row: tuple) -> str:
     """The -h/--help text of the top level or of one command."""
-    _, flags, positional, required, about = row
+    _, flags, positional, (group, required), about = row
     specs = {}
     for flag, (dest, kind, _) in flags.items():
         meta = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
                 else dest.upper())
         specs[flag] = flag if kind == _SWITCH else f"{flag} {meta}"
     words = ["[-h]"]
-    if required:
-        words.append(f"({' | '.join(specs[flag] for flag in required)})")
-    words += [f"[{specs[flag]}]" for flag in flags if flag not in required]
+    if group:
+        alternatives = " | ".join(specs[flag] for flag in group)
+        words.append(f"({alternatives})" if required else f"[{alternatives}]")
+    words += [f"[{specs[flag]}]" for flag in flags if flag not in group]
     rows = [("-h, --help", "show this help message and exit")]
     rows += [(specs[flag], flags[flag][2]) for flag in flags]
     if positional:

@@ -6,14 +6,12 @@ object, ``_Solved(G)``, which validates G once.  gamma_R, the same
 minimum without the total condition (Cockayne, Dreyer, Hedetniemi &
 Hedetniemi, Discrete Math. 278, 2004), and its dead vertices are asked of
 ``_Solved(G, total=False)``.  On first need the object splits G into
-connected components and gives each its graph, its vertex order of
-frontier width <= 3 and its engine; questions are answered one component
-at a time.  The engine is the frontier dynamic program when the component
-has order >= 10 and such an order, else branch and bound.  The greedy
-seeks an order only for a component of order >= 10 that a peel of
-degree-2 vertices empties.  The last object of each mode is kept in a
-one-slot cache, so a graph whose questions different functions ask in
-turn is routed once.
+connected components and gives each its graph and its engine; questions
+are answered one component at a time.  The engine is the frontier
+dynamic program when the component has order >= 10 and the greedy finds
+it a vertex order of frontier width <= 3, else branch and bound.  The
+last object of each mode is kept in a one-slot cache, so a graph whose
+questions different functions ask in turn is routed once.
 
 The DP codes each frontier state as one base-6 integer and looks its
 transitions up in rows shared by every DP through the step's shape,
@@ -530,36 +528,15 @@ def reset_caches() -> None:
     _LAST.clear()
 
 
-def _two_degenerate(g: Graph) -> bool:
-    """Whether peeling vertices of degree <= 2 leaves nothing: only then is an
-    order sought, so a component that is not 2-degenerate (no width-2 order)
-    keeps branch and bound and its nodes_explored even with a width-3 order
-    (K4 has one); whether the DP would win on such components is unmeasured."""
-    if g.edge_count > 2 * g.n - 3:
-        return False
-    adj = g.adj
-    left = g.full_mask
-    while left:
-        peel = 0
-        m = left
-        while m:
-            low = m & -m
-            if (adj[low.bit_length() - 1] & left).bit_count() <= 2:
-                peel |= low
-            m ^= low
-        if not peel:
-            return False
-        left ^= peel
-    return True
-
-
 def _frontier_order(g: Graph) -> list[int] | None:
     """A vertex order of frontier width <= ``_DP_MAX_WIDTH``, found greedily, or None.
 
     After a prefix of the order, the frontier is the set of placed vertices
     that still have an unplaced neighbour.  Each step places the vertex
     that leaves the smallest frontier, preferring more placed neighbours,
-    then lower degree, then lower index.
+    then lower degree, then lower index.  It is the whole routing rule
+    above order ``_DP_MIN_N``: a component gets the frontier DP exactly
+    when this finds an order.
     """
     n, adj = g.n, g.adj
     deg = g.degrees
@@ -855,8 +832,8 @@ def _require_non_edge(g: Graph, u: int, v: int) -> None:
 
 class _Part:
     """One connected component of a routed graph: its vertices in G's
-    labels and its graph, and, on first need, its frontier order in its own
-    labels, its engine, its first unpinned search, value and ``at`` values."""
+    labels and its graph, and, on first need, its engine, its first
+    unpinned search, value and ``at`` values."""
 
     def __init__(self, g: Graph, mask: int, total: bool):
         self.total = total
@@ -866,18 +843,14 @@ class _Part:
         self.ats: dict[tuple, float] = {}
 
     @cached
-    def order(self) -> list[int] | None:
-        """A greedy order of frontier width <= 3, sought only when the peel
-        leaves nothing, else None."""
-        return _frontier_order(self.h) if _two_degenerate(self.h) else None
-
-    @cached
     def engine(self) -> _FrontierDP | _WeightSearch:
-        """The frontier DP from order ``_DP_MIN_N`` when there is an order,
-        else branch and bound."""
-        if self.h.n >= _DP_MIN_N and self.order is not None:
-            return _FrontierDP(self.h, self.order, self.total)
-        return _WeightSearch(self.h, self.total)
+        """The frontier DP from order ``_DP_MIN_N`` when the greedy finds a
+        frontier order, in the component's own labels, else branch and
+        bound."""
+        order = _frontier_order(self.h) if self.h.n >= _DP_MIN_N else None
+        if order is None:
+            return _WeightSearch(self.h, self.total)
+        return _FrontierDP(self.h, order, self.total)
 
     def first(self, budget: int | None) -> tuple[int, list[int], int]:
         """The engine's unpinned search, (weight, function, nodes), run once
@@ -1029,11 +1002,12 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
 
     The graph is split into components, whose values add and whose
     smallest witnesses are put back in place.  A component of order
-    >= ``_DP_MIN_N`` with a vertex order of frontier width <= 3 is solved
-    by the frontier DP; any other component by branch and bound seeded by
-    constructive probes.  Either way the witness is found by pinned
-    searches in index order.  ``node_budget`` bounds the total nodes, DP
-    table entries included, across all components and searches.
+    >= ``_DP_MIN_N`` for which the greedy finds a vertex order of frontier
+    width <= 3 is solved by the frontier DP; any other component by branch
+    and bound seeded by constructive probes.  Either way the witness is
+    found by pinned searches in index order.  ``node_budget`` bounds the
+    total nodes, DP table entries included, across all components and
+    searches.
     """
     solved = _solved(g)
     try:

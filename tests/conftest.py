@@ -64,6 +64,16 @@ def frontier_width(g: Graph, order: list[int]) -> int:
     return width
 
 
+def two_degenerate(g: Graph) -> bool:
+    """Whether removing vertices of degree <= 2, one at a time, leaves none."""
+    left = set(range(g.n))
+    while True:
+        low = [v for v in left if sum(g.has_edge(v, w) for w in left) <= 2]
+        if not low:
+            return not left
+        left.remove(low[0])
+
+
 def rook(n: int, m: int) -> Graph:
     return generate(CartesianComplete(n, m))
 

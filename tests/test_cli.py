@@ -301,6 +301,11 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["universe"]["max_n"] == 4
 
+    def test_all_labeled_above_the_cap_is_input_error(self, capsys):
+        code, out, err = run(capsys, "verify", "T_TR3", "--all-labeled", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: all-labelled enumeration is capped at n <= 7\n"
+
     def test_unknown_theorem_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "T_NOPE")
         assert code == 2
@@ -473,14 +478,25 @@ USAGE_WORDING = [
      "trd verify: error: unrecognized arguments: B -x C"),
     (["verify", "T_TR3", "--random", "3,5,2.0"], "trd verify: error: argument --random:"
      " wants COUNT,N,P (integer, integer, probability in [0, 1]), got '3,5,2.0'"),
+    (["hunt", "Q1", "--all-labeled", "3", "--random", "2,5,0.5"], "trd hunt:"
+     " error: argument --random: not allowed with argument --all-labeled"),
+    (["verify", "T_TR3", "--family", "K3", "--all-labeled", "3"], "trd verify:"
+     " error: argument --all-labeled: not allowed with argument --family"),
+    (["verify", "T_TR3", "--all-labeled", "0"],
+     "trd verify: error: argument --all-labeled: must be at least 1, got 0"),
+    (["compute", "--family", "K3", "--budget", "-5"],
+     "trd compute: error: argument --budget: must be at least 1, got -5"),
+    (["compute", "--family", "K3", "--budget", "0"],
+     "trd compute: error: argument --budget: must be at least 1, got 0"),
 ]
 
 
 @pytest.mark.parametrize("argv, err", USAGE_WORDING,
                          ids=[" ".join(argv) for argv, _ in USAGE_WORDING])
 def test_usage_error_wording(capsys, argv, err):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         _parse(argv)
+    assert exc.value.code == 2
     assert capsys.readouterr().err == err + "\n"
 
 

@@ -20,6 +20,7 @@ from conftest import (
     solvable_graphs,
     sparse_graphs,
     spider,
+    two_degenerate,
     union,
 )
 from trd.criticality import (
@@ -57,7 +58,6 @@ from trd.graphs import (
 from trd.solver import (
     _FrontierDP,
     _frontier_order,
-    _two_degenerate,
     _WeightSearch,
     brute_oracle_gamma_tr,
     dead_vertices,
@@ -321,14 +321,13 @@ class TestDecidedDeltas:
 
     @staticmethod
     def count_routing(monkeypatch):
-        """Counts of peels, frontier orders, DP builds, full DP runs and
-        non-edges answered by the DP, from here on; a peel or order is also
-        counted under ``(name, graph)``."""
+        """Counts of frontier orders sought, DP builds, full DP runs and
+        non-edges answered by the DP, from here on; an order sought is also
+        counted under ``("_frontier_order", graph)``."""
         counts = Counter()
-        for name in ("_two_degenerate", "_frontier_order"):
-            original = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda h, f=original, k=name:
-                                counts.update([k, (k, h)]) or f(h))
+        order = solver._frontier_order
+        monkeypatch.setattr(solver, "_frontier_order", lambda h: counts.update(
+            ["_frontier_order", ("_frontier_order", h)]) or order(h))
         for name in ("__init__", "run", "pair"):
             original = getattr(_FrontierDP, name)
             monkeypatch.setattr(_FrontierDP, name, lambda self, *a, f=original, k=name:
@@ -353,40 +352,74 @@ class TestDecidedDeltas:
         (union(Cycle(12), Complete(3)), 1),
     ], ids=["cycle(12)", "spider", "cor(cycle(7))", "cycle(12)+K3"])
     def test_one_order_and_one_dp_per_decider(self, monkeypatch, g, dps):
-        # value, witness, dead set and every non-edge share one peel and one
-        # order per component of order >= 10, the only ones whose engine
-        # asks for an order (K3 is never peeled); each DP is its
-        # component's engine, whose forward tables are its one full run, so
-        # no non-edge costs a full run, only its case steps; the DP takes
-        # the pairs inside its component, and no DP is built for a pair
-        # across two components
+        # value, witness, dead set and every non-edge share one order sought
+        # per component of order >= 10, the only ones whose engine asks for
+        # an order (K3 is never ordered); each DP is its component's engine,
+        # built only where an order is found, whose forward tables are its
+        # one full run, so no non-edge costs a full run, only its case
+        # steps; the DP takes the pairs inside its component, and no DP is
+        # built for a pair across two components
         reset_caches()
         counts = self.count_routing(monkeypatch)
         runs, profile = self.every_question(g, counts)
         ordered = [m for m in component_masks(g) if m.bit_count() >= 10]
-        assert counts["_two_degenerate"] == counts["_frontier_order"] == len(ordered)
+        assert counts["_frontier_order"] == len(ordered)
         assert counts["__init__"] == dps and runs == 0
         assert counts["pair"] == sum(any(m >> u & m >> v & 1 for m in ordered)
                                      for u, v in profile.deltas)
 
-    @pytest.mark.parametrize("g,orders", [
+    @pytest.mark.parametrize("g,dps", [
         (generate(parse_family("KxK(3,4)")), 0),
         (union(Complete(4), Cycle(12)), 1),
         (corona_complete(5), 0),
     ], ids=["KxK(3,4)", "K4+cycle(12)", "cor(K5)"])
     def test_no_frontier_order_per_non_edge_without_two_degeneracy(
-        self, monkeypatch, g, orders
+        self, monkeypatch, g, dps
     ):
-        # a component of order >= 10 that is not 2-degenerate is peeled
-        # once and never ordered, and neither is any G+uv that touches it;
-        # K4, of order 4, is not peeled at all, since no pair asks for its
-        # order; beside it, the engine of the ordered component answers its
-        # non-edges
+        # each graph has a component that is not 2-degenerate; the greedy
+        # seeks an order once, for the one component of order >= 10, and
+        # never for a G+uv; a DP is built only when it finds one (KxK(3,4)
+        # and cor(K5) get none); no order is sought for K4, of order 4, and
+        # beside it the engine of cycle(12) answers that component's pairs
         reset_caches()
         counts = self.count_routing(monkeypatch)
         self.every_question(g, counts)
-        assert counts["_two_degenerate"] == 1
-        assert counts["_frontier_order"] == counts["__init__"] == orders
+        assert counts["_frontier_order"] == 1
+        assert counts["__init__"] == dps
+
+    @pytest.mark.parametrize("code", [
+        "ISDSqCxT?",
+        "KSw??G@kdX?{",
+        "OgB?_???o?XdSD??_?K?R",
+        "U_?OP??_GA?CA?OC?a?G_?G?C?_@_h????o??Mc?",
+    ], ids=["n=10", "n=12", "n=16", "n=22"])
+    def test_width_three_order_routes_to_the_dp(self, code):
+        # connected graphs that are not 2-degenerate but get a greedy order
+        # of width 3: the DP takes them, and gives the value, smallest
+        # witness, dead set and every delta that one whole-graph branch and
+        # bound gives, and that the 3^n scan gives up to order 12
+        g = graph6_decode(code)
+        assert not two_degenerate(g)
+        reset_caches()
+        assert [type(part.engine) for part in solver._solved(g).parts] == [_FrontierDP]
+        result, dead, profile = gamma_tr(g), dead_vertices(g), edge_profile(g)
+        search = _WeightSearch(g, True)
+        value, found, _ = search.decide({}, 2 * g.n)
+        witness, _ = solver._witness(search, value, found, None)
+        deltas = {}
+        for u, v in g.non_edges():
+            at_most = search.pair(u, v)
+            deltas[u, v] = at_most(value - 1) + at_most(value - 2)
+        assert (result.value, result.witness.values) == (value, witness)
+        assert (dead, profile.base_value) == (tuple(search.dead(value)), value)
+        assert profile.deltas == deltas
+        if g.n <= 12:
+            minimums = [f.values for f in enumerate_min_trd(g)]
+            assert (brute_oracle_gamma_tr(g), minimums[0]) == (value, witness)
+            assert dead == tuple(v for v in range(g.n)
+                                 if all(vec[v] == 0 for vec in minimums))
+            assert deltas == {(u, v): value - brute_oracle_gamma_tr(add_edge(g, u, v))
+                              for u, v in g.non_edges()}
 
     @pytest.mark.parametrize("theorem", ["T_LONGLEGS", "T_ENDDEG3"])
     def test_verify_orders_each_graph_once(self, monkeypatch, theorem):
@@ -529,10 +562,10 @@ class TestDecidedDeltas:
     def test_at_most_four_searches_per_delta(self, monkeypatch):
         # three pin groups at base - 1; at base - 2 only the groups that did
         # not miss already, so a delta of 0 costs exactly three searches; a
-        # G(14, 0.3) draw that is not 2-degenerate, so branch and bound
-        # takes every non-edge
+        # G(14, 0.3) draw with no frontier order, so branch and bound takes
+        # every non-edge
         g = graph6_decode("MG@ISKDcA@dyC?By?")
-        assert not _two_degenerate(g)
+        assert _frontier_order(g) is None
         base = gamma_tr_value(g)
         calls = []
         solve = _WeightSearch.solve

@@ -31,6 +31,7 @@ from conftest import (
     solvable_graphs,
     sparse_graphs,
     spider,
+    two_degenerate,
     union,
 )
 from trd import solver
@@ -47,7 +48,6 @@ from trd.solver import (
     WeightFunction,
     _FrontierDP,
     _frontier_order,
-    _two_degenerate,
     _WeightSearch,
     brute_oracle_gamma_tr,
     classical_numbers,
@@ -960,18 +960,12 @@ class TestSparseEngine:
     @given(near_width_two_graphs())
     @settings(max_examples=100, deadline=None)
     def test_two_degenerate_matches_naive_peel(self, g):
-        left = set(range(g.n))
-        while True:
-            low = [v for v in left if sum(g.has_edge(v, w) for w in left) <= 2]
-            if not low:
-                break
-            left.remove(low[0])
-        assert _two_degenerate(g) == (not left)
-        # a width-2 order gives each vertex at most two earlier neighbours;
-        # a width-3 order need not (K4 has one)
+        # a width-2 order gives each vertex at most two earlier neighbours,
+        # so the peel empties the graph; a width-3 order need not (K4 has
+        # one)
         order = _frontier_order(g)
         if order is not None and frontier_width(g, order) <= 2:
-            assert _two_degenerate(g)
+            assert two_degenerate(g)
 
     @given(width_two_graphs(10, 20))
     @settings(max_examples=40, deadline=None)
@@ -990,11 +984,12 @@ class TestSparseEngine:
     @pytest.mark.parametrize("g", [complete(4), cube(), petersen()],
                              ids=["K4", "Q3", "Petersen"])
     def test_no_frontier_order_without_a_vertex_of_degree_two(self, g):
-        # none of these is 2-degenerate, so no order has width <= 2, and
-        # routing orders none of them, though K4 has an order of width 3
+        # none of these is 2-degenerate, so no order has width <= 2; K4 has
+        # one of width 3, but K4 and Q3 are below order 10, and the greedy
+        # finds the Petersen graph none, so all three take branch and bound
         order = _frontier_order(g)
         assert order is None or frontier_width(g, order) > 2
-        assert solver._Part(g, g.full_mask, True).order is None
+        assert isinstance(solver._Part(g, g.full_mask, True).engine, _WeightSearch)
 
     @given(width_two_graphs(9, 12))
     @settings(max_examples=40, deadline=None)
@@ -1052,8 +1047,8 @@ class TestSparseEngine:
         gamma_tr_value(sparse)
         solved = solver._Solved(g, total=False)
         # routing orders the relabelled component, not sparse itself
-        assume(next(part for part in solved.parts
-                    if part.h.n == sparse.n).order is not None)
+        assume(isinstance(next(part for part in solved.parts
+                               if part.h.n == sparse.n).engine, _FrontierDP))
         search = _WeightSearch(g, False)
         value = search.decide({}, 2 * g.n)[0]
         assert gamma_r_value(g) == solved.value() == value
