@@ -121,11 +121,14 @@ def _gnp_spec(text: str) -> tuple[int, int, float]:
     try:
         if len(parts) != 3 or not 0 <= float(parts[2]) <= 1:
             raise ValueError
-        return int(parts[0]), int(parts[1]), float(parts[2])
+        count, n, p = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
         raise _Usage(
             f"wants COUNT,N,P (integer, integer, probability in [0, 1]), got {text!r}"
         ) from None
+    if count < 1 or n < 1:
+        raise _Usage(f"COUNT and N must be at least 1, got {text!r}")
+    return count, n, p
 
 
 # flag -> (dest, kind, help); the kind is a converter, a tuple of choices,

@@ -37,8 +37,8 @@ in xs and w's condition waived if asked, to the value of the rest.
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
 edge mask.  A graph enters the memo only after its solve has validated it.
-Above that order gamma and gamma_t are also summed over the components,
-each solved apart by a cover search.
+gamma and gamma_t are summed over the components, each solved apart by a
+cover search.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -84,11 +84,11 @@ from .graphs import (
 SOLVER_MAX_N = 24
 ENUMERATION_MAX_N = 12
 _MEMO_MAX_N = 6
-# the DP is faster from order 7 (value only, best of 3, 2-vCPU VM: cycle(7)
-# 0.17 ms against 0.25 ms for branch and bound, cycle(9) 0.25 against
-# 1.19 ms), but a cut at 7 gains the registry nothing measurable (0.30 s
-# against 0.29 s in-process, best of 6) and would change nodes_explored
-# at orders 7-9, so the cut stays at 10
+# the DP is faster on one graph from order 7 (value only, 2-vCPU VM: cycle(7)
+# 0.17 ms against 0.25 ms for branch and bound), yet a cut at 7 slows `hunt
+# Q1` and `hunt Q2 --all-labeled 7` from 0.64 and 0.62 s to 0.78 and 0.75 s
+# (median of 5 runs), and no cut slows the registry benchmark's scaled_wall_s
+# from 0.19-0.21 s to 0.27-0.28 s, so the cut stays at 10
 _DP_MIN_N = 10
 _DP_MAX_WIDTH = 3
 
@@ -908,11 +908,10 @@ class _Solved:
 
         Components are solved apart, values adding, each by its engine under
         one shared ``budget``, from the part's kept unpinned search when it
-        has one.  With ``cap`` the call is a decision: the
-        weight is None when every function weighs more than ``cap``, and the
-        last component may stop at its first hit, so a weight returned is
-        only some weight <= cap.  All ones is a TRD-function, so a miss at
-        cap n - 1 proves that each part's value is its order.
+        has one.  With ``cap`` the call is a decision: the weight is None
+        when every function weighs more than ``cap``, and the last component
+        may stop at its first hit, so a weight returned is only some
+        weight <= cap.
         """
         value = nodes = 0
         values = [0] * self.g.n
@@ -925,9 +924,6 @@ class _Solved:
                     {}, cap - value, i == len(self.parts) - 1, left)
             nodes += used
             if weight is None:
-                if cap == self.g.n - 1:
-                    for each in self.parts:
-                        each.value = each.h.n
                 return None, None, nodes
             value += weight
             if witness:
@@ -948,7 +944,8 @@ class _Solved:
         """``at_most(cap)``: whether gamma_tR(G+uv) <= cap, for the non-edge
         uv and any cap below gamma_tR(G).  Order <= 6 reads the memo, keyed
         by G's edge mask with the pair's bit set, and builds G+uv only on a
-        miss."""
+        miss: without it the registry took 0.30-0.42 s in-process against
+        0.16-0.27 s (8 runs, 2-vCPU VM)."""
         g = self.g
         _require_non_edge(g, u, v)
         if g.n <= _MEMO_MAX_N:
@@ -986,7 +983,8 @@ def gamma_tr_value(g: Graph) -> int:
 
 
 def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
-    """Whether some TRD-function on G has weight <= cap."""
+    """Whether some TRD-function on G has weight <= cap; order <= 6 reads
+    the memo, as a search per decision made the registry 2% slower."""
     if g.n <= _MEMO_MAX_N:
         return gamma_tr_value(g) <= cap
     return _solved(g).solve(None, False, cap)[0] is not None
@@ -1177,10 +1175,7 @@ def _min_cover_size(g: Graph, closed: bool) -> int:
 
 def _by_component(g: Graph, solve: Callable[[Graph], int]) -> int:
     """The sum of ``solve`` over the components of G, for an invariant that
-    adds over a disjoint union.  Order <= ``_MEMO_MAX_N`` is solved whole:
-    there a memo miss pays for the split and saves nothing."""
-    if g.n <= _MEMO_MAX_N:
-        return solve(g)
+    adds over a disjoint union."""
     return sum(solve(g if c == g.full_mask else induced_subgraph(g, iter_bits(c)))
                for c in component_masks(g))
 

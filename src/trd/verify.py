@@ -35,6 +35,7 @@ from .criticality import (
 )
 from .errors import (
     IncompatibleUniverseError,
+    OutOfRangeError,
     UniverseTooLargeError,
     UnknownQuestionError,
     UnknownTheoremError,
@@ -151,6 +152,8 @@ def enumerate_instances(
             yield spec, fam.generate(spec)
         return
     if isinstance(universe, RandomGnp):
+        if universe.n < 1:
+            raise OutOfRangeError(f"G(n, p) needs n >= 1, got {universe.n}")
         rng = random.Random(universe.seed)
         pairs = pair_table(universe.n)
         for _ in range(universe.count):
@@ -808,27 +811,21 @@ THEOREMS: dict[str, TheoremEntry] = {e.theorem_id: e for e in _entries()}
 _PARALLEL_WINDOW = 2048
 
 
-def parallel_map(fn, items: Iterable, jobs: int = 1) -> Iterator:
-    """Ordered map, optionally spread over a process pool.
+def parallel_map(fn, items: Iterable, jobs: int) -> Iterator:
+    """``(item, fn(item))`` for each item, mapped over a pool of ``jobs``
+    worker processes.
 
     Results always arrive in input order, so output never depends on the
     number of workers.  Submission is windowed to keep memory bounded on
     very large streams.
     """
-    if jobs <= 1:
-        for item in items:
-            yield fn(item)
-        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         it = iter(items)
-        while True:
-            chunk = list(itertools.islice(it, _PARALLEL_WINDOW))
-            if not chunk:
-                return
+        while chunk := list(itertools.islice(it, _PARALLEL_WINDOW)):
             size = max(1, len(chunk) // (4 * jobs))
-            yield from pool.map(fn, chunk, chunksize=size)
+            yield from zip(chunk, pool.map(fn, chunk, chunksize=size))
 
 
 def _claim(claim_id: str) -> TheoremEntry:
@@ -839,10 +836,10 @@ def _claim(claim_id: str) -> TheoremEntry:
 
 
 def _check_item(
-    item: tuple[tuple[str, ...], fam.FamilySpec | None, Graph],
+    item: tuple[int, tuple[str, ...], fam.FamilySpec | None, Graph],
 ) -> tuple[str | None, ...]:
     """Run the checks of the claims ``ids`` on one instance."""
-    ids, spec, g = item
+    _, ids, spec, g = item
     return tuple(_claim(cid).check(g, spec) for cid in ids)
 
 
@@ -859,8 +856,9 @@ def _sweep(
     whole orbit of labellings; the other claims meet every labelled
     graph.  Each instance meets every claim's descriptor filter and
     hypothesis in the order of ``ids``.  The claims that hold form one
-    work item ``(ids, spec, g)``, whose checks run here when ``jobs`` is 1
-    and in a pool worker otherwise.  Results come back in instance order,
+    work item ``(weight, ids, spec, g)``, weight being the number of
+    instances it counts for, whose checks run here when ``jobs`` is 1 and
+    in a pool worker otherwise.  Results come back in instance order,
     so the reports do not depend on ``jobs``.  A claim that fails on some
     class is swept again over the labelled graphs, so its counterexamples
     are the labelled ones.
@@ -894,15 +892,13 @@ def _sweep(
                     and (entry.hypothesis is None or entry.hypothesis(g))
                 )
                 if held:
-                    yield weight, (held, spec, g)
+                    yield weight, held, spec, g
 
-    weighted, pending = itertools.tee(items())
-    work = (item for _, item in weighted)
     if jobs <= 1:
-        results = map(_check_item, work)
+        results = ((item, _check_item(item)) for item in items())
     else:
-        results = parallel_map(_check_item, work, jobs)
-    for (weight, (held, spec, g)), details in zip(pending, results):
+        results = parallel_map(_check_item, items(), jobs)
+    for (weight, held, spec, g), details in results:
         for cid, detail in zip(held, details):
             i = position[cid]
             checked[i] += weight

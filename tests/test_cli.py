@@ -15,6 +15,7 @@ import trd.families
 import trd.graphs
 from trd.cli import _COMMANDS, _parse, main
 from trd.graphs import graph6_decode
+from trd.solver import reset_caches
 
 
 def run(capsys, *argv):
@@ -135,6 +136,68 @@ def test_golden_transcript(capsys, case):
     stdout and exit code, in JSON and in TSV."""
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+W3_N22 = "U_?OP??_GA?CA?OC?a?G_?G?C?_@_h????o??Mc?"
+
+# sha256 of the stdout of profile deltas and compute outputs, nodes_explored
+# included, each run from cold caches as a fresh process would
+PINNED = [
+    (["profile", "--family", "cor(K5)"],
+     "db11a9716e67e07e6dacca32a0130a338a70f4a5b0c1e999aaaeca17a9e480fa"),
+    (["profile", "--family", "spider(1,2,2,3,4,5)"],
+     "b5bba4061c89282c6fc0e62c5d4dc26615ec2a84ebfe2ec8c589a8f00c9c2d4e"),
+    (["profile", "--graph6", "MCDC[`u_CVhdg?FA?"],
+     "f52204b875f280cf61a2512b721f393f6cac73e8daf3988f05a220c01f842047"),
+    (["profile", "--graph6", "M@_?@@GKICK_GK@??"],
+     "1bd877eb256102c677add550788980ab17602ad5bd0da9274585ee8656bc555a"),
+    (["profile", "--graph6", "M?o_Co@?a_@sI?m??"],
+     "af9578ad308ce62fab4b31b5c0aed150461d02db42728eb8918f0a90ba1938c3"),
+    (["profile", "--family", "cor(cycle(12))"],
+     "7ced1eb59177692b5bf14e2dae564b226045d098ee3a32630ae622ddb3e129e8"),
+    (["profile", "--family", "path(24)"],
+     "8456bc7ca7ee524806e2e1bb24f2e677924ec00f3f9b507d15ae0bd29a295cda"),
+    (["profile", "--family", "union(cycle(10),path(4),K3)"],
+     "4344a329bec941e5dff1ac96951d15455cafd874974bec55979b824087e22b57"),
+    (["profile", "--family", "union(cycle(12),K4)"],
+     "ce39fc62fd8b292e5c3879f5cb4dfc78fad00893524f3b757f613af314dab086"),
+    (["profile", "--family", "D(6)"],
+     "91aabacccdfca10733bec372dec7a8170a4dfd6efeca22684a97823f110a22cc"),
+    (["profile", "--family", "union(KxK(3,4),cycle(12))"],
+     "050688a039b864138fba5c1724b6a553e1b5ff5a55bb10d99afb8429fd1dc5d8"),
+    (["profile", "--graph6", W3_N22],
+     "8cc8750d319e38b969b65f530a3f930e07446601d92d8bf6cd936f0c434cb3be"),
+    (["compute", "--family", "union(K3,path(11))"],
+     "019dec287c6e3d422b989c8b1fbf5346e5398dd4280673a07a61daab055870e2"),
+    (["compute", "--family", "cor(K5)"],
+     "27796c59faba64d178629b9fa424f3439b4e5bd105cb79fe03bf4dfb6e2afd84"),
+    (["compute", "--family", "D(6)"],
+     "030ed63ed368692d0a3263e6b551d99e5feba0e9e2ebc2ce198b35794395aaef"),
+    (["compute", "--family", "cycle(24)"],
+     "8391011e2f5d3905abd9f8299d43d3cd788b2759ff28ab98382d35ec3ce8359e"),
+    (["compute", "--family", "cor(cycle(12))"],
+     "34d4a5d835f28ce6ea0ef6ebe08e85f2df965114b3a54780f11d3c7900bf32c8"),
+    (["compute", "--family", "cor(K12)"],
+     "8732ac3b8ce82de9c26ad2bff7d947c6d8d425488fa2e9dbd3f0d0a4e5069a6a"),
+    (["compute", "--family", "union(cycle(10),path(4),K3)"],
+     "1e82db1bc90c5b9ffa25d7c1d502554850c75caab13db6b2b7a72d8be54d99aa"),
+    (["compute", "--family", "union(cycle(12),K4)"],
+     "9bcfcf0bc6e8ce077e2ee308cd81e2f0b528e5184d28cbf3dd7de6e3d5a896ad"),
+    (["compute", "--family", "cor(cycle(7))"],
+     "33df0b2eabff5ba4ae2313d585507cf0a04c42914750216cf3b8be28f507f981"),
+    (["compute", "--family", "spider(1,2,2,3,4,5)"],
+     "cbacf4b7082800c27df3a63bda7691fa0f0bc6e9dd8b0d9d3e99fe29921659c4"),
+    (["compute", "--graph6", W3_N22],
+     "c3337b171f9b74ff9c3d271aab254306ea4ce3a6100fbe17a4c88f3235367c71"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_pinned_output(capsys, argv, digest):
+    reset_caches()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCompute:
@@ -488,6 +551,12 @@ USAGE_WORDING = [
      "trd compute: error: argument --budget: must be at least 1, got -5"),
     (["compute", "--family", "K3", "--budget", "0"],
      "trd compute: error: argument --budget: must be at least 1, got 0"),
+    (["verify", "T_TR3", "--random=3,-2,0.5"], "trd verify: error: argument"
+     " --random: COUNT and N must be at least 1, got '3,-2,0.5'"),
+    (["verify", "T_TR3", "--random=-3,5,0.5"], "trd verify: error: argument"
+     " --random: COUNT and N must be at least 1, got '-3,5,0.5'"),
+    (["hunt", "Q2", "--random", "3,0,0.5"], "trd hunt: error: argument"
+     " --random: COUNT and N must be at least 1, got '3,0,0.5'"),
 ]
 
 

@@ -215,6 +215,22 @@ class TestKnownValues:
         assert not has_trd_weight_at_most(g, value - 1)
         assert gamma_tr_equals_order(g) == (value == g.n)
 
+    def test_decisions_on_every_small_class(self):
+        # at every cap the memo's answer and the search's agree with the
+        # oracle's value
+        for n in range(2, 7):
+            for mask, _ in graph_classes(n):
+                g = from_edge_mask(n, mask)
+                if g.has_isolated_vertices():
+                    continue
+                caps = range(-1, n + 1)
+                solved = solver._Solved(g)
+                searched = [solved.solve(None, False, cap)[0] is not None for cap in caps]
+                value = brute_oracle_gamma_tr(g)
+                assert gamma_tr_value(g) == value
+                assert [has_trd_weight_at_most(g, cap) for cap in caps] == searched
+                assert searched == [value <= cap for cap in caps]
+
 
 class TestClassicalNumbers:
     def test_complete_five(self):
@@ -290,6 +306,19 @@ class TestClassicalNumbers:
             sum(naive(h) for h in parts)
             for naive in (naive_gamma, naive_gamma_t, naive_gamma_r)
         )
+
+    def test_small_disconnected_classes_split(self):
+        # below order 7 too gamma and gamma_t are summed over the components
+        split = 0
+        for n in range(4, 7):
+            for mask, _ in graph_classes(n):
+                g = from_edge_mask(n, mask)
+                if g.has_isolated_vertices() or len(component_masks(g)) == 1:
+                    continue
+                split += 1
+                assert gamma_value(g) == solver._min_cover_size(g, closed=True)
+                assert gamma_t_value(g) == solver._min_cover_size(g, closed=False)
+        assert split == 13
 
     @given(any_graphs(1, 8), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -1059,30 +1088,6 @@ class TestSparseEngine:
         # the gamma_tR slot alone
         assert solver._LAST[False].g == g
         assert solver._LAST[True].g == sparse
-
-    def test_failed_decision_at_n_minus_1_keeps_the_value(self, monkeypatch):
-        # gamma_tR <= n, so once gamma_tR(G) <= n - 1 fails the value is n,
-        # and asking for it searches no more
-        unpinned = []
-        solve = _WeightSearch.solve
-
-        def counted(self, pins, *args):
-            unpinned.append(not pins)
-            return solve(self, pins, *args)
-
-        monkeypatch.setattr(_WeightSearch, "solve", counted)
-        graphs = [from_edge_mask(7, mask) for mask, _ in graph_classes(7)]
-        full = 0
-        for g in graphs:
-            if g.has_isolated_vertices():
-                continue
-            reset_caches()
-            if gamma_tr_equals_order(g):
-                full += 1
-                unpinned.clear()
-                assert gamma_tr_value(g) == 7
-                assert not any(unpinned)
-        assert full == 11
 
     @pytest.mark.parametrize(
         "family,value",

@@ -11,6 +11,7 @@ from conftest import any_graphs
 from trd.criticality import edge_profile, is_edge_critical, is_supercritical
 from trd.errors import (
     IncompatibleUniverseError,
+    OutOfRangeError,
     UniverseTooLargeError,
     UnknownQuestionError,
     UnknownTheoremError,
@@ -89,6 +90,11 @@ class TestEnumeration:
         a = [g.edge_mask for g in enumerate_graphs(RandomGnp(5, 8, 0.5, 42))]
         b = [g.edge_mask for g in enumerate_graphs(RandomGnp(5, 8, 0.5, 43))]
         assert a != b
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_random_gnp_refuses_order_below_one(self, n):
+        with pytest.raises(OutOfRangeError):
+            next(enumerate_instances(RandomGnp(3, n, 0.5, 0)))
 
     def test_family_instances_carry_specs(self):
         universe = Families((Spider((2, 2, 2)), DeadExample(2)))
