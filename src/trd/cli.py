@@ -23,19 +23,19 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import families as fam
 from .criticality import complete_to_critical, edge_profile
 from .errors import TrdError, UnknownQuestionError, UnknownTheoremError
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     complement,
     graph6_decode,
     graph6_encode,
     metrics,
-    parse_edge_list,
+    read_edge_list,
 )
 from .solver import classical_numbers, gamma_tr
 from .verify import (
@@ -67,7 +67,7 @@ def _load_graph(args) -> Graph:
     if args.graph6 is not None:
         return graph6_decode(args.graph6)
     if args.edges is not None:
-        return parse_edge_list(Path(args.edges).read_text())
+        return read_edge_list(args.edges)
     return fam.generate(fam.parse_family(args.family))
 
 
@@ -128,6 +128,8 @@ def _gnp_spec(text: str) -> tuple[int, int, float]:
         ) from None
     if count < 1 or n < 1:
         raise _Usage(f"COUNT and N must be at least 1, got {text!r}")
+    if n > GRAPH6_MAX_N:
+        raise _Usage(f"N must be at most {GRAPH6_MAX_N}, got {text!r}")
     return count, n, p
 
 
@@ -257,11 +259,11 @@ def _report_exit(reports: list[VerificationReport]) -> int:
 
 
 def _cmd_verify(args) -> int:
-    universe = _universe_from_args(args)
     if args.theorem is None:
         reports = run_registry(jobs=args.jobs)
     else:
-        reports = [verify_theorem(args.theorem, universe, jobs=args.jobs)]
+        reports = [verify_theorem(args.theorem, _universe_from_args(args),
+                                  jobs=args.jobs)]
     payload = [r.to_json() for r in reports]
     _emit(payload if args.theorem is None else payload[0], args.format)
     return _report_exit(reports)
@@ -460,6 +462,17 @@ def _help(prog: str, row: tuple) -> str:
                                     for left, text in rows)])
 
 
+def _check_universe(args) -> None:
+    """Refuse a universe flag that would be ignored: any on ``verify``
+    without a theorem id, and a switch of ``--all-labeled`` without it."""
+    given = [flag for flag, (dest, _, _) in _UNIVERSE.items() if getattr(args, dest)]
+    if given and args.command == "verify" and args.theorem is None:
+        raise _Usage(f"argument {given[0]}: not allowed without a theorem id")
+    switches = [flag for flag in given if _UNIVERSE[flag][1] == _SWITCH]
+    if switches and "--all-labeled" not in given:
+        raise _Usage(f"argument {switches[0]}: not allowed without argument --all-labeled")
+
+
 def _parse(argv: list[str] | None) -> SimpleNamespace:
     """Read the global flags and the command name, then the command's own
     flags and positional, from the one table of each.  Usage errors print
@@ -470,6 +483,8 @@ def _parse(argv: list[str] | None) -> SimpleNamespace:
         rest = _read(prog, sys.argv[1:] if argv is None else argv, _TOP, args)
         prog = f"trd {args.command}"
         _read(prog, rest, _COMMANDS[args.command], args)
+        if args.command in ("verify", "hunt"):
+            _check_universe(args)
     except _Usage as exc:
         print(f"{prog}: error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None

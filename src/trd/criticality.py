@@ -15,16 +15,16 @@ One lighter than gamma_tR(G) is no TRD-function of G, so (f(u), f(v)) is
 positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  In each
 case uv meets the condition of the 0, or of both positive ends, and no
 other: such a function is one of G with those conditions waived.  Every
-non-edge question asks whether gamma_tR(G+uv) <= cap for a cap below
-gamma_tR(G): a delta is 0 when it fails at gamma_tR(G) - 1, and 2 when it
-holds at gamma_tR(G) - 2.  Each question goes to the solver's one object
-for G, kept between calls, so every question about G shares one routing of
-it.  Order <= 6 reads the memo.  A pair inside one component goes to its
-engine: the frontier DP runs the three cases on its own order, with the
-waivers; branch and bound searches the three pin groups that cover them
-exactly, f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, and not again at
-gamma_tR(G) - 2 a group that found nothing at gamma_tR(G) - 1, so a delta
-costs at most four searches.  A pair across two components builds no
+non-edge question is the solver's ``delta(u, v, most)``, min(delta, most)
+for ``most`` in {1, 2}: whether gamma_tR(G+uv) <= gamma_tR(G) - 1, and if
+``most`` is 2 whether it is <= gamma_tR(G) - 2.  It is asked of the
+solver's one object for G, kept between calls, so every question about G
+shares one routing of it and one gamma_tR(G).  Order <= 6 reads the memo.
+A pair inside one component goes to its engine: the frontier DP runs the
+three cases on its own order, with the waivers; branch and bound searches
+the three pin groups that cover them exactly, f(u) = 2, f(v) = 2 and
+f(u) = f(v) = 1, and not again at gamma_tR(G) - 2 a group that found
+nothing at gamma_tR(G) - 1, so a delta costs at most four searches.  A pair across two components builds no
 graph: per case it adds the two components' waived values to the rest.
 
 A graph with a nonempty complement is classified by its delta multiset:
@@ -39,15 +39,13 @@ from dataclasses import dataclass
 
 from .errors import IsolatedVertexError, ValueTooSmallError
 from .graphs import Graph, add_edge
-from .solver import _require_non_edge, _solved, gamma_t_value, gamma_tr_value
+from .solver import _solved, gamma_t_value, gamma_tr_value
 
 COMPLETE = "complete"
 SUPERCRITICAL = "supercritical"
 EDGE_CRITICAL = "edge-critical"
 STABLE = "stable"
 MIXED = "mixed"
-
-CLASSIFICATIONS = (COMPLETE, SUPERCRITICAL, EDGE_CRITICAL, STABLE, MIXED)
 
 
 @dataclass(frozen=True)
@@ -90,33 +88,23 @@ def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
     return MIXED
 
 
-def edge_delta(g: Graph, u: int, v: int, base: int | None = None) -> int:
-    """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv; ``base`` is
-    gamma_tR(G) when the caller already has it."""
-    _require_non_edge(g, u, v)
-    if g.has_isolated_vertices():
-        raise IsolatedVertexError("edge deltas need a graph without isolated vertices")
-    if base is None:
-        base = gamma_tr_value(g)
-    at_most = _solved(g).decide(u, v)
-    if not at_most(base - 1):
-        return 0
-    return 2 if at_most(base - 2) else 1
+def edge_delta(g: Graph, u: int, v: int) -> int:
+    """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv."""
+    return _solved(g).delta(u, v, 2)
 
 
 def is_critical_edge(g: Graph, u: int, v: int) -> bool:
     """Whether adding the non-edge uv lowers gamma_tR: the one question of
     :func:`edge_delta` that decides whether its delta is nonzero."""
-    return _solved(g).decide(u, v)(gamma_tr_value(g) - 1)
+    return _solved(g).delta(u, v, 1) == 1
 
 
 def edge_profile(g: Graph) -> EdgeProfile:
     """Deltas for every non-edge plus the classification."""
     if g.has_isolated_vertices():
         raise IsolatedVertexError("edge profiles need a graph without isolated vertices")
-    base = gamma_tr_value(g)
-    deltas = {(u, v): edge_delta(g, u, v, base) for u, v in g.non_edges()}
-    return EdgeProfile(base, deltas, classify_deltas(deltas))
+    deltas = {(u, v): edge_delta(g, u, v) for u, v in g.non_edges()}
+    return EdgeProfile(gamma_tr_value(g), deltas, classify_deltas(deltas))
 
 
 def _every_non_edge(g: Graph, drop: int, holds: bool) -> bool:
@@ -126,9 +114,8 @@ def _every_non_edge(g: Graph, drop: int, holds: bool) -> bool:
     non_edges = g.non_edges()
     if not non_edges:
         return False
-    base = gamma_tr_value(g)
-    decide = _solved(g).decide
-    return all(decide(u, v)(base - drop) == holds for u, v in non_edges)
+    delta = _solved(g).delta
+    return all((delta(u, v, drop) == drop) == holds for u, v in non_edges)
 
 
 def is_edge_critical(g: Graph) -> bool:
@@ -161,19 +148,13 @@ def complete_to_critical(g: Graph) -> Graph:
         raise ValueTooSmallError(f"completion requires gamma_tR >= 4, got {base}")
     current = g
     while True:
-        decide = _solved(current).decide
+        delta = _solved(current).delta
         for u, v in current.non_edges():
-            if not decide(u, v)(base - 1):
+            if not delta(u, v, 1):
                 current = add_edge(current, u, v)
                 break
         else:
             return current
-
-
-def gamma_t_edge_delta(g: Graph, u: int, v: int) -> int:
-    """gamma_t(G) - gamma_t(G+uv), the total-domination analogue."""
-    _require_non_edge(g, u, v)
-    return gamma_t_value(g) - gamma_t_value(add_edge(g, u, v))
 
 
 def is_k_gamma_t_edge_critical(g: Graph, k: int) -> bool:

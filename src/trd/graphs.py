@@ -427,6 +427,22 @@ def graph6_decode(text: str) -> Graph:
     return from_edge_mask(n, mask)
 
 
+# an edge list of order <= 62 has at most 1,891 edge lines; a file is read
+# up to one byte past this bound, never to its end
+EDGE_LIST_MAX_BYTES = 1 << 20
+
+
+def read_edge_list(path: str) -> Graph:
+    """The edge-list file at ``path``, which must be ASCII text of at most
+    ``EDGE_LIST_MAX_BYTES`` bytes."""
+    with open(path, "rb") as f:
+        data = f.read(EDGE_LIST_MAX_BYTES + 1)
+    if len(data) > EDGE_LIST_MAX_BYTES or not data.isascii():
+        raise MalformedEdgeListError(
+            f"an edge-list file is ASCII text of at most {EDGE_LIST_MAX_BYTES} bytes")
+    return parse_edge_list(data.decode())
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the 'n m' header format: one 'u v' line per edge."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]

@@ -25,14 +25,15 @@ already has: branch and bound by two pinned searches per vertex, the DP
 by reading the tables of its unpinned run and its backward completion
 once, with no run per vertex.
 
-For a non-edge uv, ``_Solved.decide(u, v)`` gives ``at_most(cap)``,
-whether gamma_tR(G+uv) <= cap for a cap below gamma_tR(G).  Order <= 6
-reads the memo.  A function lighter than gamma_tR(G) uses uv in one of
-three cases (see :mod:`trd.criticality`), each of which waives the
-conditions that uv meets.  A pair inside one component is its engine's
-``pair(u, v)``.  A pair across two builds no graph: per case it adds the
-two ends' ``at(w, xs, waive)``, each component's least weight with f(w)
-in xs and w's condition waived if asked, to the value of the rest.
+For a non-edge uv, ``_Solved.delta(u, v, most)`` gives
+min(gamma_tR(G) - gamma_tR(G+uv), most).  Order <= 6 reads the memo.  A
+function lighter than gamma_tR(G) uses uv in one of three cases (see
+:mod:`trd.criticality`), each of which waives the conditions that uv
+meets.  A pair inside one component is its engine's ``pair(u, v, caps)``,
+how many of the falling caps G+uv meets.  A pair across two builds no
+graph: per case it adds the two ends' ``at(w, xs, waive)``, each
+component's least weight with f(w) in xs and w's condition waived if
+asked.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -248,27 +249,20 @@ class _WeightSearch:
                 best = weight
         return best
 
-    def pair(self, u: int, v: int) -> Callable[[int], bool]:
-        """``at_most(cap)``: whether G+uv has a TRD-function of weight <= cap
-        in one of ``_CASES``, by first-hit searches on G+uv over the pin
-        groups f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, which cover them
-        exactly; a group that found nothing at some cap is not searched
-        again at a lower cap."""
+    def pair(self, u: int, v: int, caps: list[int]) -> int:
+        """How many of the falling ``caps`` G+uv meets with a TRD-function in
+        one of ``_CASES``, by first-hit searches on G+uv over the pin groups
+        f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, which cover them exactly; a
+        group that finds nothing at one cap is dropped, as it finds nothing
+        at a lower one."""
         search = _WeightSearch(add_edge(self.g, u, v), True)
-        groups = ({u: 2}, {v: 2}, {u: 1, v: 1})
-        # the highest cap at which each group found nothing; no weight is < 0
-        missed = [-1] * len(groups)
-
-        def at_most(cap: int) -> bool:
-            for i, pins in enumerate(groups):
-                if cap <= missed[i]:
-                    continue
-                if search.decide(pins, cap, True)[0] is not None:
-                    return True
-                missed[i] = cap
-            return False
-
-        return at_most
+        groups = [{u: 2}, {v: 2}, {u: 1, v: 1}]
+        for met, cap in enumerate(caps):
+            while groups and search.decide(groups[0], cap, True)[0] is None:
+                del groups[0]
+            if not groups:
+                return met
+        return len(caps)
 
     def solve(self, pins, cap, first_hit, budget, waive: int | None = None) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
@@ -772,10 +766,10 @@ class _FrontierDP:
         minimum, assigns 0: with a positive value, none reaches it."""
         return [v for v, _, _ in self.steps if self.at(v, (1, 2), False) > value]
 
-    def pair(self, u: int, v: int) -> Callable[[int], bool]:
-        """``at_most(cap)``: whether G+uv has a function of weight <= cap in
-        one of ``_CASES``, each run on G's own steps with the conditions uv
-        meets waived.  With u and v placed at steps a < b, the tables through
+    def pair(self, u: int, v: int, caps: list[int]) -> int:
+        """How many of ``caps`` G+uv meets with a function in one of
+        ``_CASES``, each run on G's own steps with the conditions uv meets
+        waived.  With u and v placed at steps a < b, the tables through
         step b - 1 are kept per u as far as some b asks, until the last
         non-edge from u; step b is run per pair, G's completion ends."""
         a, b = sorted((self.index[u], self.index[v]))
@@ -793,7 +787,7 @@ class _FrontierDP:
         self.left[a] -= 1
         if not self.left[a]:
             del self.cases[a]
-        return lambda cap: best <= cap
+        return sum(best <= cap for cap in caps)
 
 
 def _witness(
@@ -878,8 +872,9 @@ class _Solved:
     """Every gamma_tR question about one graph G, with G validated and
     routed once (see the module docstring); without ``total``, gamma_R and
     its dead vertices, for any G of order <= 24.  A pair inside one
-    component goes to that component's engine, and a pair across two adds,
-    per case, the two components' ``at`` values to the value of the rest."""
+    component goes to that component's engine, and a pair across two
+    compares the least, over the cases, of the two components' ``at``
+    values with the two components' values."""
 
     def __init__(self, g: Graph, total: bool = True):
         if total and g.n < 2:
@@ -899,40 +894,40 @@ class _Solved:
     def value(self) -> int:
         return sum(part.value for part in self.parts)
 
-    def solve(
-        self, budget: int | None, witness: bool, cap: int | None = None,
-    ) -> tuple[int | None, tuple[int, ...] | None, int]:
-        """The least weight of a TRD-function on G, with ``witness`` the
-        lexicographically smallest function of that weight, and the nodes
-        spent.
+    @cached
+    def base(self) -> int:
+        """gamma_tR(G), asked once per object; order <= 6 reads the memo."""
+        return _memo("gamma_tR", self.g, lambda h: self.value())
 
-        Components are solved apart, values adding, each by its engine under
-        one shared ``budget``, from the part's kept unpinned search when it
-        has one.  With ``cap`` the call is a decision: the weight is None
-        when every function weighs more than ``cap``, and the last component
-        may stop at its first hit, so a weight returned is only some
-        weight <= cap.
-        """
+    def at_most(self, cap: int) -> bool:
+        """Whether some TRD-function on G weighs <= cap: each component's
+        engine within what the earlier ones left of cap, the last stopping at
+        its first hit."""
+        value = 0
+        for i, part in enumerate(self.parts):
+            weight = part.engine.decide({}, cap - value, i == len(self.parts) - 1)[0]
+            if weight is None:
+                return False
+            value += weight
+        return True
+
+    def witness(self, budget: int | None) -> tuple[int, tuple[int, ...], int]:
+        """gamma_tR(G), the lexicographically smallest function of that
+        weight, and the nodes spent: components solved apart, values adding,
+        each by its engine from the part's kept unpinned search, under one
+        shared ``budget``."""
         value = nodes = 0
         values = [0] * self.g.n
-        for i, part in enumerate(self.parts):
-            left = None if budget is None else budget - nodes
-            if cap is None:
-                weight, found, used = part.first(left)
-            else:
-                weight, found, used = part.engine.decide(
-                    {}, cap - value, i == len(self.parts) - 1, left)
+        for part in self.parts:
+            weight, found, used = part.first(None if budget is None else budget - nodes)
             nodes += used
-            if weight is None:
-                return None, None, nodes
             value += weight
-            if witness:
-                left = None if budget is None else budget - nodes
-                vec, used = _witness(part.engine, weight, found, left)
-                nodes += used
-                for v, x in zip(part.verts, vec):
-                    values[v] = x
-        return value, tuple(values) if witness else None, nodes
+            vec, used = _witness(part.engine, weight, found,
+                                 None if budget is None else budget - nodes)
+            nodes += used
+            for v, x in zip(part.verts, vec):
+                values[v] = x
+        return value, tuple(values), nodes
 
     def dead(self) -> tuple[int, ...]:
         """The dead vertices: those of each component's engine, since the
@@ -940,26 +935,27 @@ class _Solved:
         return tuple(sorted(part.verts[j] for part in self.parts
                             for j in part.engine.dead(part.value)))
 
-    def decide(self, u: int, v: int) -> Callable[[int], bool]:
-        """``at_most(cap)``: whether gamma_tR(G+uv) <= cap, for the non-edge
-        uv and any cap below gamma_tR(G).  Order <= 6 reads the memo, keyed
-        by G's edge mask with the pair's bit set, and builds G+uv only on a
-        miss: without it the registry took 0.30-0.42 s in-process against
-        0.16-0.27 s (8 runs, 2-vCPU VM)."""
+    def delta(self, u: int, v: int, most: int) -> int:
+        """min(gamma_tR(G) - gamma_tR(G+uv), ``most``) for the non-edge uv
+        and ``most`` in {1, 2}.  Order <= 6 reads the memo, keyed by G's edge
+        mask with the pair's bit set, and builds G+uv only on a miss: without
+        it the registry took 0.30-0.42 s in-process against 0.16-0.27 s (8
+        runs, 2-vCPU VM).  A pair inside one component asks its engine
+        which of the caps gamma_tR(G) - 1, ..., gamma_tR(G) - most, in the
+        component's terms, G+uv meets."""
         g = self.g
         _require_non_edge(g, u, v)
         if g.n <= _MEMO_MAX_N:
             value = _memo_at("gamma_tR", g.n, g.edge_mask | 1 << pair_index(u, v),
                              lambda: _Solved(add_edge(g, u, v)).value())
-            return lambda cap: value <= cap
+            return min(most, self.base - value)
         pu, pv = (next(p for p in self.parts if p.mask >> w & 1) for w in (u, v))
         if pu is pv:
-            rest = self.value() - pu.value
-            at_most = pu.engine.pair(pu.verts.index(u), pu.verts.index(v))
-            return lambda cap: at_most(cap - rest)
-        value = self.value() - pu.value - pv.value + min(
+            caps = [pu.value - k for k in range(1, most + 1)]
+            return pu.engine.pair(pu.verts.index(u), pu.verts.index(v), caps)
+        drop = pu.value + pv.value - min(
             pu.at(u, xs, a) + pv.at(v, ys, b) for xs, a, ys, b in _CASES)
-        return lambda cap: value <= cap
+        return min(most, max(0, drop))
 
 
 # The last graph routed in each mode, keyed by ``total``: value, witness,
@@ -987,7 +983,7 @@ def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
     the memo, as a search per decision made the registry 2% slower."""
     if g.n <= _MEMO_MAX_N:
         return gamma_tr_value(g) <= cap
-    return _solved(g).solve(None, False, cap)[0] is not None
+    return _solved(g).at_most(cap)
 
 
 def gamma_tr_equals_order(g: Graph) -> bool:
@@ -1009,7 +1005,7 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     """
     solved = _solved(g)
     try:
-        value, values, nodes = solved.solve(node_budget, witness=True)
+        value, values, nodes = solved.witness(node_budget)
     except BudgetExceededError:
         # an engine names only what was left of the budget for its search
         raise BudgetExceededError(f"node budget {node_budget} exhausted") from None

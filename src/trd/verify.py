@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator, Union
@@ -41,6 +42,7 @@ from .errors import (
     UnknownTheoremError,
 )
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     add_edge,
     complement,
@@ -152,8 +154,9 @@ def enumerate_instances(
             yield spec, fam.generate(spec)
         return
     if isinstance(universe, RandomGnp):
-        if universe.n < 1:
-            raise OutOfRangeError(f"G(n, p) needs n >= 1, got {universe.n}")
+        if not 1 <= universe.n <= GRAPH6_MAX_N:
+            raise OutOfRangeError(
+                f"G(n, p) needs 1 <= n <= {GRAPH6_MAX_N}, got {universe.n}")
         rng = random.Random(universe.seed)
         pairs = pair_table(universe.n)
         for _ in range(universe.count):
@@ -813,7 +816,8 @@ _PARALLEL_WINDOW = 2048
 
 def parallel_map(fn, items: Iterable, jobs: int) -> Iterator:
     """``(item, fn(item))`` for each item, mapped over a pool of ``jobs``
-    worker processes.
+    worker processes, at most one per CPU, since the pool starts them all
+    at its first task.
 
     Results always arrive in input order, so output never depends on the
     number of workers.  Submission is windowed to keep memory bounded on
@@ -821,10 +825,11 @@ def parallel_map(fn, items: Iterable, jobs: int) -> Iterator:
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         it = iter(items)
         while chunk := list(itertools.islice(it, _PARALLEL_WINDOW)):
-            size = max(1, len(chunk) // (4 * jobs))
+            size = max(1, len(chunk) // (4 * workers))
             yield from zip(chunk, pool.map(fn, chunk, chunksize=size))
 
 

@@ -11,7 +11,6 @@ import time
 
 from trd.criticality import (
     edge_delta,
-    gamma_t_edge_delta,
     is_edge_critical,
     is_stable,
     is_supercritical,
@@ -31,6 +30,7 @@ from trd.graphs import add_edge, build_graph
 from trd.solver import (
     brute_oracle_gamma_tr,
     enumerate_min_trd,
+    gamma_t_value,
     gamma_tr_value,
 )
 from trd.verify import (
@@ -163,9 +163,9 @@ def test_criterion_08_delta_ranges_and_value_sets():
             for u, v in g.non_edges():
                 d = edge_delta(g, u, v)
                 assert d in (0, 1, 2), (g, u, v)
-                assert gamma_t_edge_delta(g, u, v) in (0, 1, 2), (g, u, v)
+                h = add_edge(g, u, v)
+                assert gamma_t_value(g) - gamma_t_value(h) in (0, 1, 2), (g, u, v)
                 if d >= 1:
-                    h = add_edge(g, u, v)
                     minimums = enumerate_min_trd(h)
                     for f in minimums:
                         pair = tuple(sorted((f.values[u], f.values[v])))

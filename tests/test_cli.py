@@ -243,6 +243,25 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["gamma_tR"] == 24
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_edge_file_is_input_error(self, capsys):
+        # read up to the byte bound and refused, never read to its end
+        code, out, err = run(capsys, "compute", "--edges", "/dev/zero")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [
+        b"\xff3 1\n0 1\n",
+        b"2 1\n0 1\n".ljust(trd.graphs.EDGE_LIST_MAX_BYTES + 1, b" "),
+    ], ids=["not-ascii", "one-byte-too-long"])
+    def test_refused_edge_file(self, capsys, tmp_path, data):
+        f = tmp_path / "g.txt"
+        f.write_bytes(data)
+        code, out, err = run(capsys, "compute", "--edges", str(f))
+        assert (code, out) == (3, "")
+        assert err == ("error: an edge-list file is ASCII text of at most"
+                       f" {trd.graphs.EDGE_LIST_MAX_BYTES} bytes\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "compute", "--edges", str(tmp_path / "no"))
         assert code == 3
@@ -557,6 +576,16 @@ USAGE_WORDING = [
      " --random: COUNT and N must be at least 1, got '-3,5,0.5'"),
     (["hunt", "Q2", "--random", "3,0,0.5"], "trd hunt: error: argument"
      " --random: COUNT and N must be at least 1, got '3,0,0.5'"),
+    (["verify", "T_TR3", "--random", "1,1000,0.5"], "trd verify: error:"
+     " argument --random: N must be at most 62, got '1,1000,0.5'"),
+    (["verify", "--all-labeled", "3"], "trd verify: error: argument"
+     " --all-labeled: not allowed without a theorem id"),
+    (["verify", "--random", "2,5,0.5"], "trd verify: error: argument"
+     " --random: not allowed without a theorem id"),
+    (["verify", "T_TR3", "--connected"], "trd verify: error: argument"
+     " --connected: not allowed without argument --all-labeled"),
+    (["hunt", "Q1", "--allow-isolated"], "trd hunt: error: argument"
+     " --allow-isolated: not allowed without argument --all-labeled"),
 ]
 
 

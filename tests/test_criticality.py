@@ -32,7 +32,6 @@ from trd.criticality import (
     complete_to_critical,
     edge_delta,
     edge_profile,
-    gamma_t_edge_delta,
     is_critical_edge,
     is_edge_critical,
     is_k_gamma_t_edge_critical,
@@ -62,6 +61,7 @@ from trd.solver import (
     brute_oracle_gamma_tr,
     dead_vertices,
     enumerate_min_trd,
+    gamma_t_value,
     gamma_tr,
     gamma_tr_value,
     reset_caches,
@@ -117,9 +117,8 @@ class TestEdgeDelta:
         assume(non_edges)
         u, v = data.draw(st.sampled_from(non_edges))
         assert edge_delta(g, u, v) in (0, 1, 2)
-        assert edge_delta(g, u, v, gamma_tr_value(g)) == edge_delta(g, u, v)
         assert is_critical_edge(g, u, v) == (edge_delta(g, u, v) > 0)
-        assert gamma_t_edge_delta(g, u, v) in (0, 1, 2)
+        assert gamma_t_value(g) - gamma_t_value(add_edge(g, u, v)) in (0, 1, 2)
 
 
 class TestEdgeProfile:
@@ -291,7 +290,7 @@ class TestDecidedDeltas:
     def exact(g, pairs=None):
         base = gamma_tr_value(g)
         for u, v in g.non_edges() if pairs is None else pairs:
-            assert edge_delta(g, u, v, base) == base - gamma_tr_value(add_edge(g, u, v))
+            assert edge_delta(g, u, v) == base - gamma_tr_value(add_edge(g, u, v))
 
     def test_every_class_of_order_7(self):
         for mask, _ in graph_classes(7):
@@ -408,8 +407,7 @@ class TestDecidedDeltas:
         witness, _ = solver._witness(search, value, found, None)
         deltas = {}
         for u, v in g.non_edges():
-            at_most = search.pair(u, v)
-            deltas[u, v] = at_most(value - 1) + at_most(value - 2)
+            deltas[u, v] = search.pair(u, v, [value - 1, value - 2])
         assert (result.value, result.witness.values) == (value, witness)
         assert (dead, profile.base_value) == (tuple(search.dead(value)), value)
         assert profile.deltas == deltas
@@ -494,8 +492,8 @@ class TestDecidedDeltas:
         base = solved.value()
         for u, v in pairs:
             exact = brute_oracle_gamma_tr(add_edge(g, u, v))
-            at_most = solved.decide(u, v)
-            assert [at_most(base - 1), at_most(base - 2)] == [exact < base, exact < base - 1]
+            delta = solved.delta(u, v, 2)
+            assert [delta >= 1, delta >= 2] == [exact < base, exact < base - 1]
 
     @given(width_three_graphs(), st.data())
     @settings(max_examples=25, deadline=None)
@@ -574,7 +572,7 @@ class TestDecidedDeltas:
         deltas = set()
         for u, v in g.non_edges():
             calls.clear()
-            delta = edge_delta(g, u, v, base)
+            delta = edge_delta(g, u, v)
             deltas.add(delta)
             if delta == 0:
                 assert len(calls) == 3

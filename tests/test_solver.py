@@ -225,7 +225,7 @@ class TestKnownValues:
                     continue
                 caps = range(-1, n + 1)
                 solved = solver._Solved(g)
-                searched = [solved.solve(None, False, cap)[0] is not None for cap in caps]
+                searched = [solved.at_most(cap) for cap in caps]
                 value = brute_oracle_gamma_tr(g)
                 assert gamma_tr_value(g) == value
                 assert [has_trd_weight_at_most(g, cap) for cap in caps] == searched

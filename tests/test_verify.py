@@ -96,11 +96,49 @@ class TestEnumeration:
         with pytest.raises(OutOfRangeError):
             next(enumerate_instances(RandomGnp(3, n, 0.5, 0)))
 
+    @pytest.mark.parametrize("n", [63, 1000])
+    def test_random_gnp_refuses_order_above_graph6(self, monkeypatch, n):
+        # refused before the pair table of n(n-1)/2 entries is built
+        def refuse(m):
+            raise AssertionError(f"pair_table called with n={m}")
+
+        monkeypatch.setattr(trd.verify, "pair_table", refuse)
+        with pytest.raises(OutOfRangeError):
+            next(enumerate_instances(RandomGnp(1, n, 0.5, 0)))
+
     def test_family_instances_carry_specs(self):
         universe = Families((Spider((2, 2, 2)), DeadExample(2)))
         pairs = list(enumerate_instances(universe))
         assert [spec for spec, _ in pairs] == list(universe.specs)
         assert [g.n for _, g in pairs] == [7, 7]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 100_000])
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, jobs):
+    # a stand-in for ProcessPoolExecutor records max_workers and maps in this
+    # process, so that no process starts
+    import concurrent.futures
+
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(trd.verify.os, "cpu_count", lambda: 2)
+    items = list(range(-5, 5))
+    assert list(trd.verify.parallel_map(abs, items, jobs)) == [(x, abs(x)) for x in items]
+    assert workers == [min(jobs, 2)]
 
 
 class TestVerifyTheorem:
