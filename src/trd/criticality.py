@@ -21,11 +21,14 @@ for ``most`` in {1, 2}: whether gamma_tR(G+uv) <= gamma_tR(G) - 1, and if
 solver's one object for G, kept between calls, so every question about G
 shares one routing of it and one gamma_tR(G).  Order <= 6 reads the memo.
 A pair inside one component goes to its engine: the frontier DP runs the
-three cases on its own order, with the waivers; branch and bound searches
-the three pin groups that cover them exactly, f(u) = 2, f(v) = 2 and
-f(u) = f(v) = 1, and not again at gamma_tR(G) - 2 a group that found
-nothing at gamma_tR(G) - 1, so a delta costs at most four searches.  A pair across two components builds no
-graph: per case it adds the two components' waived values to the rest.
+three cases on its own order, with the waivers.  Branch and bound reads a
+table that one scan fills for every pair of the component at its first
+pair question: the scan walks the near functions, those of the component
+lighter than its gamma_tR whose unmet conditions sit at one or two
+vertices, down to two below it, and credits each pair whose edge would
+meet them.  No G+uv is built and no pinned search is run.  A pair across two components
+builds no graph: per case it adds the two components' waived values to
+the rest.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;
@@ -136,10 +139,12 @@ def is_supercritical(g: Graph) -> bool:
 def complete_to_critical(g: Graph) -> Graph:
     """Grow G into an edge-critical supergraph with the same gamma_tR.
 
-    Repeatedly scans the non-edges in lexicographic order and adds the
-    first one whose delta is 0, until every remaining non-edge is
-    critical.  Requires gamma_tR(G) >= 4: below that the value would
-    collapse to 3 before criticality is reached.
+    Scans G's non-edges once, in lexicographic order, and adds each whose
+    delta in the graph grown so far is 0.  This adds the edges that a scan
+    restarted after every addition would add: an added edge never raises
+    gamma_tR, so a non-edge found critical stays critical.  Requires
+    gamma_tR(G) >= 4: below that the value would collapse to 3 before
+    criticality is reached.
     """
     if g.has_isolated_vertices():
         raise IsolatedVertexError("completion needs a graph without isolated vertices")
@@ -147,14 +152,10 @@ def complete_to_critical(g: Graph) -> Graph:
     if base < 4:
         raise ValueTooSmallError(f"completion requires gamma_tR >= 4, got {base}")
     current = g
-    while True:
-        delta = _solved(current).delta
-        for u, v in current.non_edges():
-            if not delta(u, v, 1):
-                current = add_edge(current, u, v)
-                break
-        else:
-            return current
+    for u, v in g.non_edges():
+        if not _solved(current).delta(u, v, 1):
+            current = add_edge(current, u, v)
+    return current
 
 
 def is_k_gamma_t_edge_critical(g: Graph, k: int) -> bool:

@@ -101,8 +101,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    @property
+    @cached
     def degrees(self) -> tuple[int, ...]:
+        """The degree of each vertex, found once per graph: the solver's
+        engines, its routing and the family recognizers each read it."""
         return tuple(a.bit_count() for a in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:

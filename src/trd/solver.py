@@ -30,10 +30,14 @@ min(gamma_tR(G) - gamma_tR(G+uv), most).  Order <= 6 reads the memo.  A
 function lighter than gamma_tR(G) uses uv in one of three cases (see
 :mod:`trd.criticality`), each of which waives the conditions that uv
 meets.  A pair inside one component is its engine's ``pair(u, v, caps)``,
-how many of the falling caps G+uv meets.  A pair across two builds no
-graph: per case it adds the two ends' ``at(w, xs, waive)``, each
-component's least weight with f(w) in xs and w's condition waived if
-asked.
+how many of the falling caps G+uv meets.  The DP runs the three cases on
+its own order.  Branch and bound reads one table per component, made at
+its first pair question by one near scan (``_Near``) over the functions
+of the component lighter than its gamma_tR whose unmet conditions sit on
+at most two vertices; it builds no graph and runs no pinned search.  A
+pair across two components builds no graph either: per case it adds the
+two ends' ``at(w, xs, waive)``, each component's least weight with f(w)
+in xs and w's condition waived if asked.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -183,7 +188,7 @@ class _WeightSearch:
     __slots__ = (
         "g", "n", "adj", "closed", "by_degree", "packing", "full", "total",
         "probe", "budget", "nodes", "best", "found", "cap",
-        "first_hit", "done", "waived", "live",
+        "first_hit", "done", "waived", "live", "near",
     )
 
     def __init__(self, g: Graph, total: bool):
@@ -207,7 +212,7 @@ class _WeightSearch:
         self.packing = self.live = packing
         self.full = g.full_mask
         self.total = total
-        self.probe = None
+        self.probe = self.near = None
 
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
                budget: int | None = None) -> tuple[int | None, list | None, int]:
@@ -250,19 +255,13 @@ class _WeightSearch:
         return best
 
     def pair(self, u: int, v: int, caps: list[int]) -> int:
-        """How many of the falling ``caps`` G+uv meets with a TRD-function in
-        one of ``_CASES``, by first-hit searches on G+uv over the pin groups
-        f(u) = 2, f(v) = 2 and f(u) = f(v) = 1, which cover them exactly; a
-        group that finds nothing at one cap is dropped, as it finds nothing
-        at a lower one."""
-        search = _WeightSearch(add_edge(self.g, u, v), True)
-        groups = [{u: 2}, {v: 2}, {u: 1, v: 1}]
-        for met, cap in enumerate(caps):
-            while groups and search.decide(groups[0], cap, True)[0] is None:
-                del groups[0]
-            if not groups:
-                return met
-        return len(caps)
+        """How many of the falling ``caps`` G+uv meets, read from the table
+        of one near scan (:class:`_Near`), made at the first pair question;
+        ``caps[0]`` is gamma_tR(G) - 1."""
+        if self.near is None:
+            self.near = _Near(self, caps[0] + 1).least
+        least = self.near[pair_index(u, v)]
+        return sum(least <= cap for cap in caps)
 
     def solve(self, pins, cap, first_hit, budget, waive: int | None = None) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
@@ -456,6 +455,225 @@ class _WeightSearch:
             self.found = (two, pos)
             if self.first_hit and weight <= self.cap:
                 self.done = True
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """``[a][b]``: ``pair_index(a, b)``, 0 when a = b."""
+    return tuple(tuple(pair_index(a, b) if a != b else 0 for b in range(n))
+                 for a in range(n))
+
+
+class _Settled(Exception):
+    """Every pair of a near scan has reached its floor."""
+
+
+class _Near:
+    """The near scan of one branch-and-bound component H with gamma_tR(H) =
+    ``value``: ``least[pair_index(u, v)]`` is, for each non-edge uv, the
+    least weight, down to the floor ``value - 2``, of a TRD-function of H+uv
+    lighter than ``value``, else ``value``; each edge reads the floor.
+
+    Such a function is one of H whose unmet conditions sit at u and v (see
+    :mod:`trd.criticality`), a near function: it has a Roman defect r, a 0
+    with no neighbour of value 2, alone, or one or two total defects,
+    positive vertices with no positive neighbour.  The scan walks the sets
+    T of 2s by size, fewest first.  The vertices T leaves undominated are
+    1s, except at most one Roman defect; the lowest positive vertex with no
+    positive neighbour either gets a 1 on a neighbour not tried before it,
+    or is kept as a total defect, at most two and none beside a Roman
+    defect.  Each near function found credits the pairs it repairs
+    (``_credit``).  For every function of H+uv lighter than ``value`` the
+    scan finds one with the same 2s, no heavier, that credits uv.
+
+    The prunes are exact.  A set of 2s and its extensions are dropped when
+    the packing bound of the engine, 2 |T| + 2 (members T misses) - s,
+    exceeds the cap, s being 2 while a missed member's centre may still be
+    a defect, else 0; or when the undominated vertices that no later
+    candidate dominates, 1s but for one Roman defect, exceed it.  A vertex
+    whose pairs have all reached the floor, or settled, is no defect; the
+    cap falls to the floor once every pair has a function below ``value``,
+    and the scan ends when every pair has settled.  Small sets go first as
+    they settle pairs soonest: walked depth first by index instead, the
+    scan took 2.2 s on cor(K11) against 4 ms (``edge_profile``, in-process,
+    2-vCPU VM).
+    """
+
+    __slots__ = ("adj", "far", "index", "least", "left", "open", "cap", "floor",
+                 "unfound", "unsettled", "two")
+
+    def __init__(self, search: _WeightSearch, value: int):
+        n = search.n
+        self.adj = search.adj
+        self.far = [search.full & ~c for c in search.closed]  # non-neighbours
+        self.index = _pair_rows(n)
+        self.floor, self.cap = value - 2, value - 1
+        edges = search.g.edge_mask
+        self.least = [self.floor if edges >> i & 1 else value
+                      for i in range(n * (n - 1) // 2)]
+        self.left = [c.bit_count() for c in self.far]  # unsettled pairs per vertex
+        self.open = sum(1 << v for v, c in enumerate(self.far) if c)
+        self.unfound = self.unsettled = sum(self.left) // 2
+        try:
+            self._walk(search)
+        except _Settled:
+            pass
+
+    def _walk(self, search: _WeightSearch) -> None:
+        """Score the sets of 2s by size, fewest first.  A set grows by each
+        candidate above its highest member that passes both prunes; the
+        undominated vertices that no candidate from c on dominates only
+        grow with c.  A size's sets are kept as bare masks, what each
+        dominates and the members it meets found again as it grows."""
+        n, closed, full = search.n, search.closed, search.full
+        # reach[c]: the vertices some candidate from c on dominates;
+        # centre[v]: the centre, as a bit, of the packing member holding v
+        reach = [0] * (n + 1)
+        for c in range(n - 1, -1, -1):
+            reach[c] = reach[c + 1] | closed[c]
+        centre = [0] * n
+        centres = 0
+        for member in search.packing:
+            p = 1 << next(p for p in iter_bits(member) if closed[p] == member)
+            centres |= p
+            for v in iter_bits(member):
+                centre[v] = p
+        sets = [0]
+        size = 0
+        while sets:
+            grown = []
+            two = 2 * size + 2
+            for t in sets:
+                dom = hit = 0
+                m = t
+                while m:
+                    low = m & -m
+                    v = low.bit_length() - 1
+                    dom |= closed[v]
+                    hit |= centre[v]
+                    m ^= low
+                undom = full & ~dom
+                if 2 * size + undom.bit_count() <= self.cap + 1:
+                    self._leaves(t, size, undom)
+                cap, open = self.cap, self.open
+                missed = centres & ~hit
+                for c in range(t.bit_length(), n):
+                    lost = undom & ~reach[c]
+                    if two + lost.bit_count() - (lost & open != 0) > cap:
+                        break
+                    m = missed & ~centre[c]
+                    if two + 2 * m.bit_count() - 2 * (m & open != 0) > cap:
+                        continue
+                    grown.append(t | 1 << c)
+            sets = grown
+            size += 1
+
+    def _leaves(self, t: int, size: int, undom: int) -> None:
+        """Every near function whose 2s are ``t``, leaving ``undom``
+        undominated: with no Roman defect, and with each open vertex of
+        ``undom`` as the Roman defect."""
+        weight = 2 * size + undom.bit_count()
+        adj = self.adj
+        pos = t | undom
+        lone = 0
+        m = pos
+        while m:
+            low = m & -m
+            if not adj[low.bit_length() - 1] & pos:
+                lone |= low
+            m ^= low
+        self.two = t
+        if lone and weight <= self.cap:
+            self._repair(pos, lone, 0, 0, weight, 0)
+        m = undom & self.open if t else 0  # a Roman defect needs a 2 to repair it
+        while m:
+            r = m & -m
+            m ^= r
+            p = pos ^ r
+            nlone = lone & ~r
+            k = adj[r.bit_length() - 1] & p
+            while k:
+                low = k & -k
+                if not adj[low.bit_length() - 1] & p:
+                    nlone |= low
+                k ^= low
+            self._repair(p, nlone, 0, r, weight - 1, r)
+
+    def _repair(self, pos: int, lone: int, keep: int, excl: int, weight: int,
+                r: int) -> None:
+        """Complete the positive set ``pos``, of ``weight``, whose lone
+        vertices ``lone`` are not yet kept: the lowest is kept as a total
+        defect (``keep``), or gets a 1 on a neighbour outside ``excl``, the
+        vertices that stay 0."""
+        if weight > self.cap:
+            return
+        if not lone:
+            self._credit(pos, keep, weight, r)
+            return
+        x = lone & -lone
+        adj = self.adj
+        xi = x.bit_length() - 1
+        # a defect beside no Roman defect, at most two, the second only
+        # while its pair with the first can still fall
+        if not r and x & self.open and not keep & (keep - 1) and (
+                not keep or self.least[self.index[xi][keep.bit_length() - 1]] > weight):
+            self._repair(pos, lone ^ x, keep | x, excl | adj[xi], weight, 0)
+        if weight >= self.cap:
+            return
+        helpers = adj[xi] & ~pos & ~excl
+        while helpers:
+            low = helpers & -helpers
+            self._repair(pos | low, lone & ~adj[low.bit_length() - 1], keep, excl,
+                         weight + 1, r)
+            excl |= low
+            helpers ^= low
+
+    def _credit(self, pos: int, keep: int, weight: int, r: int) -> None:
+        """Credit the pairs a near function repairs: with the Roman defect r,
+        (t, r) for each 2 t; with one total defect x, (x, y) for each
+        positive non-neighbour y; with two, the two.  A 0 raised to 1 beside
+        a lone defect x would repair it at gamma_tR(H) or more: a 1 on a
+        neighbour of x already makes the function one of H."""
+        index = self.index
+        if r:
+            row = index[r.bit_length() - 1]
+            m = self.two
+            while m:
+                low = m & -m
+                self._set(row[low.bit_length() - 1], weight, r, low)
+                m ^= low
+        elif keep & (keep - 1):
+            x = keep & -keep
+            self._set(index[x.bit_length() - 1][(keep ^ x).bit_length() - 1],
+                      weight, x, keep ^ x)
+        elif keep:
+            row = index[keep.bit_length() - 1]
+            m = self.far[keep.bit_length() - 1] & pos & self.open
+            while m:
+                low = m & -m
+                self._set(row[low.bit_length() - 1], weight, keep, low)
+                m ^= low
+
+    def _set(self, i: int, weight: int, a: int, b: int) -> None:
+        """Lower the pair i, of the vertex bits a and b, to ``weight``."""
+        least = self.least
+        old = least[i]
+        if weight >= old:
+            return
+        least[i] = weight
+        if old == self.floor + 2:
+            self.unfound -= 1
+            if not self.unfound:
+                self.cap = self.floor
+        if weight == self.floor:
+            for bit in (a, b):
+                v = bit.bit_length() - 1
+                self.left[v] -= 1
+                if not self.left[v]:
+                    self.open &= ~bit
+            self.unsettled -= 1
+            if not self.unsettled:
+                raise _Settled
 
 
 def _probe(g: Graph, total: bool) -> tuple[int, tuple[int, int]]:

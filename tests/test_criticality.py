@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     complete,
+    connected_graphs,
     corona_complete,
     cycle,
     dead_example,
@@ -53,9 +54,11 @@ from trd.graphs import (
     from_edge_mask,
     graph6_decode,
     graph_classes,
+    pair_index,
 )
 from trd.solver import (
     _FrontierDP,
+    _Near,
     _frontier_order,
     _WeightSearch,
     brute_oracle_gamma_tr,
@@ -557,28 +560,25 @@ class TestDecidedDeltas:
         for (u, v), delta in list(profile.deltas.items())[::20]:
             assert edge_delta(g, u, v) == delta
 
-    def test_at_most_four_searches_per_delta(self, monkeypatch):
-        # three pin groups at base - 1; at base - 2 only the groups that did
-        # not miss already, so a delta of 0 costs exactly three searches; a
-        # G(14, 0.3) draw with no frontier order, so branch and bound takes
-        # every non-edge
+    def test_one_scan_answers_every_delta(self, monkeypatch):
+        # one near scan per branch-and-bound component answers every pair
+        # inside it: a whole profile makes no pinned search and builds no
+        # G+uv; a G(14, 0.3) draw with no frontier order, so branch and
+        # bound takes every non-edge
         g = graph6_decode("MG@ISKDcA@dyC?By?")
         assert _frontier_order(g) is None
-        base = gamma_tr_value(g)
-        calls = []
+        reset_caches()
+        pinned, added = [], []
         solve = _WeightSearch.solve
         monkeypatch.setattr(_WeightSearch, "solve",
-                            lambda self, *a: calls.append(1) or solve(self, *a))
-        deltas = set()
-        for u, v in g.non_edges():
-            calls.clear()
-            delta = edge_delta(g, u, v)
-            deltas.add(delta)
-            if delta == 0:
-                assert len(calls) == 3
-            else:
-                assert len(calls) <= 4
-        assert deltas == {0, 1, 2}
+                            lambda self, pins, *a: pinned.append(bool(pins))
+                            or solve(self, pins, *a))
+        for module in ("trd.solver", "trd.criticality"):
+            monkeypatch.setattr(f"{module}.add_edge",
+                                lambda h, u, v: added.append((u, v)) or add_edge(h, u, v))
+        profile = edge_profile(g)
+        assert not any(pinned) and not added
+        assert set(profile.deltas.values()) == {0, 1, 2}
 
     def test_critical_edge_checks_ask_one_question(self, monkeypatch):
         # the dead-vertex edge checks ask only whether gamma_tR(G+uv) <=
@@ -602,6 +602,41 @@ class TestDecidedDeltas:
         u, v = data.draw(st.sampled_from(non_edges))
         expected = brute_oracle_gamma_tr(g) - brute_oracle_gamma_tr(add_edge(g, u, v))
         assert edge_delta(g, u, v) == expected
+
+
+@st.composite
+def tree_like_graphs(draw, min_n=3, max_n=9):
+    """Connected graphs: any, or a random tree with up to three more edges."""
+    if draw(st.booleans()):
+        return draw(connected_graphs(min_n, max_n))
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return build_graph(n, sorted(edges))
+
+
+class TestNearScan:
+    """The table of one near scan holds gamma_tR(G+uv) for every non-edge uv
+    with a drop, and gamma_tR(G) for the others."""
+
+    @given(tree_like_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_oracle(self, g):
+        value = brute_oracle_gamma_tr(g)
+        least = _Near(_WeightSearch(g, True), value).least
+        for u, v in g.non_edges():
+            assert least[pair_index(u, v)] == brute_oracle_gamma_tr(add_edge(g, u, v))
+
+    @pytest.mark.parametrize("family", ["cor(K8)", "KxK(4,5)", "D(4)"])
+    def test_named_graphs_match_exact_values(self, family):
+        g = generate(parse_family(family))
+        value = gamma_tr_value(g)
+        least = _Near(_WeightSearch(g, True), value).least
+        for u, v in g.non_edges()[::7]:
+            assert least[pair_index(u, v)] == gamma_tr_value(add_edge(g, u, v))
 
 
 class TestCriticalEdgeValueSets:
@@ -643,6 +678,26 @@ class TestCompleteToCritical:
     def test_isolated(self):
         with pytest.raises(IsolatedVertexError):
             complete_to_critical(build_graph(3, [(0, 1)]))
+
+    @pytest.mark.parametrize("g", [spider(1, 1, 2, 3), graph6_decode("MG@ISKDcA@dyC?By?")])
+    def test_one_question_per_non_edge(self, g, monkeypatch):
+        # an added edge never raises gamma_tR, so a non-edge found critical
+        # stays critical: one pass asks each non-edge of G once and adds the
+        # edges of a scan restarted after every addition
+        restarted = g
+        while True:
+            pair = next(((u, v) for u, v in restarted.non_edges()
+                         if not is_critical_edge(restarted, u, v)), None)
+            if pair is None:
+                break
+            restarted = add_edge(restarted, *pair)
+        asked = []
+        delta = solver._Solved.delta
+        monkeypatch.setattr(solver._Solved, "delta", lambda self, u, v, most:
+                            asked.append((u, v)) or delta(self, u, v, most))
+        h = complete_to_critical(g)
+        assert asked == g.non_edges()
+        assert h == restarted and h.edge_count > g.edge_count
 
     # orders 2 and 3 (K2, P3, K3) all have gamma_tR <= 3 and are rejected
     @given(solvable_graphs(4, 6))
