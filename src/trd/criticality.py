@@ -20,15 +20,17 @@ for ``most`` in {1, 2}: whether gamma_tR(G+uv) <= gamma_tR(G) - 1, and if
 ``most`` is 2 whether it is <= gamma_tR(G) - 2.  It is asked of the
 solver's one object for G, kept between calls, so every question about G
 shares one routing of it and one gamma_tR(G).  Order <= 6 reads the memo.
-A pair inside one component goes to its engine: the frontier DP runs the
-three cases on its own order, with the waivers.  Branch and bound reads a
-table that one scan fills for every pair of the component at its first
-pair question: the scan walks the near functions, those of the component
+A pair inside one component goes to its pair engine.  The frontier DP's
+case tables run the three cases on its own order, with the waivers.  The
+near scan fills a table for every pair of the component at its first
+pair question: it walks the near functions, those of the component
 lighter than its gamma_tR whose unmet conditions sit at one or two
 vertices, down to two below it, and credits each pair whose edge would
-meet them.  No G+uv is built and no pinned search is run.  A pair across two components
-builds no graph: per case it adds the two components' waived values to
-the rest.
+meet them.  No G+uv is built and no pinned search is run.  Branch and
+bound always takes the scan; a DP component takes it only when its
+estimated walk is far below the case-table work (see :mod:`trd.solver`).
+A pair across two components builds no graph: per case it adds the two
+components' waived values to the rest.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;

@@ -29,15 +29,21 @@ For a non-edge uv, ``_Solved.delta(u, v, most)`` gives
 min(gamma_tR(G) - gamma_tR(G+uv), most).  Order <= 6 reads the memo.  A
 function lighter than gamma_tR(G) uses uv in one of three cases (see
 :mod:`trd.criticality`), each of which waives the conditions that uv
-meets.  A pair inside one component is its engine's ``pair(u, v, caps)``,
-how many of the falling caps G+uv meets.  The DP runs the three cases on
-its own order.  Branch and bound reads one table per component, made at
-its first pair question by one near scan (``_Near``) over the functions
-of the component lighter than its gamma_tR whose unmet conditions sit on
-at most two vertices; it builds no graph and runs no pinned search.  A
-pair across two components builds no graph either: per case it adds the
-two ends' ``at(w, xs, waive)``, each component's least weight with f(w)
-in xs and w's condition waived if asked.
+meets.  A pair inside one component is ``pair(u, v, caps)`` of the
+component's pair engine, how many of the falling caps G+uv meets.  The
+DP's case tables run the three cases on its own order.  The near scan
+(``_Near``) fills one table per component at its first pair question,
+over the functions of the component lighter than its gamma_tR whose
+unmet conditions sit on at most two vertices; it builds no graph and
+runs no pinned search.  Branch and bound always takes the scan.  A DP
+component takes it, on a branch-and-bound engine built for it, when the
+sets of 2s the scan may walk, at most C(n, (gamma_tR - 1) // 2), times
+``_NEAR_WORK`` are at most the case-table work, estimated as the nodes of
+the DP's unpinned run times the component's non-edges; else its case
+tables (``_Part.pairs``).  A pair across two components builds no graph
+either: per case it adds the two ends' ``at(w, xs, waive)``, each
+component's least weight with f(w) in xs and w's condition waived if
+asked.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -97,6 +103,11 @@ _MEMO_MAX_N = 6
 # from 0.19-0.21 s to 0.27-0.28 s, so the cut stays at 10
 _DP_MIN_N = 10
 _DP_MAX_WIDTH = 3
+# the weight of the near scan's walk in _Part.pairs, set from per-graph
+# timings of both routes (CHANGES.md): the scan wins once the case-table
+# work is about 9-12 times its bound, but the early-exit predicates, which
+# ask few pairs, pay for its whole table
+_NEAR_WORK = 25
 
 
 @dataclass(frozen=True)
@@ -469,10 +480,12 @@ class _Settled(Exception):
 
 
 class _Near:
-    """The near scan of one branch-and-bound component H with gamma_tR(H) =
-    ``value``: ``least[pair_index(u, v)]`` is, for each non-edge uv, the
-    least weight, down to the floor ``value - 2``, of a TRD-function of H+uv
-    lighter than ``value``, else ``value``; each edge reads the floor.
+    """The near scan of one component H with gamma_tR(H) = ``value``, run
+    on a branch-and-bound engine of H: that component's own, or one built
+    for a DP component whose estimate picks the scan (``_Part.pairs``).
+    ``least[pair_index(u, v)]`` is, for each non-edge uv, the least weight,
+    down to the floor ``value - 2``, of a TRD-function of H+uv lighter than
+    ``value``, else ``value``; each edge reads the floor.
 
     Such a function is one of H whose unmet conditions sit at u and v (see
     :mod:`trd.criticality`), a near function: it has a Roman defect r, a 0
@@ -1045,11 +1058,10 @@ def _require_non_edge(g: Graph, u: int, v: int) -> None:
 class _Part:
     """One connected component of a routed graph: its vertices in G's
     labels and its graph, and, on first need, its engine, its first
-    unpinned search, value and ``at`` values."""
+    unpinned search, value, pair engine and ``at`` values."""
 
     def __init__(self, g: Graph, mask: int, total: bool):
         self.total = total
-        self.mask = mask
         self.verts = list(iter_bits(mask))
         self.h = g if mask == g.full_mask else induced_subgraph(g, self.verts)
         self.ats: dict[tuple, float] = {}
@@ -1078,11 +1090,28 @@ class _Part:
         """gamma_tR (gamma_R) of the component, by its engine."""
         return self.first(None)[0]
 
-    def at(self, w: int, xs: tuple[int, ...], waive: bool) -> float:
-        """The engine's ``at`` for w, a vertex of G, kept."""
-        key = w, xs, waive
+    @cached
+    def pairs(self) -> _FrontierDP | _WeightSearch:
+        """The engine that answers the pairs inside the component, picked at
+        its first pair question.  Branch and bound keeps its own.  A DP
+        hands them to the near scan of a branch-and-bound engine built for
+        it when ``_NEAR_WORK`` times C(n, (gamma_tR - 1) // 2), a bound on
+        the sets of 2s the scan may walk, is at most the case-table work,
+        estimated as the unpinned run's nodes times the non-edges."""
+        engine = self.engine
+        if isinstance(engine, _WeightSearch):
+            return engine
+        h = self.h
+        non_edges = h.n * (h.n - 1) // 2 - h.edge_count
+        if _NEAR_WORK * math.comb(h.n, (self.value - 1) // 2) > self.first(None)[2] * non_edges:
+            return engine
+        return _WeightSearch(h, self.total)
+
+    def at(self, j: int, xs: tuple[int, ...], waive: bool) -> float:
+        """The engine's ``at`` for the component's vertex j, kept."""
+        key = j, xs, waive
         if key not in self.ats:
-            self.ats[key] = self.engine.at(self.verts.index(w), xs, waive)
+            self.ats[key] = self.engine.at(j, xs, waive)
         return self.ats[key]
 
 
@@ -1108,6 +1137,15 @@ class _Solved:
     @cached
     def parts(self) -> list[_Part]:
         return [_Part(self.g, mask, self.total) for mask in component_masks(self.g)]
+
+    @cached
+    def where(self) -> list[tuple[_Part, int]]:
+        """Each vertex of G's part and its index in that part."""
+        where: list = [None] * self.g.n
+        for part in self.parts:
+            for j, w in enumerate(part.verts):
+                where[w] = part, j
+        return where
 
     def value(self) -> int:
         return sum(part.value for part in self.parts)
@@ -1167,12 +1205,12 @@ class _Solved:
             value = _memo_at("gamma_tR", g.n, g.edge_mask | 1 << pair_index(u, v),
                              lambda: _Solved(add_edge(g, u, v)).value())
             return min(most, self.base - value)
-        pu, pv = (next(p for p in self.parts if p.mask >> w & 1) for w in (u, v))
+        (pu, i), (pv, j) = self.where[u], self.where[v]
         if pu is pv:
             caps = [pu.value - k for k in range(1, most + 1)]
-            return pu.engine.pair(pu.verts.index(u), pu.verts.index(v), caps)
+            return pu.pairs.pair(i, j, caps)
         drop = pu.value + pv.value - min(
-            pu.at(u, xs, a) + pv.at(v, ys, b) for xs, a, ys, b in _CASES)
+            pu.at(i, xs, a) + pv.at(j, ys, b) for xs, a, ys, b in _CASES)
         return min(most, max(0, drop))
 
 
@@ -1186,7 +1224,7 @@ def _solved(g: Graph, total: bool = True) -> _Solved:
     """The routed graph of G in the mode ``total``: the one kept when it is
     G's, else a new one, which is kept instead."""
     last = _LAST.get(total)
-    if last is None or last.g.adj != g.adj:
+    if last is None or last.g is not g and last.g.adj != g.adj:
         last = _LAST[total] = _Solved(g, total)
     return last
 

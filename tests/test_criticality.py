@@ -54,6 +54,7 @@ from trd.graphs import (
     from_edge_mask,
     graph6_decode,
     graph_classes,
+    is_connected,
     pair_index,
 )
 from trd.solver import (
@@ -69,7 +70,7 @@ from trd.solver import (
     gamma_tr_value,
     reset_caches,
 )
-from trd.verify import run_registry, verify_theorem
+from trd.verify import _LONGLEG_CORPUS, _SPIDER_CORPUS, run_registry, verify_theorem
 
 
 def complete_bipartite(a: int, b: int):
@@ -637,6 +638,105 @@ class TestNearScan:
         least = _Near(_WeightSearch(g, True), value).least
         for u, v in g.non_edges()[::7]:
             assert least[pair_index(u, v)] == gamma_tr_value(add_edge(g, u, v))
+
+
+# the DP-routed G(14, 0.3) draws of the `extremal_profile` benchmark at
+# seeds 11 and 3: gamma_tR 11, 8 and 10 at each seed
+PROFILE_DP_DRAWS = (
+    "M@_?@@GKICK_GK@??", "M?HoL?OO?_?@@A|g_", "M?o_Co@?a_@sI?m??",
+    "MI@CA??`@?`@GGPS?", "MIECBLB?_??K?YCW?", "MHO@OB???atpBC?O?",
+)
+
+
+def gnp_dp_draws(count=16, seed=2026):
+    """Seeded connected G(n, p) draws of order 10-16 with a frontier order."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        n, p = rng.randint(10, 16), rng.choice((0.2, 0.25, 0.3))
+        g = build_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        if not g.has_isolated_vertices() and is_connected(g) and _frontier_order(g):
+            draws.append(g)
+    return draws
+
+
+def dp_routable_graphs():
+    """(id, graph): connected graphs of order 10-16 with a frontier order."""
+    named = ([f"cycle({n})" for n in range(10, 15)] + [f"path({n})" for n in range(10, 15)]
+             + [f"cor(cycle({k}))" for k in range(5, 8)]
+             + [f"D({k})" for k in range(3, 6)] + ["familyG(2,3)", "familyH(2,2,r=3)"])
+    graphs = [(code, graph6_decode(code)) for code in PROFILE_DP_DRAWS]
+    graphs += [(family, generate(parse_family(family))) for family in named]
+    for spec in _SPIDER_CORPUS + _LONGLEG_CORPUS:
+        g = generate(spec)
+        if 10 <= g.n <= 16 and _frontier_order(g):
+            graphs.append((f"spider{spec.legs}", g))
+    graphs += [(f"gnp{i}", g) for i, g in enumerate(gnp_dp_draws())]
+    return graphs
+
+
+class TestPairRouting:
+    """A DP component's pairs go to its case tables or to one near scan by
+    the estimate of ``_Part.pairs``, with the same answers either way."""
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name)
+                                   for name, g in dp_routable_graphs()])
+    def test_near_table_matches_case_tables(self, g):
+        # the two tables agree at gamma_tR - 1 and gamma_tR - 2 on every
+        # non-edge, whichever engine the rule would pick
+        assert is_connected(g) and 10 <= g.n <= 16
+        dp = _FrontierDP(g, _frontier_order(g), True)
+        value = dp.run([(0, 1, 2)] * g.n)[0]
+        least = _Near(_WeightSearch(g, True), value).least
+        caps = [value - 1, value - 2]
+        for u, v in g.non_edges():
+            assert sum(least[pair_index(u, v)] <= cap for cap in caps) == dp.pair(u, v, caps)
+
+    @pytest.mark.parametrize("g,near", [
+        (graph6_decode("M?HoL?OO?_?@@A|g_"), True),
+        (graph6_decode("M?o_Co@?a_@sI?m??"), True),
+        (cycle(12), False),
+        (cycle(14), False),
+        (path(14), False),
+        (path(20), False),
+        (generate(parse_family("cor(cycle(7))")), False),
+        (spider(1, 2, 2, 3, 4, 5), False),
+        (generate(parse_family("D(6)")), False),
+    ], ids=["gamma8-draw", "gamma10-draw", "cycle(12)", "cycle(14)", "path(14)",
+            "path(20)", "cor(cycle(7))", "spider(1,2,2,3,4,5)", "D(6)"])
+    def test_rule_picks_the_pair_engine(self, g, near):
+        # the G(14, 0.3) draws of gamma_tR 8 and 10 have few sets of 2s to
+        # walk against their case-table work; on cycles, paths and the
+        # sparse families the scan would walk far more (3.7 s against 3 ms
+        # for the case tables on path(20))
+        reset_caches()
+        [part] = solver._solved(g).parts
+        assert isinstance(part.engine, _FrontierDP)
+        assert isinstance(part.pairs, _WeightSearch if near else _FrontierDP)
+        assert near or part.pairs is part.engine
+
+    def test_near_routed_dp_component_builds_one_search(self, monkeypatch):
+        # a whole profile of a near-routed DP component builds one
+        # branch-and-bound engine, for the scan, and asks no case table,
+        # runs no pinned search and builds no G+uv
+        g = graph6_decode("M?o_Co@?a_@sI?m??")
+        reset_caches()
+        built, pinned, added, tables = [], [], [], []
+        init, solve, pair = _WeightSearch.__init__, _WeightSearch.solve, _FrontierDP.pair
+        monkeypatch.setattr(_WeightSearch, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        monkeypatch.setattr(_WeightSearch, "solve",
+                            lambda self, pins, *a: pinned.append(bool(pins))
+                            or solve(self, pins, *a))
+        monkeypatch.setattr(_FrontierDP, "pair",
+                            lambda self, *a: tables.append(1) or pair(self, *a))
+        for module in ("trd.solver", "trd.criticality"):
+            monkeypatch.setattr(f"{module}.add_edge",
+                                lambda h, u, v: added.append((u, v)) or add_edge(h, u, v))
+        profile = edge_profile(g)
+        assert len(built) == 1 and not any(pinned) and not added and not tables
+        assert [type(part.engine) for part in solver._solved(g).parts] == [_FrontierDP]
+        assert set(profile.deltas.values()) == {0, 1, 2}
 
 
 class TestCriticalEdgeValueSets:

@@ -5,7 +5,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import trd.graphs
 
@@ -26,6 +26,7 @@ from trd.errors import (
     MalformedGraph6Error,
     OutOfRangeError,
     SelfLoopError,
+    TrdError,
 )
 from trd.graphs import (
     add_edge,
@@ -269,6 +270,40 @@ class TestEdgeList:
 
     def test_largest_header_accepted(self):
         assert parse_edge_list("62 1\n0 61\n").n == 62
+
+
+# text near each format: characters around graph6's 63..126, and lines of
+# small integers, words and odd numerals
+_GRAPH6_LIKE = st.text(st.characters(min_codepoint=58, max_codepoint=130), max_size=24)
+_EDGE_LIST_LIKE = st.lists(
+    st.lists(st.integers(-3, 70).map(str)
+             | st.sampled_from(["x", "1.5", "0x3", "1_0", "+2", "\u0663", "9" * 5000]),
+             max_size=3).map(" ".join),
+    max_size=8,
+).map("\n".join)
+
+
+class TestParserFuzz:
+    """Arbitrary text gets a graph or a workbench error, never another
+    exception."""
+
+    @given(st.text() | _GRAPH6_LIKE)
+    @settings(max_examples=400)
+    def test_graph6_decode(self, text):
+        try:
+            g = graph6_decode(text)
+        except TrdError:
+            return
+        assert graph6_encode(g) == text.strip()
+
+    @given(st.text() | _EDGE_LIST_LIKE)
+    @settings(max_examples=400)
+    def test_parse_edge_list(self, text):
+        try:
+            g = parse_edge_list(text)
+        except TrdError:
+            return
+        assert 1 <= g.n <= 62
 
 
 # OEIS, indexed by n = 1..7
