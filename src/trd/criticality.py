@@ -15,22 +15,20 @@ One lighter than gamma_tR(G) is no TRD-function of G, so (f(u), f(v)) is
 positive; (0, 0), (0, 1) and (1, 0) meet no condition through uv.  In each
 case uv meets the condition of the 0, or of both positive ends, and no
 other: such a function is one of G with those conditions waived.  Every
-non-edge question is the solver's ``delta(u, v, most)``, min(delta, most)
-for ``most`` in {1, 2}: whether gamma_tR(G+uv) <= gamma_tR(G) - 1, and if
-``most`` is 2 whether it is <= gamma_tR(G) - 2.  It is asked of the
-solver's one object for G, kept between calls, so every question about G
-shares one routing of it and one gamma_tR(G).  Order <= 6 reads the memo.
-A pair inside one component goes to its pair engine.  The frontier DP's
-case tables run the three cases on its own order, with the waivers.  The
-near scan fills a table for every pair of the component at its first
-pair question: it walks the near functions, those of the component
-lighter than its gamma_tR whose unmet conditions sit at one or two
-vertices, down to two below it, and credits each pair whose edge would
-meet them.  No G+uv is built and no pinned search is run.  Branch and
-bound always takes the scan; a DP component takes it only when its
-estimated walk is far below the case-table work (see :mod:`trd.solver`).
-A pair across two components builds no graph: per case it adds the two
-components' waived values to the rest.
+non-edge question is the solver's exact ``delta(u, v)``, asked of its one
+object for G, kept between calls, so every question about G shares one
+routing of it and one gamma_tR(G).  Order <= 6 reads the memo.  A pair
+inside one component reads its pair table.  The frontier DP's case tables
+run the three cases on its own order, with the waivers.  The near scan
+fills a table for every pair of the component at its first pair
+question: it walks the near functions, those of the component lighter
+than its gamma_tR whose unmet conditions sit at one or two vertices, down
+to two below it, and credits each pair whose edge would meet them.  No
+G+uv is built and no pinned search is run.  Branch and bound always
+takes the scan; a DP component takes it only when its estimated walk is
+far below the case-table work (see :mod:`trd.solver`).  A pair across
+two components builds no graph: per case it adds the two components'
+waived values to the rest.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;
@@ -95,13 +93,12 @@ def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
 
 def edge_delta(g: Graph, u: int, v: int) -> int:
     """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv."""
-    return _solved(g).delta(u, v, 2)
+    return _solved(g).delta(u, v)
 
 
 def is_critical_edge(g: Graph, u: int, v: int) -> bool:
-    """Whether adding the non-edge uv lowers gamma_tR: the one question of
-    :func:`edge_delta` that decides whether its delta is nonzero."""
-    return _solved(g).delta(u, v, 1) == 1
+    """Whether adding the non-edge uv lowers gamma_tR."""
+    return _solved(g).delta(u, v) > 0
 
 
 def edge_profile(g: Graph) -> EdgeProfile:
@@ -120,7 +117,7 @@ def _every_non_edge(g: Graph, drop: int, holds: bool) -> bool:
     if not non_edges:
         return False
     delta = _solved(g).delta
-    return all((delta(u, v, drop) == drop) == holds for u, v in non_edges)
+    return all((delta(u, v) >= drop) == holds for u, v in non_edges)
 
 
 def is_edge_critical(g: Graph) -> bool:
@@ -155,7 +152,7 @@ def complete_to_critical(g: Graph) -> Graph:
         raise ValueTooSmallError(f"completion requires gamma_tR >= 4, got {base}")
     current = g
     for u, v in g.non_edges():
-        if not _solved(current).delta(u, v, 1):
+        if not _solved(current).delta(u, v):
             current = add_edge(current, u, v)
     return current
 

@@ -1,17 +1,17 @@
 """Exact solvers for the domination invariants gamma, gamma_t, gamma_R, gamma_tR.
 
-Every gamma_tR question about one graph G (value, witness, yes/no
-decision, dead vertices, the effect of adding a non-edge) is asked of one
-object, ``_Solved(G)``, which validates G once.  gamma_R, the same
-minimum without the total condition (Cockayne, Dreyer, Hedetniemi &
-Hedetniemi, Discrete Math. 278, 2004), and its dead vertices are asked of
-``_Solved(G, total=False)``.  On first need the object splits G into
-connected components and gives each its graph and its engine; questions
-are answered one component at a time.  The engine is the frontier
-dynamic program when the component has order >= 10 and the greedy finds
-it a vertex order of frontier width <= 3, else branch and bound.  The
-last object of each mode is kept in a one-slot cache, so a graph whose
-questions different functions ask in turn is routed once.
+Every gamma_tR question about one graph G (value, witness, dead vertices,
+the effect of adding a non-edge) is asked of one object, ``_Solved(G)``,
+which validates G once.  gamma_R, the same minimum without the total
+condition (Cockayne, Dreyer, Hedetniemi & Hedetniemi, Discrete Math. 278,
+2004), and its dead vertices are asked of ``_Solved(G, total=False)``.  On
+first need the object splits G into connected components and gives each
+its graph and its engine; questions are answered one component at a
+time.  The engine is the frontier dynamic program when the component has
+order >= 10 and the greedy finds it a vertex order of frontier width
+<= 3, else branch and bound.  The last object of each mode is kept in a
+one-slot cache, so a graph whose questions different functions ask in
+turn is routed once.
 
 The DP codes each frontier state as one base-6 integer and looks its
 transitions up in rows shared by every DP through the step's shape,
@@ -25,25 +25,24 @@ already has: branch and bound by two pinned searches per vertex, the DP
 by reading the tables of its unpinned run and its backward completion
 once, with no run per vertex.
 
-For a non-edge uv, ``_Solved.delta(u, v, most)`` gives
-min(gamma_tR(G) - gamma_tR(G+uv), most).  Order <= 6 reads the memo.  A
-function lighter than gamma_tR(G) uses uv in one of three cases (see
+For a non-edge uv, ``_Solved.delta(u, v)`` gives
+gamma_tR(G) - gamma_tR(G+uv).  Order <= 6 reads the memo.  A function
+lighter than gamma_tR(G) uses uv in one of three cases (see
 :mod:`trd.criticality`), each of which waives the conditions that uv
-meets.  A pair inside one component is ``pair(u, v, caps)`` of the
-component's pair engine, how many of the falling caps G+uv meets.  The
-DP's case tables run the three cases on its own order.  The near scan
-(``_Near``) fills one table per component at its first pair question,
-over the functions of the component lighter than its gamma_tR whose
-unmet conditions sit on at most two vertices; it builds no graph and
-runs no pinned search.  Branch and bound always takes the scan.  A DP
-component takes it, on a branch-and-bound engine built for it, when the
-sets of 2s the scan may walk, at most C(n, (gamma_tR - 1) // 2), times
+meets.  A pair inside one component is ``_Part.pair(u, v)``, the least
+weight of a function of the component plus uv.  The DP's case tables run
+the three cases on its own order.  The near scan (``_Near``) fills one
+table per component at its first pair question (``_Part.near``), over
+the functions of the component lighter than its gamma_tR whose unmet
+conditions sit on at most two vertices; it builds no graph and runs no
+pinned search.  Branch and bound always takes the scan.  A DP component
+takes it, on a branch-and-bound engine built for it, when the sets of 2s
+the scan may walk, at most C(n, (gamma_tR - 1) // 2), times
 ``_NEAR_WORK`` are at most the case-table work, estimated as the nodes of
 the DP's unpinned run times the component's non-edges; else its case
-tables (``_Part.pairs``).  A pair across two components builds no graph
-either: per case it adds the two ends' ``at(w, xs, waive)``, each
-component's least weight with f(w) in xs and w's condition waived if
-asked.
+tables.  A pair across two components builds no graph either: per case
+it adds the two ends' ``at(w, xs, waive)``, each component's least
+weight with f(w) in xs and w's condition waived if asked.
 
 Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
 in one memo, one bytearray per invariant and order indexed by the colex
@@ -103,7 +102,7 @@ _MEMO_MAX_N = 6
 # from 0.19-0.21 s to 0.27-0.28 s, so the cut stays at 10
 _DP_MIN_N = 10
 _DP_MAX_WIDTH = 3
-# the weight of the near scan's walk in _Part.pairs, set from per-graph
+# the weight of the near scan's walk in _Part.near, set from per-graph
 # timings of both routes (CHANGES.md): the scan wins once the case-table
 # work is about 9-12 times its bound, but the early-exit predicates, which
 # ask few pairs, pay for its whole table
@@ -198,8 +197,8 @@ class _WeightSearch:
 
     __slots__ = (
         "g", "n", "adj", "closed", "by_degree", "packing", "full", "total",
-        "probe", "budget", "nodes", "best", "found", "cap",
-        "first_hit", "done", "waived", "live", "near",
+        "budget", "nodes", "best", "found", "cap",
+        "first_hit", "done", "waived", "live",
     )
 
     def __init__(self, g: Graph, total: bool):
@@ -223,30 +222,23 @@ class _WeightSearch:
         self.packing = self.live = packing
         self.full = g.full_mask
         self.total = total
-        self.probe = self.near = None
 
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
                budget: int | None = None) -> tuple[int | None, list | None, int]:
         """The engine contract (see the module docstring).  Without pins the
-        search starts from the constructive probe, found on the first such
-        call and kept, whose function is returned when it is the answer."""
+        search starts from the constructive probe, whose function is
+        returned when it is the answer."""
         if pins:
             probe = cap + 1
         else:
-            if self.probe is None:
-                self.probe = _probe(self.g, self.total)
-            probe, self.found = self.probe
-        if first_hit and probe <= cap:
-            weight, nodes = probe, 0
-        else:
-            weight = self.solve(pins, min(cap, probe - 1), first_hit, budget)
-            nodes = self.nodes
-            if weight is None:
-                if probe > cap:
-                    return None, None, nodes
-                weight = probe
+            probe, self.found = _probe(self.g, self.total)
+        weight = self.solve(pins, min(cap, probe - 1), first_hit, budget)
+        if weight is None:
+            if probe > cap:
+                return None, None, self.nodes
+            weight = probe
         two, pos = self.found
-        return weight, [(two >> v & 1) + (pos >> v & 1) for v in range(self.n)], nodes
+        return weight, [(two >> v & 1) + (pos >> v & 1) for v in range(self.n)], self.nodes
 
     def dead(self, value: int) -> list[int]:
         """The vertices that no function of weight ``value``, the minimum,
@@ -264,15 +256,6 @@ class _WeightSearch:
             if weight is not None:
                 best = weight
         return best
-
-    def pair(self, u: int, v: int, caps: list[int]) -> int:
-        """How many of the falling ``caps`` G+uv meets, read from the table
-        of one near scan (:class:`_Near`), made at the first pair question;
-        ``caps[0]`` is gamma_tR(G) - 1."""
-        if self.near is None:
-            self.near = _Near(self, caps[0] + 1).least
-        least = self.near[pair_index(u, v)]
-        return sum(least <= cap for cap in caps)
 
     def solve(self, pins, cap, first_hit, budget, waive: int | None = None) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
@@ -482,7 +465,7 @@ class _Settled(Exception):
 class _Near:
     """The near scan of one component H with gamma_tR(H) = ``value``, run
     on a branch-and-bound engine of H: that component's own, or one built
-    for a DP component whose estimate picks the scan (``_Part.pairs``).
+    for a DP component whose estimate picks the scan (``_Part.near``).
     ``least[pair_index(u, v)]`` is, for each non-edge uv, the least weight,
     down to the floor ``value - 2``, of a TRD-function of H+uv lighter than
     ``value``, else ``value``; each edge reads the floor.
@@ -997,12 +980,13 @@ class _FrontierDP:
         minimum, assigns 0: with a positive value, none reaches it."""
         return [v for v, _, _ in self.steps if self.at(v, (1, 2), False) > value]
 
-    def pair(self, u: int, v: int, caps: list[int]) -> int:
-        """How many of ``caps`` G+uv meets with a function in one of
-        ``_CASES``, each run on G's own steps with the conditions uv meets
-        waived.  With u and v placed at steps a < b, the tables through
-        step b - 1 are kept per u as far as some b asks, until the last
-        non-edge from u; step b is run per pair, G's completion ends."""
+    def pair(self, u: int, v: int) -> float:
+        """The least weight of a function of G+uv in one of ``_CASES``,
+        each run on G's own steps with the conditions uv meets waived;
+        gamma_tR(G+uv) is the lesser of it and gamma_tR(G).  With u and v
+        placed at steps a < b, the tables through step b - 1 are kept per u
+        as far as some b asks, until the last non-edge from u; step b is run
+        per pair, G's completion ends."""
         a, b = sorted((self.index[u], self.index[v]))
         cases = self.cases.get(a)
         if cases is None:
@@ -1018,7 +1002,7 @@ class _FrontierDP:
         self.left[a] -= 1
         if not self.left[a]:
             del self.cases[a]
-        return sum(best <= cap for cap in caps)
+        return best
 
 
 def _witness(
@@ -1058,7 +1042,7 @@ def _require_non_edge(g: Graph, u: int, v: int) -> None:
 class _Part:
     """One connected component of a routed graph: its vertices in G's
     labels and its graph, and, on first need, its engine, its first
-    unpinned search, value, pair engine and ``at`` values."""
+    unpinned search, value, pair table and ``at`` values."""
 
     def __init__(self, g: Graph, mask: int, total: bool):
         self.total = total
@@ -1091,21 +1075,28 @@ class _Part:
         return self.first(None)[0]
 
     @cached
-    def pairs(self) -> _FrontierDP | _WeightSearch:
-        """The engine that answers the pairs inside the component, picked at
-        its first pair question.  Branch and bound keeps its own.  A DP
-        hands them to the near scan of a branch-and-bound engine built for
-        it when ``_NEAR_WORK`` times C(n, (gamma_tR - 1) // 2), a bound on
-        the sets of 2s the scan may walk, is at most the case-table work,
-        estimated as the unpinned run's nodes times the non-edges."""
-        engine = self.engine
-        if isinstance(engine, _WeightSearch):
-            return engine
-        h = self.h
-        non_edges = h.n * (h.n - 1) // 2 - h.edge_count
-        if _NEAR_WORK * math.comb(h.n, (self.value - 1) // 2) > self.first(None)[2] * non_edges:
-            return engine
-        return _WeightSearch(h, self.total)
+    def near(self) -> list[int] | None:
+        """The near scan's table of the component's pairs, made at its first
+        pair question, or None when the DP's case tables answer them.
+        Branch and bound scans on its own engine.  A DP hands its pairs to
+        the scan of a branch-and-bound engine built for it when
+        ``_NEAR_WORK`` times C(n, (gamma_tR - 1) // 2), a bound on the sets
+        of 2s the scan may walk, is at most the case-table work, estimated
+        as the unpinned run's nodes times the non-edges."""
+        search = self.engine
+        if isinstance(search, _FrontierDP):
+            h = self.h
+            non_edges = h.n * (h.n - 1) // 2 - h.edge_count
+            if _NEAR_WORK * math.comb(h.n, (self.value - 1) // 2) > self.first(None)[2] * non_edges:
+                return None
+            search = _WeightSearch(h, self.total)
+        return _Near(search, self.value).least
+
+    def pair(self, i: int, j: int) -> int:
+        """gamma_tR of the component plus its non-edge ij."""
+        if self.near is None:
+            return min(self.value, self.engine.pair(i, j))
+        return self.near[pair_index(i, j)]
 
     def at(self, j: int, xs: tuple[int, ...], waive: bool) -> float:
         """The engine's ``at`` for the component's vertex j, kept."""
@@ -1119,7 +1110,7 @@ class _Solved:
     """Every gamma_tR question about one graph G, with G validated and
     routed once (see the module docstring); without ``total``, gamma_R and
     its dead vertices, for any G of order <= 24.  A pair inside one
-    component goes to that component's engine, and a pair across two
+    component goes to that component's ``pair``, and a pair across two
     compares the least, over the cases, of the two components' ``at``
     values with the two components' values."""
 
@@ -1155,18 +1146,6 @@ class _Solved:
         """gamma_tR(G), asked once per object; order <= 6 reads the memo."""
         return _memo("gamma_tR", self.g, lambda h: self.value())
 
-    def at_most(self, cap: int) -> bool:
-        """Whether some TRD-function on G weighs <= cap: each component's
-        engine within what the earlier ones left of cap, the last stopping at
-        its first hit."""
-        value = 0
-        for i, part in enumerate(self.parts):
-            weight = part.engine.decide({}, cap - value, i == len(self.parts) - 1)[0]
-            if weight is None:
-                return False
-            value += weight
-        return True
-
     def witness(self, budget: int | None) -> tuple[int, tuple[int, ...], int]:
         """gamma_tR(G), the lexicographically smallest function of that
         weight, and the nodes spent: components solved apart, values adding,
@@ -1191,27 +1170,23 @@ class _Solved:
         return tuple(sorted(part.verts[j] for part in self.parts
                             for j in part.engine.dead(part.value)))
 
-    def delta(self, u: int, v: int, most: int) -> int:
-        """min(gamma_tR(G) - gamma_tR(G+uv), ``most``) for the non-edge uv
-        and ``most`` in {1, 2}.  Order <= 6 reads the memo, keyed by G's edge
-        mask with the pair's bit set, and builds G+uv only on a miss: without
-        it the registry took 0.30-0.42 s in-process against 0.16-0.27 s (8
-        runs, 2-vCPU VM).  A pair inside one component asks its engine
-        which of the caps gamma_tR(G) - 1, ..., gamma_tR(G) - most, in the
-        component's terms, G+uv meets."""
+    def delta(self, u: int, v: int) -> int:
+        """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv.  Order <= 6
+        reads the memo, keyed by G's edge mask with the pair's bit set, and
+        builds G+uv only on a miss: without it the registry took 0.30-0.42 s
+        in-process against 0.16-0.27 s (8 runs, 2-vCPU VM).  A pair inside
+        one component is that component's ``pair``."""
         g = self.g
         _require_non_edge(g, u, v)
         if g.n <= _MEMO_MAX_N:
             value = _memo_at("gamma_tR", g.n, g.edge_mask | 1 << pair_index(u, v),
                              lambda: _Solved(add_edge(g, u, v)).value())
-            return min(most, self.base - value)
+            return self.base - value
         (pu, i), (pv, j) = self.where[u], self.where[v]
         if pu is pv:
-            caps = [pu.value - k for k in range(1, most + 1)]
-            return pu.pairs.pair(i, j, caps)
-        drop = pu.value + pv.value - min(
-            pu.at(i, xs, a) + pv.at(j, ys, b) for xs, a, ys, b in _CASES)
-        return min(most, max(0, drop))
+            return pu.value - pu.pair(i, j)
+        return max(0, pu.value + pv.value - min(
+            pu.at(i, xs, a) + pv.at(j, ys, b) for xs, a, ys, b in _CASES))
 
 
 # The last graph routed in each mode, keyed by ``total``: value, witness,
@@ -1234,17 +1209,16 @@ def gamma_tr_value(g: Graph) -> int:
     return _memo("gamma_tR", g, lambda h: _solved(h).value())
 
 
+# Two questions on the value alone, which nothing in trd asks: the
+# benchmark's tracer (perfbench/tracer.py) binds both by name.
 def has_trd_weight_at_most(g: Graph, cap: int) -> bool:
-    """Whether some TRD-function on G has weight <= cap; order <= 6 reads
-    the memo, as a search per decision made the registry 2% slower."""
-    if g.n <= _MEMO_MAX_N:
-        return gamma_tr_value(g) <= cap
-    return _solved(g).at_most(cap)
+    """Whether gamma_tR(G) <= cap."""
+    return gamma_tr_value(g) <= cap
 
 
 def gamma_tr_equals_order(g: Graph) -> bool:
-    """Decide gamma_tR(G) = |V(G)| without always computing the exact value."""
-    return not has_trd_weight_at_most(g, g.n - 1)
+    """Whether gamma_tR(G) = |V(G)|."""
+    return gamma_tr_value(g) == g.n
 
 
 def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:

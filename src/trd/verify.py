@@ -61,7 +61,6 @@ from .solver import (
     enumerate_min_trd,
     gamma_r_value,
     gamma_t_value,
-    gamma_tr_equals_order,
     gamma_tr_value,
     gamma_value,
 )
@@ -293,7 +292,7 @@ def _check_tr3(g: Graph, spec) -> str | None:
 
 def _check_hen1(g: Graph, spec) -> str | None:
     classified = fam.hen1_classify(g) is not None
-    full_value = gamma_tr_equals_order(g)
+    full_value = gamma_tr_value(g) == g.n
     if classified != full_value:
         return f"classified={classified} but gamma_tR==n is {full_value}"
     return None
@@ -301,7 +300,7 @@ def _check_hen1(g: Graph, spec) -> str | None:
 
 def _check_ncrit(g: Graph, spec) -> str | None:
     predicted = fam.predict_n_critical(g)
-    measured = gamma_tr_equals_order(g) and is_edge_critical(g)
+    measured = gamma_tr_value(g) == g.n and is_edge_critical(g)
     if predicted != measured:
         return f"predicted={predicted} but measured criticality is {measured}"
     return None

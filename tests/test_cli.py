@@ -140,8 +140,9 @@ def test_golden_transcript(capsys, case):
 
 W3_N22 = "U_?OP??_GA?CA?OC?a?G_?G?C?_@_h????o??Mc?"
 
-# sha256 of the stdout of profile deltas and compute outputs, nodes_explored
-# included, each run from cold caches as a fresh process would
+# sha256 of the stdout of profile deltas, compute outputs (nodes_explored
+# included) and criticality commands, each run from cold caches as a fresh
+# process would
 PINNED = [
     (["profile", "--family", "cor(K5)"],
      "db11a9716e67e07e6dacca32a0130a338a70f4a5b0c1e999aaaeca17a9e480fa"),
@@ -189,6 +190,18 @@ PINNED = [
      "cbacf4b7082800c27df3a63bda7691fa0f0bc6e9dd8b0d9d3e99fe29921659c4"),
     (["compute", "--graph6", W3_N22],
      "c3337b171f9b74ff9c3d271aab254306ea4ce3a6100fbe17a4c88f3235367c71"),
+    # the DP's case tables on each grown graph
+    (["complete-critical", "--family", "spider(1,2,2,3,4,5)"],
+     "2f90c48c85ed19012d09a28e68d0432afef96440bf107002f3d6ceaee5d9d8c5"),
+    # pairs across components
+    (["complete-critical", "--family", "union(cycle(10),path(4),K3)"],
+     "b2bf8a7a65cc0e30c5f7b2cc2206caaf640efc5df20ece821ff58c7f93507d0d"),
+    (["complete-critical", "--family", "D(4)"],
+     "2ecfd33bd80c90107b7f2d1a836a6973e106a4c657e93b533572d90c385e0990"),
+    (["complete-critical", "--family", "cor(path(6))"],
+     "e33a0cc7678542a6f5d3ffa3432459fb36b69d3d852f6df577ec6967e998faa6"),
+    (["classify", "--family", "union(KxK(3,4),cycle(12))"],
+     "926817574b2a69b59e6dc72d77009054120c11b4b5b4a41d3306047cc4c455be"),
 ]
 
 
@@ -467,6 +480,37 @@ class TestCompleteCritical:
     def test_value_too_small(self, capsys):
         code, _, _ = run(capsys, "complete-critical", "--graph6", "Bw")  # K_3
         assert code == 3
+
+
+# documented error paths, each run as the entry point: the exit code, no
+# stdout, and one stderr line, where an escaping exception would print its
+# traceback
+ERROR_PATHS = [
+    (["compute", "--family", "cycle(40)"], 3),
+    (["profile", "--family", "path(30)"], 3),
+    (["classify", "--family", "K1"], 3),
+    (["complete-critical", "--family", "K3"], 3),
+    (["recognize", "--family", "cycle(63)"], 3),
+    (["generate", "--family", "union()"], 3),
+    (["compute", "--graph6", "@"], 3),
+    (["profile", "--graph6", "B?"], 3),
+    (["verify", "T_SPIDER_FORMULA", "--random", "2,5,0.5"], 3),
+    (["hunt", "Q1", "--all-labeled", "8"], 3),
+    (["verify", "T_MYN1", "--family", "path(26)"], 3),  # the gamma_t cap
+    (["verify", "T_RD_DEADPAIR", "--family", "path(30)"], 3),  # the gamma_R cap
+    (["compute", "--budget", "0", "--family", "K3"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", ERROR_PATHS,
+                         ids=[" ".join(a) for a, _ in ERROR_PATHS])
+def test_error_path_exits_with_one_line(argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(trd.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "trd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
 
 
 # --- the table-driven parse against the argparse reference -----------------

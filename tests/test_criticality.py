@@ -287,8 +287,8 @@ def waived_minima(g):
 
 
 class TestDecidedDeltas:
-    """Deltas decided by first-hit searches over the functions that use the
-    new edge equal the difference of the two exact values."""
+    """Deltas worked out from the functions that use the new edge equal the
+    difference of the two exact values."""
 
     @staticmethod
     def exact(g, pairs=None):
@@ -409,9 +409,8 @@ class TestDecidedDeltas:
         search = _WeightSearch(g, True)
         value, found, _ = search.decide({}, 2 * g.n)
         witness, _ = solver._witness(search, value, found, None)
-        deltas = {}
-        for u, v in g.non_edges():
-            deltas[u, v] = search.pair(u, v, [value - 1, value - 2])
+        least = _Near(search, value).least
+        deltas = {(u, v): value - least[pair_index(u, v)] for u, v in g.non_edges()}
         assert (result.value, result.witness.values) == (value, witness)
         assert (dead, profile.base_value) == (tuple(search.dead(value)), value)
         assert profile.deltas == deltas
@@ -489,15 +488,12 @@ class TestDecidedDeltas:
 
     @staticmethod
     def waived_cases_match_the_oracle(g, pairs):
-        """The DP's answers for ``pairs`` at gamma_tR(G) - 1 and - 2 against
-        the 3^n scan of each G+uv."""
+        """The DP's deltas for ``pairs`` against the 3^n scan of each G+uv."""
         reset_caches()
         solved = solver._Solved(g)
         base = solved.value()
         for u, v in pairs:
-            exact = brute_oracle_gamma_tr(add_edge(g, u, v))
-            delta = solved.delta(u, v, 2)
-            assert [delta >= 1, delta >= 2] == [exact < base, exact < base - 1]
+            assert solved.delta(u, v) == base - brute_oracle_gamma_tr(add_edge(g, u, v))
 
     @given(width_three_graphs(), st.data())
     @settings(max_examples=25, deadline=None)
@@ -582,8 +578,8 @@ class TestDecidedDeltas:
         assert set(profile.deltas.values()) == {0, 1, 2}
 
     def test_critical_edge_checks_ask_one_question(self, monkeypatch):
-        # the dead-vertex edge checks ask only whether gamma_tR(G+uv) <=
-        # gamma_tR(G) - 1, never the base - 2 question of a delta
+        # the dead-vertex edge checks read each delta from one near scan
+        # per graph; the pinned searches are those of the dead sets
         reset_caches()
         pinned = []
         solve = _WeightSearch.solve
@@ -677,20 +673,19 @@ def dp_routable_graphs():
 
 class TestPairRouting:
     """A DP component's pairs go to its case tables or to one near scan by
-    the estimate of ``_Part.pairs``, with the same answers either way."""
+    the estimate of ``_Part.near``, with the same answers either way."""
 
     @pytest.mark.parametrize("g", [pytest.param(g, id=name)
                                    for name, g in dp_routable_graphs()])
     def test_near_table_matches_case_tables(self, g):
-        # the two tables agree at gamma_tR - 1 and gamma_tR - 2 on every
-        # non-edge, whichever engine the rule would pick
+        # the two tables give the same gamma_tR(G+uv) on every non-edge,
+        # whichever engine the rule would pick
         assert is_connected(g) and 10 <= g.n <= 16
         dp = _FrontierDP(g, _frontier_order(g), True)
         value = dp.run([(0, 1, 2)] * g.n)[0]
         least = _Near(_WeightSearch(g, True), value).least
-        caps = [value - 1, value - 2]
         for u, v in g.non_edges():
-            assert sum(least[pair_index(u, v)] <= cap for cap in caps) == dp.pair(u, v, caps)
+            assert least[pair_index(u, v)] == min(value, dp.pair(u, v))
 
     @pytest.mark.parametrize("g,near", [
         (graph6_decode("M?HoL?OO?_?@@A|g_"), True),
@@ -712,8 +707,7 @@ class TestPairRouting:
         reset_caches()
         [part] = solver._solved(g).parts
         assert isinstance(part.engine, _FrontierDP)
-        assert isinstance(part.pairs, _WeightSearch if near else _FrontierDP)
-        assert near or part.pairs is part.engine
+        assert (part.near is None) == (not near)
 
     def test_near_routed_dp_component_builds_one_search(self, monkeypatch):
         # a whole profile of a near-routed DP component builds one
@@ -793,8 +787,8 @@ class TestCompleteToCritical:
             restarted = add_edge(restarted, *pair)
         asked = []
         delta = solver._Solved.delta
-        monkeypatch.setattr(solver._Solved, "delta", lambda self, u, v, most:
-                            asked.append((u, v)) or delta(self, u, v, most))
+        monkeypatch.setattr(solver._Solved, "delta", lambda self, u, v:
+                            asked.append((u, v)) or delta(self, u, v))
         h = complete_to_critical(g)
         assert asked == g.non_edges()
         assert h == restarted and h.edge_count > g.edge_count

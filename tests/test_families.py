@@ -47,7 +47,7 @@ from trd.families import (
     spider_is_critical,
 )
 from trd.graphs import build_graph, graph6_encode, is_connected
-from trd.solver import gamma_tr_equals_order, gamma_tr_value
+from trd.solver import gamma_tr_value
 
 # 1,200 nested unions: deep enough to overflow a recursive parser
 DEEP_UNION = "union(" * 1200 + "K2" + ")" * 1200
@@ -312,7 +312,7 @@ class TestHen1Classify:
     @settings(max_examples=300, deadline=None)
     def test_matches_gamma_tr_equals_order_beyond_order_7(self, g):
         # T_HEN1's statement, past the exhaustive order-7 sweep
-        assert (hen1_classify(g) is not None) == gamma_tr_equals_order(g)
+        assert (hen1_classify(g) is not None) == (gamma_tr_value(g) == g.n)
 
     def test_relabelled_members_to_order_24(self):
         cases = [(SubdividedStar(k), SUBDIVIDED_STAR, None) for k in range(3, 12)]

@@ -210,26 +210,23 @@ class TestKnownValues:
     @given(solvable_graphs(2, 6))
     @settings(max_examples=100)
     def test_decision_consistent(self, g):
+        # the memo's value, the routed graph's value and the witness weight
+        # agree, and the two value questions read that value
         value = gamma_tr_value(g)
+        assert solver._Solved(g).value() == gamma_tr(g).value == value
         assert has_trd_weight_at_most(g, value)
         assert not has_trd_weight_at_most(g, value - 1)
         assert gamma_tr_equals_order(g) == (value == g.n)
 
     def test_decisions_on_every_small_class(self):
-        # at every cap the memo's answer and the search's agree with the
-        # oracle's value
+        # the memo's value and the search's agree with the oracle's
         for n in range(2, 7):
             for mask, _ in graph_classes(n):
                 g = from_edge_mask(n, mask)
                 if g.has_isolated_vertices():
                     continue
-                caps = range(-1, n + 1)
-                solved = solver._Solved(g)
-                searched = [solved.at_most(cap) for cap in caps]
                 value = brute_oracle_gamma_tr(g)
-                assert gamma_tr_value(g) == value
-                assert [has_trd_weight_at_most(g, cap) for cap in caps] == searched
-                assert searched == [value <= cap for cap in caps]
+                assert gamma_tr_value(g) == solver._Solved(g).value() == value
 
 
 class TestClassicalNumbers:
@@ -1024,10 +1021,7 @@ class TestSparseEngine:
     @settings(max_examples=40, deadline=None)
     def test_decisions_and_dead_vertices(self, g):
         # orders 10-12 go to the DP, order 9 to branch and bound
-        value = brute_oracle_gamma_tr(g)
-        assert has_trd_weight_at_most(g, value)
-        assert not has_trd_weight_at_most(g, value - 1)
-        assert gamma_tr_equals_order(g) == (value == g.n)
+        assert gamma_tr_value(g) == brute_oracle_gamma_tr(g)
         assert dead_vertices(g) == naive_dead(g, min_trd_vectors(g))
 
     @given(width_two_graphs(9, 12), dense_graphs(), st.randoms())
@@ -1039,9 +1033,7 @@ class TestSparseEngine:
         g = disjoint_union([sparse, dense])
         g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         value = brute_oracle_gamma_tr(sparse) + brute_oracle_gamma_tr(dense)
-        assert has_trd_weight_at_most(g, value)
-        assert not has_trd_weight_at_most(g, value - 1)
-        assert gamma_tr_equals_order(g) == (value == g.n)
+        assert gamma_tr_value(g) == value
         dead = naive_dead(sparse, min_trd_vectors(sparse))
         dead += tuple(sparse.n + v for v in naive_dead(dense, min_trd_vectors(dense)))
         assert dead_vertices(g) == tuple(sorted(perm[v] for v in dead))

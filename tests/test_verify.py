@@ -29,7 +29,7 @@ from trd.solver import (
     brute_oracle_gamma_tr,
     dead_vertices,
     enumerate_min_trd,
-    gamma_tr_equals_order,
+    gamma_tr_value,
 )
 from trd.verify import (
     QUESTIONS,
@@ -413,7 +413,7 @@ class TestQuestionCounterexamples:
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_q1_coronas_of_complete_graphs(self, m):
         g = generate(Corona(Complete(m)))
-        assert is_supercritical(g) and gamma_tr_equals_order(g)
+        assert is_supercritical(g) and gamma_tr_value(g) == g.n
         if g.n <= 10:
             assert oracle_deltas(g) == (g.n, {2})
 
