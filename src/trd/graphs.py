@@ -209,14 +209,11 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _canonical_form(adj: list[int]) -> tuple[int, int]:
-    """(least colex mask over colour-respecting orders, |Aut|) of a graph.
-
-    Colours start from the degrees and are refined by (colour, sorted
-    neighbour colours), ranked by sorted key, until no cell splits; both
-    steps commute with relabelling.  The candidate orders list the cells
-    in colour order, each cell permuted every way.  Automorphisms
-    preserve colours, so exactly |Aut| candidates reach the least mask.
+def _colours(adj: list[int]) -> list[int]:
+    """Vertex colours of a graph: its degrees, refined by (colour, sorted
+    neighbour colours), ranked by sorted key, until no cell splits.  Both
+    steps commute with relabelling, and each ranking sorts by the previous
+    colour first, so a vertex of larger degree never gets a smaller colour.
     """
     n = len(adj)
     nbrs = [list(iter_bits(a)) for a in adj]
@@ -232,10 +229,19 @@ def _canonical_form(adj: list[int]) -> tuple[int, int]:
         rank = {key: r for r, key in enumerate(distinct)}
         colour = [rank[key] for key in keys]
         cells = len(distinct)
+    return colour
+
+
+def _canonical_form(adj: list[int], colour: list[int]) -> tuple[int, int]:
+    """(least colex mask over colour-respecting orders, |Aut|) of a graph
+    with :func:`_colours` ``colour``: the orders list the cells in colour
+    order, each permuted every way, and exactly |Aut| reach the least mask.
+    """
+    n = len(adj)
     by_colour: dict[int, list[int]] = {}
     for v in sorted(range(n), key=colour.__getitem__):
         by_colour.setdefault(colour[v], []).append(v)
-    edges = [(u, v) for v in range(n) for u in nbrs[v] if u < v]
+    edges = [(u, v) for v, a in enumerate(adj) for u in iter_bits(a) if u < v]
     bit = _pair_bits(n)
     best, count = -1, 0
     pos = [0] * n
@@ -262,9 +268,12 @@ def graph_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical colex mask, orbit size) of every isomorphism class of
     graphs of order n, sorted by mask; the orbit sizes sum to 2^C(n,2).
 
-    Order n grows from order n - 1: vertex n - 1 joins each class
-    representative with every neighbour set, and one canonical form per
-    class is kept.  The orbit of a class is its n!/|Aut| labellings.
+    Order n grows from order n - 1 by canonical deletion: vertex n - 1
+    joins each class representative with every neighbour set, and only
+    joins that put it in the last colour cell, of largest degree, count.
+    No class is lost: deleting a last-cell vertex leaves a copy of a
+    representative, and colours commute with relabelling.  The orbit of
+    a class is its n!/|Aut| labellings.
     """
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
@@ -274,11 +283,17 @@ def graph_classes(n: int) -> tuple[tuple[int, int], ...]:
     forms: dict[int, int] = {}
     for mask, _ in graph_classes(last):
         base = list(from_edge_mask(last, mask).adj)
+        top = max(a.bit_count() for a in base)
+        tops = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
         for joined in range(1 << last):
+            # a joined vertex of degree top reaches top + 1
+            if joined.bit_count() < top + bool(joined & tops):
+                continue
             adj = [a | (joined >> v & 1) << last for v, a in enumerate(base)]
             adj.append(joined)
-            form, aut = _canonical_form(adj)
-            forms.setdefault(form, aut)
+            colour = _colours(adj)
+            if colour[last] == max(colour):
+                forms.setdefault(*_canonical_form(adj, colour))
     labellings = math.factorial(n)
     return tuple((form, labellings // aut) for form, aut in sorted(forms.items()))
 

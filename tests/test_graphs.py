@@ -1,8 +1,10 @@
 """Graph construction, editing, metrics, and the graph6 / edge-list codecs."""
 
 import itertools
+import math
 import pickle
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,8 @@ from trd.errors import (
     TrdError,
 )
 from trd.graphs import (
+    _canonical_form,
+    _colours,
     add_edge,
     build_graph,
     complement,
@@ -37,6 +41,7 @@ from trd.graphs import (
     graph6_encode,
     graph_classes,
     induced_subgraph,
+    iter_bits,
     is_connected,
     metrics,
     pair_index,
@@ -323,7 +328,48 @@ def _least_relabelling(n: int, mask: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _every_candidate_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """graph_classes(n) without canonical deletion: every candidate, each
+    class representative of order n - 1 plus vertex n - 1 with any
+    neighbour set, is canonicalised."""
+    if n == 1:
+        return ((0, 1),)
+    last = n - 1
+    forms: dict[int, int] = {}
+    for mask, _ in _every_candidate_classes(last):
+        base = list(from_edge_mask(last, mask).adj)
+        for joined in range(1 << last):
+            adj = [a | (joined >> v & 1) << last for v, a in enumerate(base)]
+            adj.append(joined)
+            form, aut = _canonical_form(adj, _colours(adj))
+            forms.setdefault(form, aut)
+    labellings = math.factorial(n)
+    return tuple((form, labellings // aut) for form, aut in sorted(forms.items()))
+
+
 class TestGraphClasses:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_canonical_deletion_keeps_every_class(self, n):
+        assert graph_classes(n) == _every_candidate_classes(n)
+
+    @given(any_graphs(1, 8))
+    def test_colours_refine_degrees(self, g):
+        colour = _colours(list(g.adj))
+        for u, v in itertools.permutations(range(g.n), 2):
+            if g.degree(u) > g.degree(v):
+                assert colour[u] > colour[v]
+
+    @given(any_graphs(1, 8), st.data())
+    def test_colours_commute_with_relabelling(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        adj = [0] * g.n
+        for v, a in enumerate(g.adj):
+            adj[perm[v]] = sum(1 << perm[w] for w in iter_bits(a))
+        colour = _colours(list(g.adj))
+        moved = _colours(adj)
+        assert [moved[perm[v]] for v in range(g.n)] == colour
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_oeis(self, n):
         classes = graph_classes(n)
