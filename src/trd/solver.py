@@ -26,7 +26,7 @@ by reading the tables of its unpinned run and its backward completion
 once, with no run per vertex.
 
 For a non-edge uv, ``_Solved.delta(u, v)`` gives
-gamma_tR(G) - gamma_tR(G+uv).  Order <= 6 reads the memo.  A function
+gamma_tR(G) - gamma_tR(G+uv).  Order <= 6 reads the table.  A function
 lighter than gamma_tR(G) uses uv in one of three cases (see
 :mod:`trd.criticality`), each of which waives the conditions that uv
 meets.  A pair inside one component is ``_Part.pair(u, v)``, the least
@@ -44,11 +44,13 @@ tables.  A pair across two components builds no graph either: per case
 it adds the two ends' ``at(w, xs, waive)``, each component's least
 weight with f(w) in xs and w's condition waived if asked.
 
-Value-only results of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) live
-in one memo, one bytearray per invariant and order indexed by the colex
-edge mask.  A graph enters the memo only after its solve has validated it.
-gamma and gamma_t are summed over the components, each solved apart by a
-cover search.
+Every value of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) is read
+from one memo: per invariant and order a bytearray indexed by the colex
+edge mask, filled whole at its first read by one bit-parallel pass over
+all edge masks (``_fill``), which runs no search.  A 0xFF entry, where the
+invariant is undefined, runs the solve that validates the graph, which
+raises.  Above order 6 gamma and gamma_t are summed over the components,
+each solved apart by a cover search.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -88,7 +90,7 @@ from .errors import (
     TooSmallError,
 )
 from .graphs import (
-    Graph, add_edge, cached, component_masks, induced_subgraph, iter_bits,
+    Graph, cached, component_masks, induced_subgraph, iter_bits,
     pair_index,
 )
 
@@ -697,36 +699,119 @@ def _probe(g: Graph, total: bool) -> tuple[int, tuple[int, int]]:
     return n, (0, full)
 
 
-# One memo for every invariant: ``_MEMO[invariant, n]`` is a bytearray
-# indexed by the colex edge mask (32768 masks at n = 6); 0xFF marks unknown.
+# One memo for every invariant: ``_MEMO[kind, n]`` is the whole table of
+# ``kind`` at order 1 <= n <= 6, a bytearray indexed by the colex edge mask
+# (32768 masks at n = 6), 0xFF where the invariant is undefined.
 _MEMO: dict[tuple[str, int], bytearray] = {}
+
+# (roman, total) of each kind: roman, values 0, 1, 2 rather than a set;
+# total, every positive vertex needs a positive neighbour
+_KINDS = {"gamma": (False, False), "gamma_t": (False, True),
+          "gamma_R": (True, False), "gamma_tR": (True, True)}
+
+
+def _table(kind: str, n: int) -> bytearray:
+    """The table of ``kind`` at order 1 <= n <= 6, filled at its first read."""
+    table = _MEMO.get((kind, n))
+    if table is None:
+        table = _MEMO[kind, n] = _fill(*_KINDS[kind], n)
+    return table
+
+
+def _fill(roman: bool, total: bool, n: int) -> bytearray:
+    """The values on every edge mask of order n at once, with no search: one
+    condition with two flags, Telle & Proskurowski's (sigma, rho) view.
+
+    A set of masks is one int whose bit m stands for mask m.  ``edge[e]``
+    holds the masks with edge e, a periodic pattern built by doubling, and
+    ``near[x][s]`` those in which x has a neighbour in the vertex set s.  A
+    function of weight <= n, its 2s t and its 1s o (for gamma and gamma_t
+    a set t of weight |t| and no o), is valid on the masks in which each 0
+    has a neighbour in t and, in total mode, each positive vertex one in
+    t | o; those masks join ``level`` at its weight.  With ``roman`` the
+    zeros are walked as the subsets z of the vertices outside t, each
+    found from a smaller one by its lowest vertex.  No bitset outlives
+    the fill: ``near`` holds about 0.8 MB at n = 6.
+    """
+    pairs = n * (n - 1) // 2
+    size = 1 << pairs
+    every = (1 << size) - 1
+    edge = []
+    for e in range(pairs):
+        half = 1 << e
+        bits, width = ((1 << half) - 1) << half, 2 * half
+        while width < size:
+            bits |= bits << width
+            width *= 2
+        edge.append(bits)
+    index = _pair_rows(n)
+    near = []
+    for x in range(n):
+        row = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            v = low.bit_length() - 1
+            row[s] = row[s ^ low] if v == x else row[s ^ low] | edge[index[x][v]]
+        near.append(row)
+    met = [every] * (1 << n)  # met[p]: each vertex of p has a neighbour in p
+    if total:
+        for p in range(1, 1 << n):
+            for v in iter_bits(p):
+                met[p] &= near[v][p]
+    vertices = (1 << n) - 1
+    level = [0] * (n + 1)
+    zero = [every] * (1 << n)  # zero[z]: each vertex of z has a neighbour in t
+    for t in range(1 << n):
+        base = (1 + roman) * t.bit_count()
+        if base > n:
+            continue
+        rest = vertices & ~t
+        if not roman:
+            valid = met[t]
+            for z in iter_bits(rest):
+                valid &= near[z][t]
+            level[base] |= valid
+            continue
+        fewest = rest.bit_count() + base - n  # zeros that keep the weight <= n
+        z = 0
+        while True:
+            if z:
+                low = z & -z
+                zero[z] = zero[z ^ low] & near[low.bit_length() - 1][t]
+            if z.bit_count() >= fewest:
+                o = rest ^ z
+                level[base + o.bit_count()] |= zero[z] & met[t | o]
+            if z == rest:
+                break
+            z = (z - rest) & rest
+    # a mask's value is the number of cumulative levels that miss it, n + 1
+    # (0xFF once translated) where none holds it; the byte of mask 8i + j is
+    # byte i of the sum of the misses shifted down by j
+    missing, held = [], 0
+    for bits in level:
+        held |= bits
+        missing.append(every & ~held)
+    groups = -(-size // 8)
+    ones = int.from_bytes(b"\1" * groups, "little")
+    out = bytearray(8 * groups)
+    for j in range(8):
+        out[j::8] = sum(m >> j & ones for m in missing).to_bytes(groups, "little")
+    del out[size:]
+    return out.translate(bytes(range(n + 1)).ljust(256, b"\xff"))
 
 
 def _memo(kind: str, g: Graph, solve: Callable[[Graph], int]) -> int:
-    """``solve(g)``, memoised under ``kind`` when G has order <= 6, and
-    refused above the solver cap before any search.
-
-    Only a value ``solve`` returns is stored, so when ``solve`` validates
-    the graph a hit needs no check.
-    """
+    """The value of ``kind`` on G, read from its order's table when
+    1 <= n <= 6, else ``solve(g)``; refused above the solver cap before any
+    search.  ``solve``, which validates G, also runs on a 0xFF entry, where
+    it raises."""
     n = g.n
     if n > SOLVER_MAX_N:
         raise GraphTooLargeError(f"{kind} capped at n <= {SOLVER_MAX_N}")
-    if n > _MEMO_MAX_N:
+    if not 0 < n <= _MEMO_MAX_N:
         return solve(g)
-    return _memo_at(kind, n, g.edge_mask, solve, g)
-
-
-def _memo_at(kind: str, n: int, key: int, solve: Callable[..., int], *args) -> int:
-    """The memo entry of ``kind`` at order n <= 6 and colex edge mask
-    ``key``, filled by ``solve(*args)`` on a miss."""
-    arr = _MEMO.get((kind, n))
-    if arr is None:
-        arr = _MEMO[kind, n] = bytearray(b"\xff" * (1 << (n * (n - 1) // 2)))
-    val = arr[key]
-    if val == 0xFF:
-        val = arr[key] = solve(*args)
-    return val
+    value = _table(kind, n)[g.edge_mask]
+    return solve(g) if value == 0xFF else value
 
 
 def reset_caches() -> None:
@@ -1143,8 +1228,9 @@ class _Solved:
 
     @cached
     def base(self) -> int:
-        """gamma_tR(G), asked once per object; order <= 6 reads the memo."""
-        return _memo("gamma_tR", self.g, lambda h: self.value())
+        """gamma_tR(G), asked once per object; order <= 6 reads the table."""
+        g = self.g
+        return _table("gamma_tR", g.n)[g.edge_mask] if g.n <= _MEMO_MAX_N else self.value()
 
     def witness(self, budget: int | None) -> tuple[int, tuple[int, ...], int]:
         """gamma_tR(G), the lexicographically smallest function of that
@@ -1172,16 +1258,13 @@ class _Solved:
 
     def delta(self, u: int, v: int) -> int:
         """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv.  Order <= 6
-        reads the memo, keyed by G's edge mask with the pair's bit set, and
-        builds G+uv only on a miss: without it the registry took 0.30-0.42 s
-        in-process against 0.16-0.27 s (8 runs, 2-vCPU VM).  A pair inside
-        one component is that component's ``pair``."""
+        reads the table at G's edge mask with the pair's bit set, which G+uv
+        being free of isolated vertices makes a value; it builds no graph.
+        A pair inside one component is that component's ``pair``."""
         g = self.g
         _require_non_edge(g, u, v)
         if g.n <= _MEMO_MAX_N:
-            value = _memo_at("gamma_tR", g.n, g.edge_mask | 1 << pair_index(u, v),
-                             lambda: _Solved(add_edge(g, u, v)).value())
-            return self.base - value
+            return self.base - _table("gamma_tR", g.n)[g.edge_mask | 1 << pair_index(u, v)]
         (pu, i), (pv, j) = self.where[u], self.where[v]
         if pu is pv:
             return pu.value - pu.pair(i, j)
@@ -1205,7 +1288,7 @@ def _solved(g: Graph, total: bool = True) -> _Solved:
 
 
 def gamma_tr_value(g: Graph) -> int:
-    """Exact gamma_tR(G), value only, memoised for n <= 6."""
+    """Exact gamma_tR(G), value only, read from a table for n <= 6."""
     return _memo("gamma_tR", g, lambda h: _solved(h).value())
 
 
@@ -1416,17 +1499,17 @@ def _gamma_t(g: Graph) -> int:
 
 
 def gamma_value(g: Graph) -> int:
-    """The domination number gamma(G), memoised for n <= 6."""
+    """The domination number gamma(G), read from a table for n <= 6."""
     return _memo("gamma", g, _gamma)
 
 
 def gamma_t_value(g: Graph) -> int:
-    """The total domination number gamma_t(G), memoised for n <= 6."""
+    """The total domination number gamma_t(G), read from a table for n <= 6."""
     return _memo("gamma_t", g, _gamma_t)
 
 
 def gamma_r_value(g: Graph) -> int:
-    """The Roman domination number gamma_R(G), memoised for n <= 6."""
+    """The Roman domination number gamma_R(G), read from a table for n <= 6."""
     return _memo("gamma_R", g, lambda h: _solved(h, False).value())
 
 

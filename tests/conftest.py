@@ -89,12 +89,26 @@ def any_graphs(draw, min_n=2, max_n=6):
     return from_edge_mask(n, mask)
 
 
+def _join_isolated(n: int, edges: set) -> Graph:
+    """The graph of ``edges`` with each vertex they leave isolated joined
+    to its successor modulo n."""
+    touched = {v for e in edges for v in e}
+    for v in range(n):
+        if v not in touched:
+            w = (v + 1) % n
+            edges.add((min(v, w), max(v, w)))
+            touched.update((v, w))
+    return build_graph(n, sorted(edges))
+
+
 @st.composite
 def solvable_graphs(draw, min_n=2, max_n=6):
-    """Random labelled graphs without isolated vertices."""
+    """Random labelled graphs without isolated vertices, made so by
+    ``_join_isolated`` rather than filtered: a filter drops about half the
+    draws, and a list of three parts then fails Hypothesis's filter health
+    check in about one run in 130."""
     g = draw(any_graphs(min_n, max_n))
-    assume(not g.has_isolated_vertices())
-    return g
+    return _join_isolated(g.n, set(g.edges()))
 
 
 @st.composite
@@ -116,11 +130,4 @@ def sparse_graphs(draw, min_n=2, max_n=10):
     n = draw(st.integers(min_n, max_n))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n + 2))
-    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
-    touched = {v for e in edges for v in e}
-    for v in range(n):
-        if v not in touched:
-            w = (v + 1) % n
-            edges.add((min(v, w), max(v, w)))
-            touched.update((v, w))
-    return build_graph(n, sorted(edges))
+    return _join_isolated(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})

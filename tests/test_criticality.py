@@ -570,7 +570,7 @@ class TestDecidedDeltas:
         monkeypatch.setattr(_WeightSearch, "solve",
                             lambda self, pins, *a: pinned.append(bool(pins))
                             or solve(self, pins, *a))
-        for module in ("trd.solver", "trd.criticality"):
+        for module in ("trd.graphs", "trd.criticality"):
             monkeypatch.setattr(f"{module}.add_edge",
                                 lambda h, u, v: added.append((u, v)) or add_edge(h, u, v))
         profile = edge_profile(g)
@@ -724,7 +724,7 @@ class TestPairRouting:
                             or solve(self, pins, *a))
         monkeypatch.setattr(_FrontierDP, "pair",
                             lambda self, *a: tables.append(1) or pair(self, *a))
-        for module in ("trd.solver", "trd.criticality"):
+        for module in ("trd.graphs", "trd.criticality"):
             monkeypatch.setattr(f"{module}.add_edge",
                                 lambda h, u, v: added.append((u, v)) or add_edge(h, u, v))
         profile = edge_profile(g)

@@ -246,24 +246,28 @@ class TestClassicalNumbers:
         with pytest.raises(IsolatedVertexError):
             classical_numbers(build_graph(3, [(0, 1)]))
 
-    def test_warm_memo_still_rejects_isolated(self):
-        # a memo hit skips the isolated-vertex check, so the memo must never
-        # hold a graph that failed it
-        for g in enumerate_graphs(AllLabeled(4)):
-            gamma_tr_value(g), gamma_t_value(g), gamma_r_value(g)
-        isolated = [
-            g
-            for g in enumerate_graphs(AllLabeled(4, no_isolated=False))
-            if g.n >= 2 and g.has_isolated_vertices()
-        ]
-        assert len(isolated) == 1 + 4 + 23
+    def test_tables_raise_what_the_engines_raise(self):
+        # a 0xFF entry reruns the solve that validates the graph: every graph
+        # of order <= 6 with an isolated vertex gets the engine's error and
+        # message, and order 1 gets TooSmallError for gamma_tR
+        isolated = [g for g in enumerate_graphs(AllLabeled(6, no_isolated=False))
+                    if g.has_isolated_vertices()]
+        assert len(isolated) == 1 + 1 + 4 + 23 + 256 + 5319  # 2^C(n,2) - A006129(n)
         for g in isolated:
-            with pytest.raises(IsolatedVertexError):
-                gamma_tr_value(g)
-            with pytest.raises(IsolatedVertexError):
-                gamma_t_value(g)
+            message = f"isolated vertices {tuple(v for v in range(g.n) if not g.adj[v])} present"
+            for value in (gamma_t_value, gamma_tr_value) if g.n > 1 else (gamma_t_value,):
+                with pytest.raises(IsolatedVertexError) as raised:
+                    value(g)
+                assert str(raised.value) == message
             # gamma_R is defined with isolated vertices: each one weighs 1
-            assert gamma_r_value(g) == naive_gamma_r(g)
+            if g.n <= 4:
+                assert gamma_r_value(g) == naive_gamma_r(g)
+        single = isolated[0]
+        assert single.n == 1
+        with pytest.raises(TooSmallError) as raised:
+            gamma_tr_value(single)
+        assert str(raised.value) == "gamma_tR needs order >= 2"
+        assert gamma_value(single) == gamma_r_value(single) == 1
 
     def test_reset_caches_empties_the_memo(self):
         graphs = list(enumerate_graphs(AllLabeled(4)))
@@ -305,7 +309,8 @@ class TestClassicalNumbers:
         )
 
     def test_small_disconnected_classes_split(self):
-        # below order 7 too gamma and gamma_t are summed over the components
+        # the order <= 6 tables agree with the cover search run on the whole
+        # of each disconnected class
         split = 0
         for n in range(4, 7):
             for mask, _ in graph_classes(n):
@@ -332,6 +337,48 @@ class TestClassicalNumbers:
         gamma, gamma_t, _ = classical_numbers(g)
         gtr = gamma_tr_value(g)
         assert gamma <= gamma_t <= gtr <= 2 * gamma_t
+
+
+# --- the order <= 6 tables --------------------------------------------------
+
+KINDS = ("gamma", "gamma_t", "gamma_R", "gamma_tR")
+
+
+def engine_table(kind: str, n: int) -> bytearray:
+    """The table of ``kind`` at order n worked out mask by mask by the
+    engines, 0xFF where they raise: ``_Solved`` for gamma_tR and gamma_R,
+    the cover search by component for gamma and gamma_t.  The CI workflow
+    compares it with ``solver._table`` at order 6."""
+    engine = {"gamma": solver._gamma, "gamma_t": solver._gamma_t,
+              "gamma_R": lambda g: solver._Solved(g, False).value(),
+              "gamma_tR": lambda g: solver._Solved(g).value()}[kind]
+    table = bytearray()
+    for mask in range(1 << n * (n - 1) // 2):
+        try:
+            table.append(engine(from_edge_mask(n, mask)))
+        except (IsolatedVertexError, TooSmallError):
+            table.append(0xFF)
+    return table
+
+
+class TestTables:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_table_matches_the_engines(self, n, kind):
+        # every mask of the order, 0xFF exactly where the engine raises
+        reset_caches()
+        assert solver._table(kind, n) == engine_table(kind, n)
+
+    @given(any_graphs(6, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_order_six_matches_the_raw_scans(self, g):
+        isolated = g.has_isolated_vertices()
+        assert tuple(solver._table(kind, 6)[g.edge_mask] for kind in KINDS) == (
+            naive_gamma(g),
+            0xFF if isolated else naive_gamma_t(g),
+            naive_gamma_r(g),
+            0xFF if isolated else brute_oracle_gamma_tr(g),
+        )
 
 
 # --- enumeration ------------------------------------------------------------
@@ -633,8 +680,10 @@ class TestDeadVertices:
                             lambda self, *a: calls.append(1) or solve(self, *a))
         reset_caches()
         assert verify_theorem("T_RD_DEADPAIR").outcome == "pass"
-        assert builds.count(False) <= 76
-        assert len(calls) <= 343
+        # the values of order <= 6 come from the tables, so these count the
+        # dead sets alone
+        assert builds.count(False) == 33
+        assert len(calls) == 299
 
 
 # --- branch-and-bound cuts -------------------------------------------------
