@@ -432,8 +432,6 @@ def graph6_decode(text: str) -> Graph:
     mask = 0
     for idx, c in enumerate(codes[1:]):
         group = c - 63
-        if not 0 <= group < 64:
-            raise MalformedGraph6Error(f"byte {c} out of range 63..126")
         for k in range(6):
             p = idx * 6 + k
             bit = (group >> (5 - k)) & 1

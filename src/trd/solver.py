@@ -4,21 +4,27 @@ Every gamma_tR question about one graph G (value, witness, dead vertices,
 the effect of adding a non-edge) is asked of one object, ``_Solved(G)``,
 which validates G once.  gamma_R, the same minimum without the total
 condition (Cockayne, Dreyer, Hedetniemi & Hedetniemi, Discrete Math. 278,
-2004), and its dead vertices are asked of ``_Solved(G, total=False)``.  On
-first need the object splits G into connected components and gives each
-its graph and its engine; questions are answered one component at a
-time.  The engine is the frontier dynamic program when the component has
-order >= 10 and the greedy finds it a vertex order of frontier width
-<= 3, else branch and bound.  The last object of each mode is kept in a
-one-slot cache, so a graph whose questions different functions ask in
-turn is routed once.
+2004), and its dead vertices are asked of ``_Solved(G, total=False)``.
+gamma_t and gamma are asked of the same two objects: a (total) dominating
+set is a function with values {0, 2}, so each is half the least weight of
+such a function, with and without the total condition (Telle &
+Proskurowski's (sigma, rho) view, as in ``_fill``).  On first need the
+object splits G into connected components and gives each its graph and
+its engine; questions are answered one component at a time.  The engine
+is the frontier dynamic program when the component has order >= 10 and
+the greedy finds it a vertex order of frontier width <= 3, else branch
+and bound.  The last object of each mode is kept in a one-slot cache, so
+a graph whose questions different functions ask in turn is routed once.
 
 The DP codes each frontier state as one base-6 integer and looks its
 transitions up in rows shared by every DP through the step's shape,
 built lazily.  Both engines answer through
 ``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
 function with the pinned values, else None; a function of that weight;
-and the nodes spent.  The witness search skips every
+and the nodes spent.  ``twos()`` gives the least weight with values
+{0, 2}, asked of a component only when the constructive probe misses the
+floor, 4 for gamma_t and 2 for gamma, that a dominating vertex (or, for
+gamma_t, a dominating edge) meets.  The witness search skips every
 value that a returned function already shows to work.  Both list the
 dead vertices through ``dead(value)``, given the value their component
 already has: branch and bound by two pinned searches per vertex, the DP
@@ -49,8 +55,7 @@ from one memo: per invariant and order a bytearray indexed by the colex
 edge mask, filled whole at its first read by one bit-parallel pass over
 all edge masks (``_fill``), which runs no search.  A 0xFF entry, where the
 invariant is undefined, runs the solve that validates the graph, which
-raises.  Above order 6 gamma and gamma_t are summed over the components,
-each solved apart by a cover search.
+raises.
 
 The branch and bound searches partial weight assignments
 f: V -> {0, 1, 2}.  It branches on an unsatisfied vertex of maximum
@@ -65,7 +70,12 @@ TRD-function has f(N[v]) >= 2, so over a packing P fixed per engine
 2 - f(N[p] & assigned) bound what a completion adds, whence
 gamma_tR >= 2 |P| (Ahangar, Henning, Samodivkin & Yero, "Total Roman
 domination in graphs", 2016).  And a vertex whose neighbours are all
-assigned 0 can meet neither condition.
+assigned 0 can meet neither condition.  With the values {0, 2} the 1
+branch is off and every weight is even, which tightens the slack by one
+when it is even; the packing cut holds with or without the total
+condition, as each N[p] needs a 2; and in total mode a 2 meets only its
+neighbours' conditions, so every vertex needs a 2 among its neighbours
+and none is left lone.
 
 One deliberately independent scan of all 3^n weight vectors, which shares
 nothing with either engine, is both the oracle :func:`brute_oracle_gamma_tr`
@@ -195,12 +205,13 @@ def is_trd_function(g: Graph, f: WeightFunction) -> TrdVerdict:
 
 
 class _WeightSearch:
-    """Branch-and-bound minimiser for RD/TRD-function weight."""
+    """Branch-and-bound minimiser for RD/TRD-function weight, and with the
+    1s off for twice the size of a (total) dominating set."""
 
     __slots__ = (
         "g", "n", "adj", "closed", "by_degree", "packing", "full", "total",
         "budget", "nodes", "best", "found", "cap",
-        "first_hit", "done", "waived", "live",
+        "first_hit", "done", "waived", "live", "ones", "meet",
     )
 
     def __init__(self, g: Graph, total: bool):
@@ -212,15 +223,16 @@ class _WeightSearch:
         # sort is stable under reverse)
         order = sorted(range(g.n), key=g.degrees.__getitem__, reverse=True)
         self.by_degree = [1 << w for w in order]
-        # TRD only: the closed neighbourhoods of a packing, taken greedily by
-        # lowest degree, then lowest index; every TRD-function has f(N[p]) >= 2
+        # the closed neighbourhoods of a packing, taken greedily by lowest
+        # degree, then lowest index: f(N[p]) >= 2 holds for every
+        # TRD-function and every function with values {0, 2}, not for
+        # RD-functions
         packing = []
-        if total:
-            used = 0
-            for w in sorted(range(g.n), key=g.degrees.__getitem__):
-                if not closed[w] & used:
-                    packing.append(closed[w])
-                    used |= closed[w]
+        used = 0
+        for w in sorted(range(g.n), key=g.degrees.__getitem__):
+            if not closed[w] & used:
+                packing.append(closed[w])
+                used |= closed[w]
         self.packing = self.live = packing
         self.full = g.full_mask
         self.total = total
@@ -259,7 +271,13 @@ class _WeightSearch:
                 best = weight
         return best
 
-    def solve(self, pins, cap, first_hit, budget, waive: int | None = None) -> int | None:
+    def twos(self) -> int:
+        """The least weight of a function with values {0, 2}: one search
+        with the 1s off."""
+        return self.solve({}, 2 * self.n, False, None, ones=False)
+
+    def solve(self, pins, cap, first_hit, budget, waive: int | None = None,
+              ones: bool = True) -> int | None:
         """Minimum feasible weight not exceeding ``cap``, else None, within
         ``budget`` nodes (``nodes`` counts this call's); ``found`` then holds
         the ``(two, pos)`` masks of a function of that weight.
@@ -269,18 +287,26 @@ class _WeightSearch:
         yes/no questions).  The vertex ``waive`` has its condition met from
         outside: it starts satisfied, no cut asks it for a neighbour, and the
         packing drops the member centred at it, the one that changes.
+        Without ``ones`` no vertex takes the value 1 and every completion
+        adds an even weight, and in total mode a 2 meets only its
+        neighbours' conditions, so no positive vertex is left lone.
         """
         self.nodes = 0
         if cap < 0:
             return None
+        self.ones = ones
+        # meet[w]: the vertices whose condition a 2 at w meets, N[w], or
+        # N(w) for 2s alone in total mode
+        self.meet = self.adj if self.total and not ones else self.closed
         self.budget = budget
         self.best = cap + 1
         self.cap = cap
         self.first_hit = first_hit
         self.done = False
         self.waived = sat = 0 if waive is None else 1 << waive
-        self.live = self.packing if waive is None else [
-            c for c in self.packing if c != self.closed[waive]]
+        packing = self.packing if self.total or not ones else []
+        self.live = packing if waive is None else [
+            c for c in packing if c != self.closed[waive]]
         assigned = two = pos = 0
         weight = 0
         if pins:
@@ -290,7 +316,7 @@ class _WeightSearch:
                 if val == 2:
                     two |= bv
                     pos |= bv
-                    sat |= self.adj[v] | bv
+                    sat |= self.meet[v]
                     weight += 2
                 elif val == 1:
                     pos |= bv
@@ -377,8 +403,6 @@ class _WeightSearch:
         return cost + max(remaining, 0) >= slack
 
     def _rec(self, assigned, two, pos, not2, sat, weight):
-        if self.done:
-            return
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceededError(f"node budget {self.budget} exhausted")
@@ -386,6 +410,8 @@ class _WeightSearch:
         unassigned = self.full & ~assigned
         adj = self.adj
         slack = self.best - weight
+        if not self.ones:
+            slack = (slack - 1) | 1  # even weights: below slack is below this
         if self.live and self._packing_pruned(unassigned, two, pos, slack):
             return
         if undom:
@@ -395,29 +421,33 @@ class _WeightSearch:
             for bv in self.by_degree:
                 if undom & bv:
                     break
-            adjv = adj[bv.bit_length() - 1]
+            v = bv.bit_length() - 1
+            adjv, meet = adj[v], self.meet
             if unassigned & bv:
                 if not not2 & bv:
                     self._rec(assigned | bv, two | bv, pos | bv, not2,
-                              sat | adjv | bv, weight + 2)
+                              sat | meet[v], weight + 2)
                     if self.done:
                         return
-                self._rec(assigned | bv, two, pos | bv, not2, sat | bv, weight + 1)
-                if self.done:
-                    return
+                if self.ones:
+                    self._rec(assigned | bv, two, pos | bv, not2, sat | bv, weight + 1)
+                    if self.done:
+                        return
                 # with f(bv) = 0 a neighbour whose neighbours are all 0 is lost
                 if self.total and self._dead((assigned | bv) & ~pos, adjv & ~self.waived):
                     return
                 helpers = adjv & unassigned & ~not2 & ~bv
             else:
                 helpers = adjv & unassigned & ~not2
-                bv = 0  # already assigned 0 via pins; only cover branches apply
+                # a pinned 0, or a 2 that needs a 2 among its neighbours:
+                # only cover branches apply
+                bv = 0
             excl = 0
             while helpers:
                 low = helpers & -helpers
                 w = low.bit_length() - 1
                 self._rec(assigned | bv | low, two | low, pos | low, not2 | excl,
-                          sat | adj[w] | low, weight + 2)
+                          sat | meet[w], weight + 2)
                 if self.done:
                     return
                 excl |= low
@@ -674,20 +704,25 @@ class _Near:
                 raise _Settled
 
 
-def _probe(g: Graph, total: bool) -> tuple[int, tuple[int, int]]:
+def _probe(g: Graph, total: bool, ones: bool = True) -> tuple[int, tuple[int, int]]:
     """A cheap feasible TRD-function (RD-function) found by direct
-    construction, as its weight and its ``(two, pos)`` masks.
+    construction, as its weight and its ``(two, pos)`` masks; without
+    ``ones``, one with values {0, 2}.
 
-    Candidates: a 2 on a dominating vertex, with a 1 on its lowest
-    neighbour in total mode; in total mode a 2,2 pair on an edge whose
-    closed neighbourhoods cover V; and the all-ones function, which is an
-    RD-function, and a TRD-function whenever no vertex is isolated.
+    Candidates: a 2 on a dominating vertex, with a 1 (a 2 without ``ones``)
+    on its lowest neighbour in total mode; in total mode a 2,2 pair on an
+    edge whose closed neighbourhoods cover V; and the all-ones function
+    (all-twos without ``ones``), which is an RD-function, and a
+    TRD-function whenever no vertex is isolated.  With ``ones`` the first
+    two are tried only where they can be lighter than the all-ones.
     """
     full, n = g.full_mask, g.n
     for v in range(n):
-        if n > 2 + total and g.adj[v] | (1 << v) == full:
-            return 2 + total, (1 << v, 1 << v | (g.adj[v] & -g.adj[v] if total else 0))
-    if total and n > 4:
+        if (n > 2 + total or not ones) and g.adj[v] | (1 << v) == full:
+            pos = 1 << v | (g.adj[v] & -g.adj[v] if total else 0)
+            two = 1 << v if ones else pos
+            return two.bit_count() + pos.bit_count(), (two, pos)
+    if total and (n > 4 or not ones):
         for u in range(n):
             au = g.adj[u]
             m = au >> (u + 1) << (u + 1)
@@ -696,7 +731,7 @@ def _probe(g: Graph, total: bool) -> tuple[int, tuple[int, int]]:
                 if au | g.adj[low.bit_length() - 1] | (1 << u) | low == full:
                     return 4, (1 << u | low, 1 << u | low)
                 m ^= low
-    return n, (0, full)
+    return (n, (0, full)) if ones else (2 * n, (full, full))
 
 
 # One memo for every invariant: ``_MEMO[kind, n]`` is the whole table of
@@ -1016,6 +1051,10 @@ class _FrontierDP:
             weight -= values[v]
         return tables[-1][0], values
 
+    def twos(self) -> int:
+        """The least weight of a function with values {0, 2}: one run."""
+        return self.run([(0, 2)] * self.n)[0]
+
     def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
                budget: int | None = None) -> tuple[int | None, list | None, int]:
         """The engine contract; each call is one exact run, so ``first_hit``
@@ -1127,7 +1166,8 @@ def _require_non_edge(g: Graph, u: int, v: int) -> None:
 class _Part:
     """One connected component of a routed graph: its vertices in G's
     labels and its graph, and, on first need, its engine, its first
-    unpinned search, value, pair table and ``at`` values."""
+    unpinned search, value, least weight with values {0, 2}, pair table
+    and ``at`` values."""
 
     def __init__(self, g: Graph, mask: int, total: bool):
         self.total = total
@@ -1158,6 +1198,15 @@ class _Part:
     def value(self) -> int:
         """gamma_tR (gamma_R) of the component, by its engine."""
         return self.first(None)[0]
+
+    @cached
+    def twos(self) -> int:
+        """The least weight of a function of the component with values
+        {0, 2}, twice its gamma_t (gamma without ``total``): the probe's
+        when it meets the floor, 4 (2), with no engine built, else the
+        engine's."""
+        weight = _probe(self.h, self.total, False)[0]
+        return weight if weight == 2 + 2 * self.total else self.engine.twos()
 
     @cached
     def near(self) -> list[int] | None:
@@ -1192,9 +1241,10 @@ class _Part:
 
 
 class _Solved:
-    """Every gamma_tR question about one graph G, with G validated and
-    routed once (see the module docstring); without ``total``, gamma_R and
-    its dead vertices, for any G of order <= 24.  A pair inside one
+    """Every gamma_tR and gamma_t question about one graph G, with G
+    validated and routed once (see the module docstring); without
+    ``total``, gamma_R, its dead vertices and gamma, for any G of order
+    <= 24.  A pair inside one
     component goes to that component's ``pair``, and a pair across two
     compares the least, over the cases, of the two components' ``at``
     values with the two components' values."""
@@ -1225,6 +1275,11 @@ class _Solved:
 
     def value(self) -> int:
         return sum(part.value for part in self.parts)
+
+    def domination(self) -> int:
+        """gamma_t(G) (gamma(G) without ``total``): half the least weight of
+        a function with values {0, 2}, summed over the components."""
+        return sum(part.twos for part in self.parts) // 2
 
     @cached
     def base(self) -> int:
@@ -1410,102 +1465,18 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     return _solved(g).dead()
 
 
-def _min_cover_size(g: Graph, closed: bool) -> int:
-    """Minimum size of a set whose closed/open neighbourhoods cover V.
-
-    Branch and bound: each level covers the uncovered vertex with the
-    fewest candidate coverers, trying them widest first.  A node is pruned
-    when one more pick cannot fit, when no candidate covers enough
-    uncovered vertices, or by a packing: vertices with pairwise disjoint
-    coverer sets, fixed greedily per graph, fewest coverers first.  Each
-    uncovered packing vertex needs a pick of its own.
-    """
-    n, full, adj = g.n, g.full_mask, g.adj
-    cover_of = [adj[v] | (1 << v) for v in range(n)] if closed else list(adj)
-    coverers = [0] * n
-    for u in range(n):
-        m = cover_of[u]
-        while m:
-            low = m & -m
-            coverers[low.bit_length() - 1] |= 1 << u
-            m ^= low
-    packing = used = 0
-    for v in sorted(range(n), key=lambda v: coverers[v].bit_count()):
-        if not coverers[v] & used:
-            packing |= 1 << v
-            used |= coverers[v]
-    best = [n]
-
-    def rec(covered: int, size: int, banned: int) -> None:
-        if covered == full:
-            if size < best[0]:
-                best[0] = size
-            return
-        # each uncovered packing vertex takes one of the slack's picks
-        slack = best[0] - size
-        if slack <= 1 or (packing & ~covered).bit_count() >= slack:
-            return
-        # prune unless size + ceil(rem / c) < best for the widest candidate
-        # c: with a slack of best - size, one candidate covering at least
-        # ceil(rem / (slack - 1)) uncovered vertices is enough to go on
-        need = -(-(full & ~covered).bit_count() // (slack - 1))
-        m = full & ~banned
-        while m:
-            low = m & -m
-            if (cover_of[low.bit_length() - 1] & ~covered).bit_count() >= need:
-                break
-            m ^= low
-        else:
-            return
-        # cover the uncovered vertex with the fewest remaining candidates
-        pick = -1
-        fewest = n + 1
-        m = full & ~covered
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            c = (coverers[v] & ~banned).bit_count()
-            if c < fewest:
-                fewest = c
-                pick = v
-            m ^= low
-        cands = sorted(
-            iter_bits(coverers[pick] & ~banned),
-            key=lambda u: (-(cover_of[u] & ~covered).bit_count(), u),
-        )
-        newban = banned
-        for u in cands:
-            rec(covered | cover_of[u], size + 1, newban)
-            newban |= 1 << u
-
-    rec(0, 0, 0)
-    return best[0]
-
-
-def _by_component(g: Graph, solve: Callable[[Graph], int]) -> int:
-    """The sum of ``solve`` over the components of G, for an invariant that
-    adds over a disjoint union."""
-    return sum(solve(g if c == g.full_mask else induced_subgraph(g, iter_bits(c)))
-               for c in component_masks(g))
-
-
-def _gamma(g: Graph) -> int:
-    return _by_component(g, lambda h: _min_cover_size(h, closed=True))
-
-
-def _gamma_t(g: Graph) -> int:
-    _require_no_isolated(g)
-    return _by_component(g, lambda h: _min_cover_size(h, closed=False))
-
-
 def gamma_value(g: Graph) -> int:
     """The domination number gamma(G), read from a table for n <= 6."""
-    return _memo("gamma", g, _gamma)
+    return _memo("gamma", g, lambda h: _solved(h, False).domination())
 
 
 def gamma_t_value(g: Graph) -> int:
-    """The total domination number gamma_t(G), read from a table for n <= 6."""
-    return _memo("gamma_t", g, _gamma_t)
+    """The total domination number gamma_t(G), read from a table for n <= 6;
+    0 on the empty graph."""
+    def solve(h: Graph) -> int:
+        _require_no_isolated(h)
+        return _solved(h).domination() if h.n else 0
+    return _memo("gamma_t", g, solve)
 
 
 def gamma_r_value(g: Graph) -> int:

@@ -499,6 +499,7 @@ ERROR_PATHS = [
     (["verify", "T_MYN1", "--family", "path(26)"], 3),  # the gamma_t cap
     (["verify", "T_RD_DEADPAIR", "--family", "path(30)"], 3),  # the gamma_R cap
     (["compute", "--budget", "0", "--family", "K3"], 2),
+    (["--seed", "abc", "verify", "T_TR3", "--random", "3,5,0.5"], 2),
 ]
 
 

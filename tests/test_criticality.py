@@ -132,6 +132,11 @@ class TestEdgeProfile:
     def test_k33_stable(self):
         assert edge_profile(complete_bipartite(3, 3)).classification == STABLE
 
+    def test_isolated(self):
+        with pytest.raises(IsolatedVertexError,
+                           match="^edge profiles need a graph without isolated vertices$"):
+            edge_profile(build_graph(3, [(0, 1)]))
+
     def test_p5_mixed(self):
         profile = edge_profile(path(5))
         assert profile.classification == MIXED
@@ -814,3 +819,8 @@ class TestGammaTCriticality:
 
     def test_complete_never_critical(self):
         assert not is_k_gamma_t_edge_critical(complete(4), 2)
+
+    def test_isolated(self):
+        with pytest.raises(IsolatedVertexError,
+                           match="^gamma_t criticality needs no isolated vertices$"):
+            is_k_gamma_t_edge_critical(build_graph(3, [(0, 1)]), 1)

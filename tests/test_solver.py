@@ -119,6 +119,12 @@ def naive_gamma_t(g: Graph) -> int:
     raise AssertionError
 
 
+def routed_gamma(g: Graph, total: bool) -> int:
+    """gamma (gamma_t with ``total``) by the {0, 2} route on a fresh routed
+    graph, read from no table."""
+    return solver._Solved(g, total).domination()
+
+
 def naive_dead(g: Graph, minimums) -> tuple[int, ...]:
     """The vertices that are 0 in every listed minimum weight vector."""
     return tuple(v for v in range(g.n) if all(vec[v] == 0 for vec in minimums))
@@ -309,8 +315,8 @@ class TestClassicalNumbers:
         )
 
     def test_small_disconnected_classes_split(self):
-        # the order <= 6 tables agree with the cover search run on the whole
-        # of each disconnected class
+        # the order <= 6 tables agree with the {0, 2} route, which splits
+        # each disconnected class into its components
         split = 0
         for n in range(4, 7):
             for mask, _ in graph_classes(n):
@@ -318,18 +324,59 @@ class TestClassicalNumbers:
                 if g.has_isolated_vertices() or len(component_masks(g)) == 1:
                     continue
                 split += 1
-                assert gamma_value(g) == solver._min_cover_size(g, closed=True)
-                assert gamma_t_value(g) == solver._min_cover_size(g, closed=False)
+                assert len(solver._Solved(g).parts) > 1
+                assert gamma_value(g) == routed_gamma(g, False)
+                assert gamma_t_value(g) == routed_gamma(g, True)
         assert split == 13
 
     @given(any_graphs(1, 8), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_min_cover_size_matches_naive(self, g, closed):
+    def test_twos_route_matches_naive(self, g, closed):
+        # the route, and branch and bound alone on the whole graph, which
+        # also meets the graphs that the probe settles
         if closed:
-            assert solver._min_cover_size(g, closed=True) == naive_gamma(g)
+            expected = naive_gamma(g)
         else:
             assume(not g.has_isolated_vertices())
-            assert solver._min_cover_size(g, closed=False) == naive_gamma_t(g)
+            expected = naive_gamma_t(g)
+        assert routed_gamma(g, not closed) == expected
+        assert _WeightSearch(g, not closed).twos() == 2 * expected
+
+    def test_every_order_seven_class_matches_naive(self):
+        # order 7 has no table: both values come from the {0, 2} route, by
+        # the probe or by branch and bound
+        classes = graph_classes(7)
+        assert len(classes) == 1044  # A000088
+        for mask, _ in classes:
+            g = from_edge_mask(7, mask)
+            assert gamma_value(g) == naive_gamma(g)
+            if not g.has_isolated_vertices():
+                assert gamma_t_value(g) == naive_gamma_t(g)
+
+    def test_probe_at_the_floor_builds_no_engine(self, monkeypatch):
+        # a dominating vertex settles gamma at 1 and gamma_t at 2, and so
+        # does a dominating edge for gamma_t, before any engine is built
+        def engine(self):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(solver._Part, "engine", property(engine))
+        reset_caches()
+        for g in (complete(7), spider(1, 1, 1, 1, 1, 1)):
+            assert (gamma_value(g), gamma_t_value(g)) == (1, 2)
+        double_star = build_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+        assert gamma_t_value(double_star) == 2
+        assert gamma_t_value(union(Complete(4), Complete(4))) == 4
+
+    def test_orders_zero_and_one(self):
+        empty, single = from_edge_mask(0, 0), from_edge_mask(1, 0)
+        assert gamma_value(empty) == gamma_t_value(empty) == 0
+        assert classical_numbers(empty) == (0, 0, 0)
+        assert gamma_value(single) == 1
+        # gamma_t of K1 names the isolated vertex; gamma_tR refuses the order
+        with pytest.raises(IsolatedVertexError, match=r"^isolated vertices \(0,\) present$"):
+            gamma_t_value(single)
+        with pytest.raises(TooSmallError, match="^gamma_tR needs order >= 2$"):
+            gamma_tr_value(empty)
 
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)
@@ -346,10 +393,11 @@ KINDS = ("gamma", "gamma_t", "gamma_R", "gamma_tR")
 
 def engine_table(kind: str, n: int) -> bytearray:
     """The table of ``kind`` at order n worked out mask by mask by the
-    engines, 0xFF where they raise: ``_Solved`` for gamma_tR and gamma_R,
-    the cover search by component for gamma and gamma_t.  The CI workflow
-    compares it with ``solver._table`` at order 6."""
-    engine = {"gamma": solver._gamma, "gamma_t": solver._gamma_t,
+    engines, 0xFF where they raise: ``_Solved`` for all four, with the
+    values {0, 2} for gamma and gamma_t.  The CI workflow compares it with
+    ``solver._table`` at order 6."""
+    engine = {"gamma": lambda g: routed_gamma(g, False),
+              "gamma_t": lambda g: routed_gamma(g, True),
               "gamma_R": lambda g: solver._Solved(g, False).value(),
               "gamma_tR": lambda g: solver._Solved(g).value()}[kind]
     table = bytearray()
@@ -847,10 +895,13 @@ class TestStructuralProperties:
             solve(cycle(25))
 
     def test_classical_numbers_refuse_before_any_search(self, monkeypatch):
-        def cover(*args, **kwargs):
-            raise AssertionError("a cover search ran on an oversized graph")
+        def search(*args, **kwargs):
+            raise AssertionError("a search ran on an oversized graph")
 
-        monkeypatch.setattr(solver, "_min_cover_size", cover)
+        for name in ("component_masks", "_frontier_order", "_probe"):
+            monkeypatch.setattr(solver, name, search)
+        monkeypatch.setattr(_WeightSearch, "solve", search)
+        monkeypatch.setattr(_FrontierDP, "__init__", search)
         with pytest.raises(GraphTooLargeError):
             classical_numbers(cycle(25))
 
@@ -974,6 +1025,9 @@ class TestSparseEngine:
         assert value == _WeightSearch(g, True).decide({}, 2 * g.n)[0]
         f = WeightFunction(tuple(values))
         assert f.weight == value and is_trd_function(g, f).valid
+        # the values {0, 2}: twice gamma_t, and without total twice gamma
+        for total in (True, False):
+            assert _FrontierDP(g, order, total).twos() == _WeightSearch(g, total).twos()
 
     @given(width_two_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
