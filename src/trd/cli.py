@@ -90,11 +90,7 @@ def _emit(payload, fmt: str) -> None:
 
 def _universe_from_args(args) -> InstanceUniverse | None:
     if args.all_labeled is not None:
-        return AllLabeled(
-            args.all_labeled,
-            connected_only=args.connected,
-            no_isolated=not args.allow_isolated,
-        )
+        return AllLabeled(args.all_labeled, connected_only=args.connected)
     if args.random is not None:
         return RandomGnp(*args.random, args.seed)
     if args.family:
@@ -152,8 +148,6 @@ _UNIVERSE = {
                       "all labelled graphs of order up to this (at most 7)"),
     "--connected": ("connected", _SWITCH,
                     "restrict --all-labeled to connected graphs"),
-    "--allow-isolated": ("allow_isolated", _SWITCH, "keep graphs with"
-                         " isolated vertices in --all-labeled"),
     "--random": ("random", _gnp_spec, "seeded G(n,p) samples, as COUNT,N,P"),
     "--family": ("family", _APPEND, "family universe member (repeatable)"),
 }

@@ -17,18 +17,8 @@ case uv meets the condition of the 0, or of both positive ends, and no
 other: such a function is one of G with those conditions waived.  Every
 non-edge question is the solver's exact ``delta(u, v)``, asked of its one
 object for G, kept between calls, so every question about G shares one
-routing of it and one gamma_tR(G).  Order <= 6 reads the memo.  A pair
-inside one component reads its pair table.  The frontier DP's case tables
-run the three cases on its own order, with the waivers.  The near scan
-fills a table for every pair of the component at its first pair
-question: it walks the near functions, those of the component lighter
-than its gamma_tR whose unmet conditions sit at one or two vertices, down
-to two below it, and credits each pair whose edge would meet them.  No
-G+uv is built and no pinned search is run.  Branch and bound always
-takes the scan; a DP component takes it only when its estimated walk is
-far below the case-table work (see :mod:`trd.solver`).  A pair across
-two components builds no graph: per case it adds the two components'
-waived values to the rest.
+routing of it and one gamma_tR(G).  :mod:`trd.solver` describes how it
+answers each pair.
 
 A graph with a nonempty complement is classified by its delta multiset:
 supercritical (all 2), edge-critical (all >= 1), stable (all 0), or mixed;

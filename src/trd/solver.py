@@ -136,25 +136,6 @@ class WeightFunction:
     def weight(self) -> int:
         return sum(self.values)
 
-    def level_set(self, level: int) -> tuple[int, ...]:
-        return tuple(v for v, x in enumerate(self.values) if x == level)
-
-    @property
-    def v0(self) -> tuple[int, ...]:
-        return self.level_set(0)
-
-    @property
-    def v1(self) -> tuple[int, ...]:
-        return self.level_set(1)
-
-    @property
-    def v2(self) -> tuple[int, ...]:
-        return self.level_set(2)
-
-    @property
-    def v_plus(self) -> tuple[int, ...]:
-        return tuple(v for v, x in enumerate(self.values) if x > 0)
-
 
 @dataclass(frozen=True)
 class TrdVerdict:

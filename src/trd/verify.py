@@ -14,12 +14,18 @@ Reports are deterministic: the same universe and theorem always produce
 the same bytes, however the claims are grouped and however many
 processes run the checks.  A passing report over a bounded universe is
 evidence, not proof; a failing one carries graph6 certificates.
+
+gamma_tR, like gamma_t, exists only on graphs without isolated vertices,
+so no universe holds a graph with one: ``_admits`` drops it wherever
+instances are made, from all-labelled walks and class sweeps, random
+draws (after the draw, so the later draws do not move) and family lists,
+and no claim's hypothesis tests for it again.  An all-labelled universe
+prints ``"no_isolated": true`` to state the rule.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
 from dataclasses import asdict, dataclass, replace
@@ -70,11 +76,10 @@ ALL_LABELED_CEILING = 7
 
 @dataclass(frozen=True)
 class AllLabeled:
-    """Every labelled graph on 1..max_n vertices, optionally filtered."""
+    """Every labelled graph on 1..max_n vertices, optionally connected only."""
 
     max_n: int
     connected_only: bool = False
-    no_isolated: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def universe_to_json(universe: InstanceUniverse) -> dict:
             "specs": [fam.family_to_text(s) for s in universe.specs],
         }
     if isinstance(universe, AllLabeled):
-        return {"source": "all_labeled", **asdict(universe)}
+        return {"source": "all_labeled", **asdict(universe), "no_isolated": True}
     if isinstance(universe, RandomGnp):
         return {"source": "random_gnp", **asdict(universe)}
     raise TypeError(f"not a universe: {universe!r}")
@@ -118,11 +123,13 @@ def _labeled_orders(universe: AllLabeled) -> range:
     return range(1, universe.max_n + 1)
 
 
-def _admits(universe: AllLabeled, g: Graph) -> bool:
-    return not (
-        (universe.no_isolated and g.has_isolated_vertices())
-        or (universe.connected_only and not is_connected(g))
-    )
+def _admits(universe: InstanceUniverse, g: Graph) -> bool:
+    """Whether ``universe`` holds ``g``: never with an isolated vertex, and
+    only when connected on a connected all-labelled universe."""
+    if g.has_isolated_vertices():
+        return False
+    connected_only = isinstance(universe, AllLabeled) and universe.connected_only
+    return not connected_only or is_connected(g)
 
 
 def _class_instances(universe: AllLabeled) -> Iterator[tuple[int, Graph]]:
@@ -150,7 +157,9 @@ def enumerate_instances(
         return
     if isinstance(universe, Families):
         for spec in universe.specs:
-            yield spec, fam.generate(spec)
+            g = fam.generate(spec)
+            if _admits(universe, g):
+                yield spec, g
         return
     if isinstance(universe, RandomGnp):
         if not 1 <= universe.n <= GRAPH6_MAX_N:
@@ -163,7 +172,9 @@ def enumerate_instances(
             for k in range(len(pairs)):
                 if rng.random() < universe.p:
                     mask |= 1 << k
-            yield None, from_edge_mask(universe.n, mask)
+            g = from_edge_mask(universe.n, mask)
+            if _admits(universe, g):
+                yield None, g
         return
     raise TypeError(f"not a universe: {universe!r}")
 
@@ -198,10 +209,6 @@ class VerificationReport:
                 for c in self.counterexamples
             ],
         }
-
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json())
 
 
 MAX_COUNTEREXAMPLES = 20
@@ -557,19 +564,15 @@ class TheoremEntry:
     label_invariant: bool = False
 
 
-def _no_isolated(g: Graph) -> bool:
-    return not g.has_isolated_vertices()
-
-
-def _connected_no_isolated(min_n: int) -> Callable[[Graph], bool]:
+def _connected(min_n: int) -> Callable[[Graph], bool]:
     def hyp(g: Graph) -> bool:
-        return g.n >= min_n and _no_isolated(g) and is_connected(g)
+        return g.n >= min_n and is_connected(g)
 
     return hyp
 
 
 def _all6(connected: bool = False) -> AllLabeled:
-    return AllLabeled(6, connected_only=connected, no_isolated=True)
+    return AllLabeled(6, connected_only=connected)
 
 
 _SPIDER_CORPUS = tuple(
@@ -595,7 +598,6 @@ def _entries() -> list[TheoremEntry]:
             "adding an edge changes gamma_t by at most 2, never upward",
             AllLabeled(5),
             lambda g, spec: _check_delta_range(g, gamma_t_value, "gamma_t"),
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -603,7 +605,6 @@ def _entries() -> list[TheoremEntry]:
             "adding an edge changes gamma_tR by at most 2, never upward",
             AllLabeled(5),
             lambda g, spec: _check_delta_range(g, gamma_tr_value, "gamma_tR"),
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -611,7 +612,7 @@ def _entries() -> list[TheoremEntry]:
             "minimum functions pin critical-edge endpoints to the four value sets",
             AllLabeled(5),
             _check_critedge_values,
-            hypothesis=lambda g: _no_isolated(g) and g.n + 1 <= ENUMERATION_MAX_N,
+            hypothesis=lambda g: g.n <= ENUMERATION_MAX_N,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -619,7 +620,7 @@ def _entries() -> list[TheoremEntry]:
             "gamma_tR = 3 exactly on graphs with a universal vertex",
             _all6(),
             _check_tr3,
-            hypothesis=lambda g: g.n >= 3 and _no_isolated(g),
+            hypothesis=lambda g: g.n >= 3,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -627,7 +628,7 @@ def _entries() -> list[TheoremEntry]:
             "gamma_tR = n exactly on the classified connected families",
             _all6(connected=True),
             _check_hen1,
-            hypothesis=_connected_no_isolated(2),
+            hypothesis=_connected(2),
             label_invariant=True,
         ),
         TheoremEntry(
@@ -635,7 +636,7 @@ def _entries() -> list[TheoremEntry]:
             "n-edge-critical graphs are exactly the predicted families",
             _all6(connected=True),
             _check_ncrit,
-            hypothesis=_connected_no_isolated(4),
+            hypothesis=_connected(4),
             label_invariant=True,
         ),
         TheoremEntry(
@@ -643,7 +644,6 @@ def _entries() -> list[TheoremEntry]:
             "4-edge-critical graphs are exactly those with galaxy complements",
             _all6(),
             _check_4crit,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -661,7 +661,6 @@ def _entries() -> list[TheoremEntry]:
             " >=3 are 3k-supercritical",
             _all6(),
             _check_super,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -669,7 +668,6 @@ def _entries() -> list[TheoremEntry]:
             "gamma_t <= gamma_tR <= 2 gamma_t with equality only on unions of K_2",
             _all6(),
             _check_hen2,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -677,7 +675,7 @@ def _entries() -> list[TheoremEntry]:
             "gamma_tR = gamma_t + 1 exactly on graphs with a universal vertex",
             _all6(connected=True),
             _check_hen3,
-            hypothesis=_connected_no_isolated(3),
+            hypothesis=_connected(3),
             label_invariant=True,
         ),
         TheoremEntry(
@@ -687,7 +685,6 @@ def _entries() -> list[TheoremEntry]:
             _check_obs1,
             hypothesis=lambda g: g.n >= 3
             and is_connected(g)
-            and _no_isolated(g)
             and max(g.degrees) <= g.n - 2,
             label_invariant=True,
         ),
@@ -696,7 +693,7 @@ def _entries() -> list[TheoremEntry]:
             "gamma_tR in {3,4} exactly when gamma_t = 2, with gamma 1 resp. 2",
             _all6(connected=True),
             _check_t2iff,
-            hypothesis=_connected_no_isolated(3),
+            hypothesis=_connected(3),
             label_invariant=True,
         ),
         TheoremEntry(
@@ -704,7 +701,6 @@ def _entries() -> list[TheoremEntry]:
             "5-edge-critical graphs are 3-gamma_t-edge-critical or K_2 u K_m",
             _all6(),
             _check_5crit,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -713,7 +709,6 @@ def _entries() -> list[TheoremEntry]:
             " blocks edge-criticality",
             _all6(),
             _check_enddeg3,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -721,7 +716,7 @@ def _entries() -> list[TheoremEntry]:
             "edge-critical trees have no stems of degree >= 3",
             _all6(connected=True),
             _check_stems,
-            hypothesis=lambda g: g.n >= 2 and _no_isolated(g) and _is_tree(g),
+            hypothesis=lambda g: g.n >= 2 and _is_tree(g),
             label_invariant=True,
         ),
         TheoremEntry(
@@ -729,7 +724,6 @@ def _entries() -> list[TheoremEntry]:
             "two endpaths of length >= 3 block edge-criticality",
             Families(_LONGLEG_CORPUS),
             _check_longlegs,
-            hypothesis=_no_isolated,
             # not label-invariant: it joins the first two long endpaths by label
         ),
         TheoremEntry(
@@ -751,7 +745,7 @@ def _entries() -> list[TheoremEntry]:
             "completion preserves gamma_tR >= 4 and reaches edge-criticality",
             AllLabeled(5),
             _check_span,
-            hypothesis=lambda g: _no_isolated(g) and gamma_tr_value(g) >= 4,
+            hypothesis=lambda g: gamma_tr_value(g) >= 4,
             # not label-invariant: the completion adds edges in label order
         ),
         TheoremEntry(
@@ -802,7 +796,6 @@ def _entries() -> list[TheoremEntry]:
             "joining two Roman-dead vertices never changes gamma_R",
             AllLabeled(5),
             _check_rd_deadpair,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
     ]
@@ -1007,7 +1000,6 @@ _QUESTION_ENTRIES: dict[str, TheoremEntry] = {
             " order >= 3",
             _all6(),
             _hunt_q1,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
         TheoremEntry(
@@ -1015,7 +1007,6 @@ _QUESTION_ENTRIES: dict[str, TheoremEntry] = {
             "no edge-critical graph has a dead vertex",
             _all6(),
             _hunt_q2,
-            hypothesis=_no_isolated,
             label_invariant=True,
         ),
     )

@@ -6,6 +6,7 @@ PASS/FAIL line (run pytest with ``-s`` to see them).
 """
 
 import hashlib
+import itertools
 import json
 import time
 
@@ -51,22 +52,18 @@ def _report(num: int, passed: bool, detail: str, started: float) -> None:
 
 
 def _random_no_isolated(n: int, count: int, seed: int):
-    """First ``count`` isolated-vertex-free draws from a seeded G(n, 1/2)."""
-    taken = 0
-    for g in enumerate_graphs(RandomGnp(4 * count, n, 0.5, seed)):
-        if g.has_isolated_vertices():
-            continue
-        yield g
-        taken += 1
-        if taken == count:
-            return
-    raise AssertionError("seeded stream ran dry before reaching the quota")
+    """First ``count`` draws of a seeded G(n, 1/2) universe, which skips
+    the draws with isolated vertices."""
+    draws = enumerate_graphs(RandomGnp(4 * count, n, 0.5, seed))
+    graphs = list(itertools.islice(draws, count))
+    assert len(graphs) == count, "seeded stream ran dry before reaching the quota"
+    return graphs
 
 
 def test_criterion_01_oracle_equivalence():
     started = time.time()
     checked = 0
-    for g in enumerate_graphs(AllLabeled(6, connected_only=True, no_isolated=True)):
+    for g in enumerate_graphs(AllLabeled(6, connected_only=True)):
         assert gamma_tr_value(g) == brute_oracle_gamma_tr(g), g
         checked += 1
     assert checked == 27475
@@ -180,10 +177,10 @@ def test_criterion_08_delta_ranges_and_value_sets():
 def test_criterion_09_order_value_and_criticality():
     started = time.time()
     hen1 = verify_theorem(
-        "T_HEN1", AllLabeled(7, connected_only=True, no_isolated=True)
+        "T_HEN1", AllLabeled(7, connected_only=True)
     )
     ncrit = verify_theorem(
-        "T_NCRIT", AllLabeled(7, connected_only=True, no_isolated=True)
+        "T_NCRIT", AllLabeled(7, connected_only=True)
     )
     corpus = []
     corpus += [Cycle(n) for n in range(4, 10)]
@@ -247,7 +244,7 @@ def test_criterion_11_nearly_regular_stable():
     named_ok = all(
         gamma_tr_value(g) == 4 and is_stable(g) for g in (k33, prism)
     )
-    report = verify_theorem("T_N3REG", AllLabeled(7, no_isolated=True))
+    report = verify_theorem("T_N3REG", AllLabeled(7))
     # 3-regular on 6 vertices and 4-regular on 7 vertices, all labellings
     ok = named_ok and report.outcome == "pass" and report.instances_checked == 535
     _report(
@@ -272,7 +269,7 @@ def test_criterion_12_five_critical_structure():
 
 def test_criterion_13_roman_dead_pairs():
     started = time.time()
-    report = verify_theorem("T_RD_DEADPAIR", AllLabeled(6, no_isolated=True))
+    report = verify_theorem("T_RD_DEADPAIR", AllLabeled(6))
     _report(
         13,
         report.outcome == "pass" and report.instances_checked == 28263,
@@ -285,8 +282,8 @@ def test_hunts_find_nothing_at_order_six():
     started = time.time()
     from trd.verify import hunt_counterexamples
 
-    q1 = hunt_counterexamples("Q1_supercritical", AllLabeled(6, no_isolated=True))
-    q2 = hunt_counterexamples("Q2_dead_in_critical", AllLabeled(6, no_isolated=True))
+    q1 = hunt_counterexamples("Q1_supercritical", AllLabeled(6))
+    q2 = hunt_counterexamples("Q2_dead_in_critical", AllLabeled(6))
     ok = q1.outcome == "pass" and q2.outcome == "pass"
     print(
         f"HUNTS {'PASS' if ok else 'FAIL'}: no counterexamples among"

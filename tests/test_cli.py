@@ -65,8 +65,6 @@ def _add_universe_flags(p: argparse.ArgumentParser) -> None:
                    help="all labelled graphs of order up to N (N <= 7)")
     p.add_argument("--connected", action="store_true",
                    help="restrict --all-labeled to connected graphs")
-    p.add_argument("--allow-isolated", action="store_true",
-                   help="keep graphs with isolated vertices in --all-labeled")
     p.add_argument("--random", type=_gnp_spec, metavar="COUNT,N,P",
                    help="seeded G(n,p) samples")
     p.add_argument("--family", action="append", metavar="SPEC",
@@ -500,6 +498,7 @@ ERROR_PATHS = [
     (["verify", "T_RD_DEADPAIR", "--family", "path(30)"], 3),  # the gamma_R cap
     (["compute", "--budget", "0", "--family", "K3"], 2),
     (["--seed", "abc", "verify", "T_TR3", "--random", "3,5,0.5"], 2),
+    (["verify", "T_TR3", "--all-labeled", "4", "--allow-isolated"], 2),
 ]
 
 
@@ -530,7 +529,7 @@ VALID_ARGV = [
     ["verify"],
     ["--jobs", "2", "verify"],
     ["verify", "T_4CRIT", "--all-labeled", "6", "--connected"],
-    ["verify", "--all-labeled=4", "--allow-isolated", "T_TR3"],
+    ["verify", "--al=4", "--connected", "T_TR3"],
     ["verify", "T_SPIDER_FORMULA", "--family", "spider(2,2,2)",
      "--family", "spider(1,1,3)"],
     ["verify", "T_KNKM", "--fam", "K3"],
@@ -565,7 +564,7 @@ USAGE_ERRORS = [
     ["--jobs=two", "verify"],
     ["verify", "T_TR3", "--random", "3,5"],
     ["hunt", "Q3"],
-    ["verify", "--al", "4"],
+    ["verify", "T_TR3", "--al"],
     ["generate", "--family", "K3", "--dot=1"],
     ["compute", "--graph6"],
     ["verify", "T_TR3", "-x"],
@@ -589,8 +588,8 @@ def test_usage_errors_match_reference(capsys, parse, argv):
 # argparse's wording, which the table-driven parser keeps, and the errors
 # that argparse never raised
 USAGE_WORDING = [
-    (["verify", "--al", "4"], "trd verify: error: ambiguous option: --al could"
-                              " match --all-labeled, --allow-isolated"),
+    (["verify", "--al", "4"], "trd verify: error: argument --all-labeled:"
+                              " not allowed without a theorem id"),
     (["generate", "--family", "K3", "--dot=1"],
      "trd generate: error: argument --dot: ignored explicit argument '1'"),
     (["compute", "--graph6"],
@@ -629,8 +628,8 @@ USAGE_WORDING = [
      " --random: not allowed without a theorem id"),
     (["verify", "T_TR3", "--connected"], "trd verify: error: argument"
      " --connected: not allowed without argument --all-labeled"),
-    (["hunt", "Q1", "--allow-isolated"], "trd hunt: error: argument"
-     " --allow-isolated: not allowed without argument --all-labeled"),
+    (["hunt", "Q1", "--allow-isolated"],
+     "trd hunt: error: unrecognized arguments: --allow-isolated"),
 ]
 
 
@@ -641,6 +640,18 @@ def test_usage_error_wording(capsys, argv, err):
         _parse(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err == err + "\n"
+
+
+def test_shared_prefix_is_ambiguous():
+    # no two flags of one table share a prefix today; a future pair must not
+    # let the first match win
+    flags = {"--all-labeled": ("all_labeled", int, ""),
+             "--allow": ("allow", trd.cli._SWITCH, "")}
+    with pytest.raises(trd.cli._Usage) as exc:
+        trd.cli._classify("--al", flags)
+    assert str(exc.value) == "ambiguous option: --al could match --all-labeled, --allow"
+    assert trd.cli._classify("--allow", flags) == ("--allow", None)
+    assert trd.cli._classify("--all-l=4", flags) == ("--all-labeled", "4")
 
 
 def test_bare_trd_names_the_missing_command(capsys):

@@ -1,13 +1,14 @@
 """Universe enumeration, theorem reports, hunts, and report serialization."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trd.verify
-from conftest import any_graphs
+from conftest import solvable_graphs
 from trd.criticality import edge_profile, is_edge_critical, is_supercritical
 from trd.errors import (
     IncompatibleUniverseError,
@@ -23,8 +24,9 @@ from trd.families import (
     DisjointUnion,
     Spider,
     generate,
+    parse_family,
 )
-from trd.graphs import add_edge, build_graph, graph6_decode
+from trd.graphs import add_edge, build_graph, from_edge_mask, graph6_decode
 from trd.solver import (
     brute_oracle_gamma_tr,
     dead_vertices,
@@ -41,16 +43,19 @@ from trd.verify import (
     enumerate_graphs,
     enumerate_instances,
     hunt_counterexamples,
-    report_to_json,
     run_registry,
     universe_to_json,
     verify_theorem,
 )
 
 
+_FAMILY_TEXTS = ("union(K1,K2)", "cor(K3)", "path(5)", "union(K1,cycle(5))")
+_CONNECTED_CLAIMS = ("T_HEN1", "T_HEN3", "T_NCRIT", "T_OBS1", "T_T2IFF")
+
+
 class TestEnumeration:
     def test_all_labeled_two(self):
-        graphs = list(enumerate_graphs(AllLabeled(2, no_isolated=True)))
+        graphs = list(enumerate_graphs(AllLabeled(2)))
         assert len(graphs) == 1
         assert graphs[0].edges() == [(0, 1)]
 
@@ -58,9 +63,7 @@ class TestEnumeration:
         # hand enumeration: at order 3 the 8 labelled graphs reduce to the
         # three labelled paths plus the triangle; cumulative enumeration
         # also yields K_2 from the order-2 stratum
-        graphs = list(
-            enumerate_graphs(AllLabeled(3, connected_only=True, no_isolated=True))
-        )
+        graphs = list(enumerate_graphs(AllLabeled(3, connected_only=True)))
         orders = sorted(g.n for g in graphs)
         assert orders == [2, 3, 3, 3, 3]
         stratum3 = [g for g in graphs if g.n == 3]
@@ -69,13 +72,13 @@ class TestEnumeration:
 
     def test_all_labeled_counts_without_isolated(self):
         # inclusion-exclusion check: 1 + 4 + 41 labelled graphs at n <= 4
-        graphs = list(enumerate_graphs(AllLabeled(4, no_isolated=True)))
+        graphs = list(enumerate_graphs(AllLabeled(4)))
         assert len(graphs) == 46
 
     def test_exactly_once(self):
-        graphs = list(enumerate_graphs(AllLabeled(3, no_isolated=False)))
+        graphs = list(enumerate_graphs(AllLabeled(3)))
         keys = [(g.n, g.edge_mask) for g in graphs]
-        assert len(keys) == len(set(keys)) == 1 + 2 + 8
+        assert len(keys) == len(set(keys)) == 1 + 4
 
     def test_ceiling(self):
         with pytest.raises(UniverseTooLargeError):
@@ -111,6 +114,48 @@ class TestEnumeration:
         pairs = list(enumerate_instances(universe))
         assert [spec for spec, _ in pairs] == list(universe.specs)
         assert [g.n for _, g in pairs] == [7, 7]
+
+
+class TestNoIsolatedUniverse:
+    """No universe holds a graph with an isolated vertex, and no claim's
+    hypothesis asks again."""
+
+    def test_random_draws_skip_isolated_graphs_in_place(self):
+        rng = random.Random(7)
+        masks = [sum(1 << k for k in range(15) if rng.random() < 0.2)
+                 for _ in range(60)]
+        kept = [m for m in masks if not from_edge_mask(6, m).has_isolated_vertices()]
+        drawn = [g.edge_mask for g in enumerate_graphs(RandomGnp(60, 6, 0.2, 7))]
+        assert drawn == kept and len(drawn) == 14
+
+    def test_family_members_with_isolated_vertices_are_skipped(self):
+        specs = tuple(parse_family(t) for t in _FAMILY_TEXTS)
+        kept = [spec for spec, _ in enumerate_instances(Families(specs))]
+        assert kept == [specs[1], specs[2]]
+
+    @pytest.mark.parametrize("universe, most, fewer", [
+        (RandomGnp(60, 6, 0.2, 7), 14,
+         {**dict.fromkeys(_CONNECTED_CLAIMS, 9), "T_STEMS": 5, "T_N3REG": 0}),
+        (RandomGnp(20, 8, 0.15, 7), 2,
+         {**dict.fromkeys(_CONNECTED_CLAIMS, 0), "T_STEMS": 0, "T_N3REG": 0}),
+        (Families(tuple(parse_family(t) for t in _FAMILY_TEXTS)), 2,
+         {"T_STEMS": 1, "T_N3REG": 0}),
+    ], ids=["gnp-6", "gnp-8", "families"])
+    def test_counts_on_universes_with_isolated_graphs(self, universe, most, fewer):
+        # T_SPAN's hypothesis solves, so an isolated graph reaching it
+        # would raise
+        for cid in [*THEOREMS, *QUESTIONS]:
+            if trd.verify._claim(cid).family_kinds is not None:
+                continue
+            report = (hunt_counterexamples(cid, universe) if cid in QUESTIONS
+                      else verify_theorem(cid, universe))
+            assert (report.instances_checked, report.outcome) == (
+                fewer.get(cid, most), "pass"), cid
+
+    def test_critedge_values_checks_order_twelve(self):
+        # enumerate_min_trd runs on G+uv, whose order is that of G
+        report = verify_theorem("T_CRITEDGE_VALUES", RandomGnp(2, 12, 0.5, 0))
+        assert (report.instances_checked, report.outcome) == (2, "pass")
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 100_000])
@@ -180,7 +225,7 @@ class TestVerifyTheorem:
     def test_jobs_parallel_matches_serial(self):
         serial = verify_theorem("T_KNKM")
         parallel = verify_theorem("T_KNKM", jobs=2)
-        assert report_to_json(serial) == report_to_json(parallel)
+        assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
 
 
 @pytest.fixture
@@ -230,9 +275,8 @@ def _flagged() -> list[str]:
 
 class TestClassSweep:
     @pytest.mark.parametrize("connected_only", [False, True])
-    @pytest.mark.parametrize("no_isolated", [False, True])
-    def test_orbits_add_up_to_the_labelled_count(self, connected_only, no_isolated):
-        universe = AllLabeled(5, connected_only, no_isolated)
+    def test_orbits_add_up_to_the_labelled_count(self, connected_only):
+        universe = AllLabeled(5, connected_only)
         weights = sum(w for w, _ in trd.verify._class_instances(universe))
         assert weights == len(list(enumerate_instances(universe)))
 
@@ -249,7 +293,8 @@ class TestClassSweep:
         }
         assert flagged == (labeled_defaults - {"T_SPAN"}) | set(QUESTIONS)
 
-    @given(any_graphs(2, 6), st.randoms(use_true_random=False))
+    # graphs that a universe may hold: none has an isolated vertex
+    @given(solvable_graphs(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_flagged_claims_ignore_labels(self, g, rng):
         perm = list(range(g.n))
@@ -346,7 +391,7 @@ class TestGroupedSweep:
 class TestReportSerialization:
     def test_stable_key_order(self):
         report = verify_theorem("T_KNKM")
-        payload = json.loads(report_to_json(report))
+        payload = json.loads(json.dumps(report.to_json()))
         assert list(payload) == [
             "theorem_id", "universe", "instances_checked", "outcome",
             "counterexamples",
@@ -354,8 +399,8 @@ class TestReportSerialization:
         assert payload["universe"]["source"] == "families"
 
     def test_byte_identical_reruns(self):
-        a = report_to_json(verify_theorem("T_DN_EDGES"))
-        b = report_to_json(verify_theorem("T_DN_EDGES"))
+        a = json.dumps(verify_theorem("T_DN_EDGES").to_json())
+        b = json.dumps(verify_theorem("T_DN_EDGES").to_json())
         assert a == b
 
     def test_counterexample_shape(self, monkeypatch):
