@@ -26,7 +26,14 @@ from trd.families import (
     generate,
     parse_family,
 )
-from trd.graphs import add_edge, build_graph, from_edge_mask, graph6_decode
+from trd.graphs import (
+    add_edge,
+    build_graph,
+    from_edge_mask,
+    graph6_decode,
+    graph_classes,
+    is_connected,
+)
 from trd.solver import (
     brute_oracle_gamma_tr,
     dead_vertices,
@@ -275,10 +282,22 @@ def _flagged() -> list[str]:
 
 class TestClassSweep:
     @pytest.mark.parametrize("connected_only", [False, True])
-    def test_orbits_add_up_to_the_labelled_count(self, connected_only):
-        universe = AllLabeled(5, connected_only)
-        weights = sum(w for w, _ in trd.verify._class_instances(universe))
-        assert weights == len(list(enumerate_instances(universe)))
+    @pytest.mark.parametrize("no_isolated", [False, True])
+    def test_orbits_add_up_to_the_labelled_count(self, connected_only, no_isolated):
+        if no_isolated:
+            # the universe's own filter: no graph with an isolated vertex
+            universe = AllLabeled(5, connected_only)
+            weights = sum(w for w, _ in trd.verify._class_instances(universe))
+            assert weights == len(list(enumerate_instances(universe)))
+            return
+        # graphs with isolated vertices left in: the raw class table
+        def kept(n, mask):
+            return not connected_only or is_connected(from_edge_mask(n, mask))
+
+        for n in range(1, 6):
+            weights = sum(w for mask, w in graph_classes(n) if kept(n, mask))
+            labelled = sum(kept(n, m) for m in range(1 << (n * (n - 1) // 2)))
+            assert weights == labelled, n
 
     def test_class_stream_keeps_the_ceiling(self):
         with pytest.raises(UniverseTooLargeError):
