@@ -1,89 +1,1 @@
-"""Exact workbench for total Roman domination and edge-criticality."""
-
-from .criticality import (
-    EdgeProfile,
-    complete_to_critical,
-    edge_delta,
-    edge_profile,
-)
-from .families import (
-    FamilySpec,
-    Hen1Class,
-    family_to_text,
-    generate,
-    hen1_classify,
-    is_galaxy,
-    parse_family,
-    predict_n_critical,
-    spider_gamma_formula,
-    spider_is_critical,
-)
-from .graphs import (
-    Graph,
-    GraphMetrics,
-    add_edge,
-    build_graph,
-    complement,
-    graph6_decode,
-    graph6_encode,
-    metrics,
-)
-from .solver import (
-    SolveResult,
-    WeightFunction,
-    brute_oracle_gamma_tr,
-    classical_numbers,
-    dead_vertices,
-    enumerate_min_trd,
-    gamma_tr,
-    is_trd_function,
-)
-from .verify import (
-    AllLabeled,
-    Families,
-    RandomGnp,
-    VerificationReport,
-    enumerate_graphs,
-    hunt_counterexamples,
-    verify_theorem,
-)
-
-__all__ = [
-    "AllLabeled",
-    "EdgeProfile",
-    "Families",
-    "FamilySpec",
-    "Graph",
-    "GraphMetrics",
-    "Hen1Class",
-    "RandomGnp",
-    "SolveResult",
-    "VerificationReport",
-    "WeightFunction",
-    "add_edge",
-    "brute_oracle_gamma_tr",
-    "build_graph",
-    "classical_numbers",
-    "complement",
-    "complete_to_critical",
-    "dead_vertices",
-    "edge_delta",
-    "edge_profile",
-    "enumerate_graphs",
-    "enumerate_min_trd",
-    "family_to_text",
-    "gamma_tr",
-    "generate",
-    "graph6_decode",
-    "graph6_encode",
-    "hen1_classify",
-    "hunt_counterexamples",
-    "is_galaxy",
-    "is_trd_function",
-    "metrics",
-    "parse_family",
-    "predict_n_critical",
-    "spider_gamma_formula",
-    "spider_is_critical",
-    "verify_theorem",
-]
+"""Exact workbench for total Roman domination and edge-criticality; import from its modules."""

@@ -1262,12 +1262,6 @@ class _Solved:
         a function with values {0, 2}, summed over the components."""
         return sum(part.twos for part in self.parts) // 2
 
-    @cached
-    def base(self) -> int:
-        """gamma_tR(G), asked once per object; order <= 6 reads the table."""
-        g = self.g
-        return _table("gamma_tR", g.n)[g.edge_mask] if g.n <= _MEMO_MAX_N else self.value()
-
     def witness(self, budget: int | None) -> tuple[int, tuple[int, ...], int]:
         """gamma_tR(G), the lexicographically smallest function of that
         weight, and the nodes spent: components solved apart, values adding,
@@ -1294,13 +1288,14 @@ class _Solved:
 
     def delta(self, u: int, v: int) -> int:
         """gamma_tR(G) - gamma_tR(G+uv) for the non-edge uv.  Order <= 6
-        reads the table at G's edge mask with the pair's bit set, which G+uv
-        being free of isolated vertices makes a value; it builds no graph.
-        A pair inside one component is that component's ``pair``."""
+        reads both from the table, G+uv being free of isolated vertices like
+        G; it builds no graph.  A pair inside one component is that
+        component's ``pair``."""
         g = self.g
         _require_non_edge(g, u, v)
         if g.n <= _MEMO_MAX_N:
-            return self.base - _table("gamma_tR", g.n)[g.edge_mask | 1 << pair_index(u, v)]
+            table = _table("gamma_tR", g.n)
+            return table[g.edge_mask] - table[g.edge_mask | 1 << pair_index(u, v)]
         (pu, i), (pv, j) = self.where[u], self.where[v]
         if pu is pv:
             return pu.value - pu.pair(i, j)

@@ -1,20 +1,19 @@
-"""Import hygiene: every name a package module imports is read in it.
-
-``__init__.py`` is skipped, since its imports are re-exports, and so are
-``__future__`` imports.
+"""Import hygiene: every name a package module imports is read in it
+(``__future__`` imports aside), and importing a module loads only the
+package modules it imports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import trd
 
-MODULES = sorted(
-    p for p in pathlib.Path(trd.__file__).parent.glob("*.py")
-    if p.name != "__init__.py"
-)
+MODULES = sorted(pathlib.Path(trd.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -35,3 +34,16 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported.items()
               if name not in read]
     assert not unused, f"{path.name} never reads {', '.join(unused)}"
+
+
+def test_import_loads_only_what_the_module_imports():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(trd.__file__).parents[1]))
+    everything = {"cli", "criticality", "errors", "families", "graphs", "solver", "verify"}
+    for module, loaded in [("trd", set()),
+                           ("trd.graphs", {"errors", "graphs"}),
+                           ("trd.solver", {"errors", "graphs", "solver"}),
+                           ("trd.cli", everything)]:
+        script = f"import sys, {module}; print(*(m for m in sys.modules if m.startswith('trd.')))"
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert set(out.split()) == {f"trd.{m}" for m in loaded}, module
