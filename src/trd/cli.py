@@ -43,7 +43,6 @@ from .verify import (
     Families,
     InstanceUniverse,
     RandomGnp,
-    VerificationReport,
     hunt_counterexamples,
     run_registry,
     verify_theorem,
@@ -71,21 +70,21 @@ def _load_graph(args) -> Graph:
     return fam.generate(fam.parse_family(args.family))
 
 
-def _emit(payload, fmt: str) -> None:
+def _emit(payload, fmt: str) -> int:
+    """Print a command's payload; the exit code is 1 exactly when a report
+    in it failed."""
+    rows = payload if isinstance(payload, list) else [payload]
     if fmt == "json":
         print(json.dumps(payload))
-        return
-    # TSV: reports become one row each, plain objects become key/value rows
-    rows = payload if isinstance(payload, list) else [payload]
-    for row in rows:
-        if "theorem_id" in row:
-            print(
-                f"{row['theorem_id']}\t{row['instances_checked']}"
-                f"\t{row['outcome']}\t{len(row['counterexamples'])}"
-            )
-        else:
-            for key, value in row.items():
-                print(f"{key}\t{json.dumps(value)}")
+    else:  # TSV: reports one row each, plain objects key/value rows
+        for row in rows:
+            if "theorem_id" in row:
+                print(f"{row['theorem_id']}\t{row['instances_checked']}"
+                      f"\t{row['outcome']}\t{len(row['counterexamples'])}")
+            else:
+                for key, value in row.items():
+                    print(f"{key}\t{json.dumps(value)}")
+    return EXIT_FAIL if any(row.get("outcome") == "fail" for row in rows) else EXIT_OK
 
 
 def _universe_from_args(args) -> InstanceUniverse | None:
@@ -154,58 +153,39 @@ _UNIVERSE = {
 _DOT = ("dot", _SWITCH, "also emit DOT")
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> dict:
     g = _load_graph(args)
     result = gamma_tr(g, node_budget=args.budget)
     gamma, gamma_t, gamma_r = classical_numbers(g)
-    _emit(
-        {
-            "graph6": graph6_encode(g),
-            "n": g.n,
-            "gamma": gamma,
-            "gamma_t": gamma_t,
-            "gamma_R": gamma_r,
-            "gamma_tR": result.value,
-            "witness": list(result.witness.values),
-            "nodes_explored": result.nodes_explored,
-        },
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "graph6": graph6_encode(g),
+        "n": g.n,
+        "gamma": gamma,
+        "gamma_t": gamma_t,
+        "gamma_R": gamma_r,
+        "gamma_tR": result.value,
+        "witness": list(result.witness.values),
+        "nodes_explored": result.nodes_explored,
+    }
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> dict:
+    """``profile``, and ``classify``, which is ``profile`` without deltas."""
     g = _load_graph(args)
     profile = edge_profile(g)
-    _emit(
-        {
-            "graph6": graph6_encode(g),
-            "base_value": profile.base_value,
-            "classification": profile.classification,
-            "deltas": [
-                {"u": u, "v": v, "delta": d} for (u, v), d in profile.deltas.items()
-            ],
-        },
-        args.format,
-    )
-    return EXIT_OK
+    payload = {
+        "graph6": graph6_encode(g),
+        "base_value": profile.base_value,
+        "classification": profile.classification,
+    }
+    if args.command == "profile":
+        payload["deltas"] = [
+            {"u": u, "v": v, "delta": d} for (u, v), d in profile.deltas.items()
+        ]
+    return payload
 
 
-def _cmd_classify(args) -> int:
-    g = _load_graph(args)
-    profile = edge_profile(g)
-    _emit(
-        {
-            "graph6": graph6_encode(g),
-            "base_value": profile.base_value,
-            "classification": profile.classification,
-        },
-        args.format,
-    )
-    return EXIT_OK
-
-
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> dict:
     spec = fam.parse_family(args.family)
     g = fam.generate(spec)
     payload = {
@@ -216,11 +196,10 @@ def _cmd_generate(args) -> int:
     }
     if args.dot:
         payload["dot"] = _to_dot(g)
-    _emit(payload, args.format)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args) -> dict:
     g = _load_graph(args)
     info = metrics(g)
     connected = info.connected
@@ -230,51 +209,37 @@ def _cmd_recognize(args) -> int:
     predicts = None
     if connected and g.n >= 4:
         predicts = fam.predict_n_critical(g)
-    _emit(
-        {
-            "graph6": graph6_encode(g),
-            "n": g.n,
-            "connected": connected,
-            "hen1_class": hen1.kind if hen1 else None,
-            "hen1_r": hen1.r if hen1 else None,
-            "is_galaxy": fam.is_galaxy(g),
-            "complement_is_galaxy": fam.is_galaxy(complement(g)),
-            "predicts_n_critical": predicts,
-            "universal_vertex": info.universal_vertex,
-            "diameter": info.diameter,
-        },
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "graph6": graph6_encode(g),
+        "n": g.n,
+        "connected": connected,
+        "hen1_class": hen1.kind if hen1 else None,
+        "hen1_r": hen1.r if hen1 else None,
+        "is_galaxy": fam.is_galaxy(g),
+        "complement_is_galaxy": fam.is_galaxy(complement(g)),
+        "predicts_n_critical": predicts,
+        "universal_vertex": info.universal_vertex,
+        "diameter": info.diameter,
+    }
 
 
-def _report_exit(reports: list[VerificationReport]) -> int:
-    return EXIT_OK if all(r.outcome == "pass" for r in reports) else EXIT_FAIL
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict | list[dict]:
     if args.theorem is None:
-        reports = run_registry(jobs=args.jobs)
-    else:
-        reports = [verify_theorem(args.theorem, _universe_from_args(args),
-                                  jobs=args.jobs)]
-    payload = [r.to_json() for r in reports]
-    _emit(payload if args.theorem is None else payload[0], args.format)
-    return _report_exit(reports)
+        return [r.to_json() for r in run_registry(jobs=args.jobs)]
+    return verify_theorem(args.theorem, _universe_from_args(args),
+                          jobs=args.jobs).to_json()
 
 
-def _cmd_hunt(args) -> int:
+def _cmd_hunt(args) -> dict:
     question = {
         "Q1": "Q1_supercritical",
         "Q2": "Q2_dead_in_critical",
     }.get(args.question, args.question)
-    report = hunt_counterexamples(question, _universe_from_args(args),
-                                  jobs=args.jobs)
-    _emit(report.to_json(), args.format)
-    return _report_exit([report])
+    return hunt_counterexamples(question, _universe_from_args(args),
+                                jobs=args.jobs).to_json()
 
 
-def _cmd_complete_critical(args) -> int:
+def _cmd_complete_critical(args) -> dict:
     g = _load_graph(args)
     h = complete_to_critical(g)
     added = sorted(set(h.edges()) - set(g.edges()))
@@ -288,8 +253,7 @@ def _cmd_complete_critical(args) -> int:
     }
     if args.dot:
         payload["dot"] = _to_dot(h)
-    _emit(payload, args.format)
-    return EXIT_OK
+    return payload
 
 
 # name -> (handler, flags, positional, group, help line): the positional
@@ -305,7 +269,7 @@ _COMMANDS = {
                 None, _GROUP, "invariants of one graph"),
     "profile": (_cmd_profile, _INPUT, None, _GROUP,
                 "per-non-edge gamma_tR deltas"),
-    "classify": (_cmd_classify, _INPUT, None, _GROUP,
+    "classify": (_cmd_profile, _INPUT, None, _GROUP,
                  "criticality classification"),
     "generate": (_cmd_generate,
                  {"--family": _INPUT["--family"], "--dot": _DOT},
@@ -488,7 +452,7 @@ def _parse(argv: list[str] | None) -> SimpleNamespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _emit(_COMMANDS[args.command][0](args), args.format)
     except (UnknownTheoremError, UnknownQuestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,19 +53,6 @@ class EdgeProfile:
     deltas: dict[tuple[int, int], int]
     classification: str
 
-    @property
-    def is_edge_critical(self) -> bool:
-        """Every non-edge is critical (supercritical graphs qualify too)."""
-        return self.classification in (SUPERCRITICAL, EDGE_CRITICAL)
-
-    @property
-    def is_supercritical(self) -> bool:
-        return self.classification == SUPERCRITICAL
-
-    @property
-    def is_stable(self) -> bool:
-        return self.classification == STABLE
-
 
 def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:
     """Classification label for a complete non-edge delta map."""

@@ -465,19 +465,23 @@ def is_galaxy(g: Graph) -> bool:
     return True
 
 
+def _complete_orders(g: Graph) -> list[int] | None:
+    """The orders of the components, by smallest member, when every
+    component is complete; None otherwise."""
+    orders = []
+    for comp in component_masks(g):
+        c = comp.bit_count()
+        if any(g.degree(u) != c - 1 for u in iter_bits(comp)):
+            return None
+        orders.append(c)
+    return orders
+
+
 def is_union_of_completes(g: Graph) -> bool:
     """Disjoint union of at least two complete graphs, each of order at
     least 3."""
-    deg = g.degrees
-    comps = component_masks(g)
-    for comp in comps:
-        c = comp.bit_count()
-        if c < 3:
-            return False
-        for u in iter_bits(comp):
-            if deg[u] != c - 1:
-                return False
-    return len(comps) >= 2
+    orders = _complete_orders(g)
+    return orders is not None and len(orders) >= 2 and min(orders) >= 3
 
 
 def predict_n_critical(g: Graph) -> bool:

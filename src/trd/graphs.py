@@ -330,13 +330,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(verts), tuple(adj))
 
 
-def _reach(g: Graph, v: int) -> int:
-    """Vertex bitmask of the connected component of v, by breadth-first
-    search; it sits on the hot hypothesis path of ``verify``, so the bit
-    loop is inlined."""
+def _reach(g: Graph, v: int) -> tuple[int, int]:
+    """(vertex bitmask of the connected component of v, eccentricity of v
+    in it), by breadth-first search; it sits on the hot hypothesis path of
+    ``verify``, so the bit loop is inlined."""
     adj = g.adj
     comp = frontier = 1 << v
+    depth = -1
     while frontier:
+        depth += 1
         nxt = 0
         while frontier:
             low = frontier & -frontier
@@ -344,7 +346,7 @@ def _reach(g: Graph, v: int) -> int:
             frontier ^= low
         frontier = nxt & ~comp
         comp |= nxt
-    return comp
+    return comp, depth
 
 
 def component_masks(g: Graph) -> list[int]:
@@ -353,30 +355,13 @@ def component_masks(g: Graph) -> list[int]:
     comps = []
     for v in range(g.n):
         if not seen >> v & 1:
-            comps.append(_reach(g, v))
+            comps.append(_reach(g, v)[0])
             seen |= comps[-1]
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return _reach(g, 0) == g.full_mask
-
-
-def _eccentricity(g: Graph, start: int) -> int:
-    """Largest BFS distance from ``start`` within its component."""
-    seen = 1 << start
-    frontier = seen
-    dist = 0
-    while True:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= g.adj[u]
-        nxt &= ~seen
-        if not nxt:
-            return dist
-        seen |= nxt
-        frontier = nxt
-        dist += 1
+    return _reach(g, 0)[0] == g.full_mask
 
 
 def metrics(g: Graph) -> GraphMetrics:
@@ -385,10 +370,7 @@ def metrics(g: Graph) -> GraphMetrics:
     comps = tuple(tuple(iter_bits(m)) for m in component_masks(g))
     isolated = tuple(v for v, d in enumerate(degrees) if d == 0)
     universal = next((v for v, d in enumerate(degrees) if d == g.n - 1), None)
-    if len(comps) == 1:
-        diameter: int | None = max(_eccentricity(g, v) for v in range(g.n))
-    else:
-        diameter = None
+    diameter = max(_reach(g, v)[1] for v in range(g.n)) if len(comps) == 1 else None
     return GraphMetrics(degrees, comps, isolated, diameter, universal)
 
 

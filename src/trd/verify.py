@@ -321,10 +321,15 @@ def _check_4crit(g: Graph, spec) -> str | None:
     return None
 
 
+def _value_mismatch(g: Graph, expected: int) -> str | None:
+    """The detail when gamma_tR(G) is not the closed form ``expected``."""
+    actual = gamma_tr_value(g)
+    return None if actual == expected else f"gamma_tR={actual}, expected {expected}"
+
+
 def _check_n3reg(g: Graph, spec) -> str | None:
-    value = gamma_tr_value(g)
-    if value != 4:
-        return f"gamma_tR={value}, expected 4"
+    if detail := _value_mismatch(g, 4):
+        return detail
     if not is_stable(g):
         return "not stable: some non-edge changes gamma_tR"
     return None
@@ -388,15 +393,9 @@ def _check_5crit(g: Graph, spec) -> str | None:
         return None
     if is_k_gamma_t_edge_critical(g, 3):
         return None
-    comps = component_masks(g)
-    if len(comps) == 2:
-        orders = sorted(m.bit_count() for m in comps)
-        complete = all(
-            all(g.degree(v) == m.bit_count() - 1 for v in iter_bits(m))
-            for m in comps
-        )
-        if complete and orders[0] == 2 and orders[1] >= 3:
-            return None
+    orders = sorted(fam._complete_orders(g) or ())
+    if len(orders) == 2 and orders[0] == 2 and orders[1] >= 3:
+        return None
     return "5-edge-critical but neither 3-gamma_t-edge-critical nor K_2 u K_m"
 
 
@@ -474,11 +473,7 @@ def _check_span(g: Graph, spec) -> str | None:
 
 
 def _check_knkm(g: Graph, spec) -> str | None:
-    expected = 2 * min(spec.n, spec.m)
-    actual = gamma_tr_value(g)
-    if actual != expected:
-        return f"gamma_tR={actual}, expected {expected}"
-    return None
+    return _value_mismatch(g, 2 * min(spec.n, spec.m))
 
 
 def _check_diam2(g: Graph, spec) -> str | None:
@@ -488,9 +483,8 @@ def _check_diam2(g: Graph, spec) -> str | None:
     else:
         expected = 2 * min(spec.n, spec.m)
         run_completion = spec.n == spec.m
-    actual = gamma_tr_value(g)
-    if actual != expected:
-        return f"gamma_tR={actual}, expected {expected}"
+    if detail := _value_mismatch(g, expected):
+        return detail
     if metrics(g).diameter != 2:
         return f"diameter {metrics(g).diameter}, expected 2"
     if run_completion:
@@ -505,10 +499,8 @@ def _check_diam2(g: Graph, spec) -> str | None:
 
 
 def _check_dn(g: Graph, spec) -> str | None:
-    expected = 2 * spec.n + 1
-    actual = gamma_tr_value(g)
-    if actual != expected:
-        return f"gamma_tR={actual}, expected {expected}"
+    if detail := _value_mismatch(g, 2 * spec.n + 1):
+        return detail
     dead = dead_vertices(g, "total-roman")
     w = fam.dead_example_w_vertices(spec.n)
     if dead != w:

@@ -130,8 +130,9 @@ GOLDEN = json.loads(
 )
 def test_golden_transcript(capsys, case):
     """The README examples (all but the bare ``trd verify``, whose JSON
-    sha256 the registry acceptance test pins) print exactly their recorded
-    stdout and exit code, in JSON and in TSV."""
+    sha256 the registry acceptance test pins), a failing hunt (exit 1) and
+    ``recognize`` at diameter 4 and on a disconnected graph print exactly
+    their recorded stdout and exit code, in JSON and in TSV."""
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
 

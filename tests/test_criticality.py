@@ -147,12 +147,12 @@ class TestEdgeProfile:
         profile = edge_profile(complete(4))
         assert profile.classification == COMPLETE
         assert profile.deltas == {}
-        assert not profile.is_edge_critical
+        assert not is_edge_critical(complete(4))
 
     def test_supercritical_is_also_edge_critical(self):
-        profile = edge_profile(union(Complete(3), Complete(3)))
-        assert profile.classification == SUPERCRITICAL
-        assert profile.is_supercritical and profile.is_edge_critical
+        g = union(Complete(3), Complete(3))
+        assert edge_profile(g).classification == SUPERCRITICAL
+        assert is_supercritical(g) and is_edge_critical(g)
 
     def test_corona_of_cycle_10_pinned(self):
         # the paper's extremal corona, with 170 non-edges that all go to
@@ -198,14 +198,15 @@ class TestEdgeProfile:
 
 
 class TestPredicates:
-    """The early-exit predicates agree with the full delta profile."""
+    """The early-exit predicates agree with the classification of the full
+    delta profile."""
 
     @staticmethod
     def agree(g):
-        profile = edge_profile(g)
-        assert is_edge_critical(g) == profile.is_edge_critical
-        assert is_stable(g) == profile.is_stable
-        assert is_supercritical(g) == profile.is_supercritical
+        classification = edge_profile(g).classification
+        assert is_edge_critical(g) == (classification in (SUPERCRITICAL, EDGE_CRITICAL))
+        assert is_stable(g) == (classification == STABLE)
+        assert is_supercritical(g) == (classification == SUPERCRITICAL)
 
     @given(solvable_graphs(2, 6))
     @settings(max_examples=80)

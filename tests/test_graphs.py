@@ -36,6 +36,7 @@ from trd.graphs import (
     add_edge,
     build_graph,
     complement,
+    component_masks,
     from_edge_mask,
     graph6_decode,
     graph6_encode,
@@ -129,6 +130,16 @@ class TestAddEdge:
         assert set(lhs.edges()) == rhs_edges
 
 
+@st.composite
+def edge_lists(draw, min_n, max_n):
+    """Graphs of at most 2n random edges: often disconnected, with long
+    paths and isolated vertices."""
+    n = draw(st.integers(min_n, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return build_graph(n, [(u, v) for u, v in pairs if u != v])
+
+
 class TestMetrics:
     def test_star_universal(self):
         info = metrics(star(4))
@@ -155,6 +166,28 @@ class TestMetrics:
     def test_isolated_vertices(self):
         info = metrics(build_graph(3, [(0, 1)]))
         assert info.isolated_vertices == (2,)
+
+    @given(st.one_of(any_graphs(1, 12), edge_lists(1, 12)))
+    @settings(max_examples=200)
+    def test_against_all_pairs_bfs(self, g):
+        """Components, connectivity and the diameter agree with a plain
+        breadth-first search from every vertex, on graphs of any
+        connectivity and diameter, isolated vertices included."""
+        dist = []
+        for s in range(g.n):
+            d, queue = {s: 0}, [s]
+            for u in queue:
+                for w in range(g.n):
+                    if g.has_edge(u, w) and w not in d:
+                        d[w] = d[u] + 1
+                        queue.append(w)
+            dist.append(d)
+        comps = sorted({tuple(sorted(d)) for d in dist})
+        assert [tuple(iter_bits(m)) for m in component_masks(g)] == comps
+        connected = len(comps) == 1
+        assert is_connected(g) == connected
+        expected = max(max(d.values()) for d in dist) if connected else None
+        assert metrics(g).diameter == expected
 
     @given(any_graphs(1, 7))
     def test_universal_iff_degree(self, g):
