@@ -32,13 +32,16 @@ from .graphs import (
     GRAPH6_MAX_N,
     Graph,
     complement,
+    diameter,
     graph6_decode,
     graph6_encode,
-    metrics,
+    is_connected,
     read_edge_list,
+    universal_vertex,
 )
 from .solver import classical_numbers, gamma_tr
 from .verify import (
+    QUESTIONS,
     AllLabeled,
     Families,
     InstanceUniverse,
@@ -151,6 +154,9 @@ _UNIVERSE = {
     "--family": ("family", _APPEND, "family universe member (repeatable)"),
 }
 _DOT = ("dot", _SWITCH, "also emit DOT")
+# hunt's choices, short names first, each to its registered question id
+_QUESTIONS = {**{q.partition("_")[0]: q for q in QUESTIONS},
+              **{q: q for q in QUESTIONS}}
 
 
 def _cmd_compute(args) -> dict:
@@ -201,8 +207,7 @@ def _cmd_generate(args) -> dict:
 
 def _cmd_recognize(args) -> dict:
     g = _load_graph(args)
-    info = metrics(g)
-    connected = info.connected
+    connected = is_connected(g)
     hen1 = None
     if connected and g.n >= 2:
         hen1 = fam.hen1_classify(g)
@@ -218,8 +223,8 @@ def _cmd_recognize(args) -> dict:
         "is_galaxy": fam.is_galaxy(g),
         "complement_is_galaxy": fam.is_galaxy(complement(g)),
         "predicts_n_critical": predicts,
-        "universal_vertex": info.universal_vertex,
-        "diameter": info.diameter,
+        "universal_vertex": universal_vertex(g),
+        "diameter": diameter(g),
     }
 
 
@@ -231,11 +236,8 @@ def _cmd_verify(args) -> dict | list[dict]:
 
 
 def _cmd_hunt(args) -> dict:
-    question = {
-        "Q1": "Q1_supercritical",
-        "Q2": "Q2_dead_in_critical",
-    }.get(args.question, args.question)
-    return hunt_counterexamples(question, _universe_from_args(args),
+    return hunt_counterexamples(_QUESTIONS[args.question],
+                                _universe_from_args(args),
                                 jobs=args.jobs).to_json()
 
 
@@ -281,8 +283,7 @@ _COMMANDS = {
                 "registry id; omit to run the whole registry"),
                _ONE_UNIVERSE, "machine-check registered theorems"),
     "hunt": (_cmd_hunt, _UNIVERSE,
-             ("question",
-              ("Q1", "Q2", "Q1_supercritical", "Q2_dead_in_critical"),
+             ("question", tuple(_QUESTIONS),
               "Q1_supercritical or Q2_dead_in_critical (Q1, Q2 for short)"),
              _ONE_UNIVERSE, "search for open-question counterexamples"),
     "complete-critical": (_cmd_complete_critical, {**_INPUT, "--dot": _DOT},
@@ -456,10 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownTheoremError, UnknownQuestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (TrdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -75,10 +75,12 @@ class UniverseTooLargeError(TrdError, ValueError):
 
 class UnknownTheoremError(TrdError, KeyError):
     """No theorem with the given identifier is registered."""
+    __str__ = Exception.__str__  # the message, not KeyError's quoted key
 
 
 class UnknownQuestionError(TrdError, KeyError):
     """No counterexample hunt with the given identifier is registered."""
+    __str__ = Exception.__str__
 
 
 class IncompatibleUniverseError(TrdError, ValueError):

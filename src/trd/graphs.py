@@ -1,4 +1,4 @@
-"""Immutable bitset-backed simple graphs, structural metrics, and I/O.
+"""Immutable bitset-backed simple graphs, structural facts, and I/O.
 
 Vertices are the dense integers 0..n-1.  Adjacency is stored as one integer
 bitmask per vertex, which keeps every operation a handful of word-wide bit
@@ -146,34 +146,8 @@ class Graph:
             mask |= (a & ((1 << j) - 1)) << (j * (j - 1) // 2)
         return mask
 
-    def isolated_mask(self) -> int:
-        mask = 0
-        for v, a in enumerate(self.adj):
-            if a == 0:
-                mask |= 1 << v
-        return mask
-
     def has_isolated_vertices(self) -> bool:
         return 0 in self.adj
-
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    """Degree, connectivity and distance facts about one graph.
-
-    ``diameter`` is None when the graph is disconnected (the infinity
-    marker); otherwise it is the largest eccentricity.
-    """
-
-    degrees: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-    isolated_vertices: tuple[int, ...]
-    diameter: int | None
-    universal_vertex: int | None
-
-    @property
-    def connected(self) -> bool:
-        return len(self.components) == 1
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -364,14 +338,17 @@ def is_connected(g: Graph) -> bool:
     return _reach(g, 0)[0] == g.full_mask
 
 
-def metrics(g: Graph) -> GraphMetrics:
-    """Degrees, components, isolated vertices, diameter, universal vertex."""
+def diameter(g: Graph) -> int | None:
+    """The largest eccentricity, or None when G is disconnected."""
+    if not is_connected(g):
+        return None
+    return max(_reach(g, v)[1] for v in range(g.n))
+
+
+def universal_vertex(g: Graph) -> int | None:
+    """The lowest vertex of degree n - 1, or None."""
     degrees = g.degrees
-    comps = tuple(tuple(iter_bits(m)) for m in component_masks(g))
-    isolated = tuple(v for v, d in enumerate(degrees) if d == 0)
-    universal = next((v for v, d in enumerate(degrees) if d == g.n - 1), None)
-    diameter = max(_reach(g, v)[1] for v in range(g.n)) if len(comps) == 1 else None
-    return GraphMetrics(degrees, comps, isolated, diameter, universal)
+    return degrees.index(g.n - 1) if g.n - 1 in degrees else None
 
 
 def graph6_encode(g: Graph) -> str:

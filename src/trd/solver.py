@@ -159,9 +159,8 @@ class SolveResult:
 
 def _require_no_isolated(g: Graph) -> None:
     if g.has_isolated_vertices():
-        raise IsolatedVertexError(
-            f"isolated vertices {tuple(iter_bits(g.isolated_mask()))} present"
-        )
+        isolated = tuple(v for v, a in enumerate(g.adj) if not a)
+        raise IsolatedVertexError(f"isolated vertices {isolated} present")
 
 
 def is_trd_function(g: Graph, f: WeightFunction) -> TrdVerdict:
@@ -1424,8 +1423,9 @@ def enumerate_min_trd(g: Graph) -> list[WeightFunction]:
     return [WeightFunction(vec) for vec in vectors]
 
 
-def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
-    """Vertices assigned 0 by every minimum TRD-function (or RD-function).
+def dead_vertices(g: Graph, *, total: bool = True) -> tuple[int, ...]:
+    """Vertices assigned 0 by every minimum TRD-function (RD-function
+    without ``total``; keyword-only, so a mode string cannot pass as a flag).
 
     Each component has its own engine and minimum (:meth:`_Solved.dead`),
     and each engine decides it without enumerating the minimum functions:
@@ -1433,12 +1433,7 @@ def dead_vertices(g: Graph, mode: str = "total-roman") -> tuple[int, ...]:
     f(v) = 2, the frontier DP by reading its forward and backward tables
     once.  Both modes refuse order > 24 before any search.
     """
-    key = mode.strip().lower().replace("_", "-")
-    if key == "roman":
-        return _solved(g, False).dead()
-    if key != "total-roman":
-        raise ValueError(f"mode must be 'total-roman' or 'roman', got {mode!r}")
-    return _solved(g).dead()
+    return _solved(g, total).dead()
 
 
 def gamma_value(g: Graph) -> int:

@@ -53,13 +53,14 @@ from .graphs import (
     add_edge,
     complement,
     component_masks,
+    diameter,
     from_edge_mask,
     graph6_encode,
     graph_classes,
     is_connected,
     iter_bits,
-    metrics,
     pair_table,
+    universal_vertex,
 )
 from .solver import (
     ENUMERATION_MAX_N,
@@ -199,16 +200,10 @@ class VerificationReport:
     counterexamples: tuple[Counterexample, ...]
 
     def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "universe": universe_to_json(self.universe),
-            "instances_checked": self.instances_checked,
-            "outcome": self.outcome,
-            "counterexamples": [
-                {"graph6": c.graph6, "detail": c.detail}
-                for c in self.counterexamples
-            ],
-        }
+        # asdict would copy the universe's descriptors only to drop them
+        fields = asdict(replace(self, universe=None))
+        return {**fields, "universe": universe_to_json(self.universe),
+                "counterexamples": list(fields["counterexamples"])}
 
 
 MAX_COUNTEREXAMPLES = 20
@@ -216,10 +211,6 @@ MAX_COUNTEREXAMPLES = 20
 
 # ---------------------------------------------------------------------------
 # helper predicates shared by several checks
-
-
-def _has_universal_vertex(g: Graph) -> bool:
-    return any(d == g.n - 1 for d in g.degrees)
 
 
 def _is_union_of_k2(g: Graph) -> bool:
@@ -291,7 +282,7 @@ def _check_critedge_values(g: Graph, spec) -> str | None:
 
 def _check_tr3(g: Graph, spec) -> str | None:
     value_is_3 = gamma_tr_value(g) == 3
-    universal = _has_universal_vertex(g)
+    universal = universal_vertex(g) is not None
     if value_is_3 != universal:
         return f"gamma_tR==3 is {value_is_3} but universal vertex is {universal}"
     return None
@@ -362,7 +353,7 @@ def _check_hen2(g: Graph, spec) -> str | None:
 
 def _check_hen3(g: Graph, spec) -> str | None:
     lhs = gamma_tr_value(g) == gamma_t_value(g) + 1
-    rhs = _has_universal_vertex(g)
+    rhs = universal_vertex(g) is not None
     if lhs != rhs:
         return f"gamma_tR==gamma_t+1 is {lhs} but universal vertex is {rhs}"
     return None
@@ -485,23 +476,23 @@ def _check_diam2(g: Graph, spec) -> str | None:
         run_completion = spec.n == spec.m
     if detail := _value_mismatch(g, expected):
         return detail
-    if metrics(g).diameter != 2:
-        return f"diameter {metrics(g).diameter}, expected 2"
+    if (d := diameter(g)) != 2:
+        return f"diameter {d}, expected 2"
     if run_completion:
         h = complete_to_critical(g)
         if gamma_tr_value(h) != expected:
             return "completion changed gamma_tR"
         if not is_edge_critical(h):
             return "completion is not edge-critical"
-        if metrics(h).diameter != 2:
-            return f"completion has diameter {metrics(h).diameter}"
+        if (d := diameter(h)) != 2:
+            return f"completion has diameter {d}"
     return None
 
 
 def _check_dn(g: Graph, spec) -> str | None:
     if detail := _value_mismatch(g, 2 * spec.n + 1):
         return detail
-    dead = dead_vertices(g, "total-roman")
+    dead = dead_vertices(g)
     w = fam.dead_example_w_vertices(spec.n)
     if dead != w:
         return f"dead set {dead}, expected {w}"
@@ -525,7 +516,7 @@ def _check_dn_edges(g: Graph, spec) -> str | None:
 
 
 def _check_rd_deadpair(g: Graph, spec) -> str | None:
-    dead = dead_vertices(g, "roman")
+    dead = dead_vertices(g, total=False)
     if len(dead) < 2:
         return None
     base = gamma_r_value(g)
@@ -914,7 +905,8 @@ def _theorem_universe(
     """The universe a theorem runs over: ``universe``, else its default."""
     entry = THEOREMS.get(theorem_id)
     if entry is None:
-        raise UnknownTheoremError(theorem_id)
+        raise UnknownTheoremError(f"unknown theorem {theorem_id!r}; registered:"
+                                  f" {', '.join(sorted(THEOREMS))}")
     if universe is None:
         universe = entry.default_universe
     if entry.family_kinds is not None and not isinstance(universe, Families):
@@ -974,7 +966,7 @@ def _hunt_q1(g: Graph, spec) -> str | None:
 
 def _hunt_q2(g: Graph, spec) -> str | None:
     if is_edge_critical(g):
-        dead = dead_vertices(g, "total-roman")
+        dead = dead_vertices(g)
         if dead:
             return (
                 f"edge-critical with dead vertices {dead} at"
@@ -1021,7 +1013,8 @@ def hunt_counterexamples(
     """
     entry = _QUESTION_ENTRIES.get(question_id)
     if entry is None:
-        raise UnknownQuestionError(question_id)
+        raise UnknownQuestionError(f"unknown question {question_id!r};"
+                                   f" registered: {', '.join(QUESTIONS)}")
     if universe is None:
         universe = entry.default_universe
     return _sweep(universe, [question_id], jobs)[0]

@@ -403,6 +403,9 @@ class TestVerifyCommand:
     def test_unknown_theorem_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "T_NOPE")
         assert code == 2
+        # one line that names the id and says it is unknown
+        assert err.count("\n") == 1
+        assert "T_NOPE" in err and "unknown" in err
 
     def test_family_universe(self, capsys):
         code, out, _ = run(capsys, "verify", "T_SPIDER_FORMULA",
@@ -500,6 +503,7 @@ ERROR_PATHS = [
     (["compute", "--budget", "0", "--family", "K3"], 2),
     (["--seed", "abc", "verify", "T_TR3", "--random", "3,5,0.5"], 2),
     (["verify", "T_TR3", "--all-labeled", "4", "--allow-isolated"], 2),
+    (["verify", "T_NOPE"], 2),
 ]
 
 

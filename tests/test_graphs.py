@@ -1,4 +1,4 @@
-"""Graph construction, editing, metrics, and the graph6 / edge-list codecs."""
+"""Graph construction, editing, structure, and the graph6 / edge-list codecs."""
 
 import itertools
 import math
@@ -37,6 +37,7 @@ from trd.graphs import (
     build_graph,
     complement,
     component_masks,
+    diameter,
     from_edge_mask,
     graph6_decode,
     graph6_encode,
@@ -44,10 +45,10 @@ from trd.graphs import (
     induced_subgraph,
     iter_bits,
     is_connected,
-    metrics,
     pair_index,
     pair_table,
     parse_edge_list,
+    universal_vertex,
 )
 from trd.families import Complete
 
@@ -91,7 +92,7 @@ class TestComplement:
         co = complement(path(4))
         assert co.edges() == [(0, 2), (0, 3), (1, 3)]
         assert sorted(co.degrees) == [1, 1, 2, 2]
-        assert metrics(co).connected
+        assert is_connected(co)
 
     @given(any_graphs(2, 7))
     def test_involution(self, g):
@@ -105,7 +106,7 @@ class TestAddEdge:
     def test_cross_edge_connects(self):
         g = add_edge(union(Complete(2), Complete(3)), 0, 2)
         assert g.edge_count == 5
-        assert metrics(g).connected
+        assert is_connected(g)
 
     def test_c4_to_diamond(self):
         g = add_edge(cycle(4), 0, 2)
@@ -142,37 +143,40 @@ def edge_lists(draw, min_n, max_n):
 
 class TestMetrics:
     def test_star_universal(self):
-        info = metrics(star(4))
-        assert info.universal_vertex == 0
-        assert info.diameter == 2
-        assert info.connected
+        g = star(4)
+        assert universal_vertex(g) == 0
+        assert diameter(g) == 2
+        assert is_connected(g)
 
     def test_rook_3x3(self):
-        info = metrics(rook(3, 3))
-        assert info.universal_vertex is None
-        assert info.diameter == 2
+        g = rook(3, 3)
+        assert universal_vertex(g) is None
+        assert diameter(g) == 2
 
     def test_rook_diameter_is_two(self):
         for n in (2, 3, 4):
             for m in range(n, 5):
-                assert metrics(rook(n, m)).diameter == 2
+                assert diameter(rook(n, m)) == 2
 
     def test_two_components(self):
-        info = metrics(union(Complete(2), Complete(3)))
-        assert len(info.components) == 2
-        assert info.isolated_vertices == ()
-        assert info.diameter is None
+        g = union(Complete(2), Complete(3))
+        assert component_masks(g) == [0b00011, 0b11100]
+        assert not is_connected(g)
+        assert diameter(g) is None
 
     def test_isolated_vertices(self):
-        info = metrics(build_graph(3, [(0, 1)]))
-        assert info.isolated_vertices == (2,)
+        # an isolated vertex is a component of its own
+        g = build_graph(3, [(0, 1)])
+        assert component_masks(g) == [0b011, 0b100]
+        assert diameter(g) is None
+        assert universal_vertex(g) is None
 
     @given(st.one_of(any_graphs(1, 12), edge_lists(1, 12)))
     @settings(max_examples=200)
     def test_against_all_pairs_bfs(self, g):
-        """Components, connectivity and the diameter agree with a plain
-        breadth-first search from every vertex, on graphs of any
-        connectivity and diameter, isolated vertices included."""
+        """Components, connectivity, the diameter and the universal vertex
+        agree with a plain breadth-first search from every vertex, on graphs
+        of any connectivity and diameter, isolated vertices included."""
         dist = []
         for s in range(g.n):
             d, queue = {s: 0}, [s]
@@ -187,13 +191,16 @@ class TestMetrics:
         connected = len(comps) == 1
         assert is_connected(g) == connected
         expected = max(max(d.values()) for d in dist) if connected else None
-        assert metrics(g).diameter == expected
+        assert diameter(g) == expected
+        # the lowest vertex whose search reaches every vertex in one step
+        universal = [s for s, d in enumerate(dist)
+                     if len(d) == g.n and max(d.values()) <= 1]
+        assert universal_vertex(g) == (universal[0] if universal else None)
 
     @given(any_graphs(1, 7))
     def test_universal_iff_degree(self, g):
-        info = metrics(g)
-        assert (info.universal_vertex is not None) == (g.n - 1 in g.degrees)
-        members = sorted(v for comp in info.components for v in comp)
+        assert (universal_vertex(g) is not None) == (g.n - 1 in g.degrees)
+        members = sorted(v for m in component_masks(g) for v in iter_bits(m))
         assert members == list(range(g.n))
 
 

@@ -582,7 +582,7 @@ class TestDeadVertices:
     @given(solvable_graphs(2, 6))
     @settings(max_examples=60)
     def test_matches_enumeration(self, g):
-        assert dead_vertices(g, "total-roman") == naive_dead(g, min_trd_vectors(g))
+        assert dead_vertices(g) == naive_dead(g, min_trd_vectors(g))
 
     @given(solvable_graphs(2, 5))
     @settings(max_examples=60)
@@ -593,11 +593,13 @@ class TestDeadVertices:
             for vec in itertools.product((0, 1, 2), repeat=g.n)
             if sum(vec) == target and naive_is_rd(g, vec)
         ]
-        assert dead_vertices(g, "roman") == naive_dead(g, minimums)
+        assert dead_vertices(g, total=False) == naive_dead(g, minimums)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            dead_vertices(cycle(4), "nonsense")
+        # a mode string in the flag's place would be truthy, so the flag is
+        # keyword-only and the call fails instead of answering gamma_tR's
+        with pytest.raises(TypeError):
+            dead_vertices(cycle(4), "roman")
 
     def test_one_engine_per_component(self, monkeypatch):
         # each component's frontier order and DP steps are built once, for
@@ -649,7 +651,7 @@ class TestDeadVertices:
         assert count(lambda: (gamma_tr_value(cor_k4), gamma_tr(cor_k4),
                               dead_vertices(cor_k4))) == 1
         # the Roman dead set: one for gamma_R and the 2n pinned decisions
-        assert count(lambda: dead_vertices(kxk, "roman")) == 1
+        assert count(lambda: dead_vertices(kxk, total=False)) == 1
 
     @staticmethod
     def count_unpinned(monkeypatch):
@@ -909,7 +911,7 @@ class TestStructuralProperties:
         monkeypatch.setattr(_WeightSearch, "solve", search)
         monkeypatch.setattr(_FrontierDP, "__init__", search)
         with pytest.raises(GraphTooLargeError):
-            dead_vertices(cycle(25), "roman")
+            dead_vertices(cycle(25), total=False)
 
 
 # --- the component split and the frontier DP -------------------------------
@@ -1171,7 +1173,7 @@ class TestSparseEngine:
         search = _WeightSearch(g, False)
         value = search.decide({}, 2 * g.n)[0]
         assert gamma_r_value(g) == solved.value() == value
-        assert dead_vertices(g, "roman") == tuple(search.dead(value))
+        assert dead_vertices(g, total=False) == tuple(search.dead(value))
         engines = sorted(type(part.engine).__name__ for part in solved.parts)
         assert engines == ["_FrontierDP", "_WeightSearch", "_WeightSearch"]
         # gamma_R and the Roman dead set share the gamma_R slot, and leave

@@ -195,8 +195,10 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, jobs):
 
 class TestVerifyTheorem:
     def test_unknown(self):
-        with pytest.raises(UnknownTheoremError):
+        with pytest.raises(UnknownTheoremError) as exc:
             verify_theorem("T_NOPE")
+        assert str(exc.value) == ("unknown theorem 'T_NOPE'; registered: "
+                                  + ", ".join(sorted(THEOREMS)))
 
     def test_incompatible_universe(self):
         with pytest.raises(IncompatibleUniverseError):
@@ -436,7 +438,7 @@ class TestReportSerialization:
 
 class TestHunts:
     def test_unknown_question(self):
-        with pytest.raises(UnknownQuestionError):
+        with pytest.raises(UnknownQuestionError, match="Q3_whatever"):
             hunt_counterexamples("Q3_whatever")
 
     def test_q1_confirms_union_of_triangles(self):
