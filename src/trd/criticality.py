@@ -28,10 +28,8 @@ the complement has edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IsolatedVertexError, ValueTooSmallError
-from .graphs import Graph, add_edge
+from .graphs import Graph, Record, add_edge
 from .solver import _solved, gamma_t_value, gamma_tr_value
 
 COMPLETE = "complete"
@@ -41,17 +39,14 @@ STABLE = "stable"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class EdgeProfile:
+class EdgeProfile(Record):
     """Base value, per-non-edge deltas, and the derived classification.
 
     ``deltas`` maps each complement edge (u, v), u < v, to its delta; the
     insertion order is the canonical sorted-pair order.
     """
 
-    base_value: int
-    deltas: dict[tuple[int, int], int]
-    classification: str
+    _fields = ("base_value", "deltas", "classification")
 
 
 def classify_deltas(deltas: dict[tuple[int, int], int]) -> str:

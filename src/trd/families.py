@@ -8,12 +8,13 @@ family H off one pendant-path decomposition, the core left when every
 pendant 2-path (a leaf and its degree-2 support) is removed, with the
 number of 2-paths hanging at each core vertex.
 
-A family descriptor is the frozen dataclass of one family member, for
-example ``Spider((2, 2, 4))``.  Descriptors have a text syntax used by
-the CLI, for example ``spider(2,2,4)``, ``cor(K3)``, ``familyH(2,3,r=4)``,
-``KxK(3,3)``, ``Gd(3)``, ``D(3)``, ``union(K2,K3)``.  One table,
-``_NAMES``, gives each descriptor class its text name; ``parse_family``
-and ``family_to_text`` read the syntax off it and the dataclass fields.
+A family descriptor is the immutable record (``graphs.Record``) of one
+family member, for example ``Spider((2, 2, 4))``.  Descriptors have a
+text syntax used by the CLI, for example ``spider(2,2,4)``, ``cor(K3)``,
+``familyH(2,3,r=4)``, ``KxK(3,3)``, ``Gd(3)``, ``D(3)``, ``union(K2,K3)``.
+One table, ``_NAMES``, gives each descriptor class its text name;
+``parse_family`` and ``family_to_text`` read the syntax off it and each
+class's ``_fields``.
 Nesting is allowed for ``cor`` and ``union``, at most ``GRAPH6_MAX_N``
 (62) levels of parentheses deep.
 
@@ -25,9 +26,7 @@ and ``generate`` refuses an order above ``GRAPH6_MAX_N`` with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from itertools import chain, combinations, product, repeat
-from typing import Union
 
 from .errors import (
     DisconnectedError,
@@ -39,6 +38,7 @@ from .errors import (
 from .graphs import (
     GRAPH6_MAX_N,
     Graph,
+    Record,
     build_graph,
     component_masks,
     induced_subgraph,
@@ -47,100 +47,49 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Path:
-    n: int
+def _descriptor(name: str, *fields: str) -> type[Record]:
+    """A descriptor class with the given fields and no code of its own, as
+    ``namedtuple`` builds one."""
+    return type(name, (Record,), {"_fields": fields, "__module__": __name__})
 
 
-@dataclass(frozen=True)
-class Cycle:
-    n: int
+Path = _descriptor("Path", "n")
+Cycle = _descriptor("Cycle", "n")
+Complete = _descriptor("Complete", "n")
+Star = _descriptor("Star", "k")
+SubdividedStar = _descriptor("SubdividedStar", "k")
+DoubleStar = _descriptor("DoubleStar", "a", "b")
+Corona = _descriptor("Corona", "inner")  # a FamilySpec
+FamilyG = _descriptor("FamilyG", "k1", "k2")
+FamilyH = _descriptor("FamilyH", "a", "b", "r")
+CartesianComplete = _descriptor("CartesianComplete", "n", "m")
+ProductDeleted = _descriptor("ProductDeleted", "l")
+DeadExample = _descriptor("DeadExample", "n")
+DisjointUnion = _descriptor("DisjointUnion", "parts")  # a tuple of FamilySpec
 
 
-@dataclass(frozen=True)
-class Complete:
-    n: int
-
-
-@dataclass(frozen=True)
-class Star:
-    k: int
-
-
-@dataclass(frozen=True)
-class SubdividedStar:
-    k: int
-
-
-@dataclass(frozen=True)
-class DoubleStar:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Corona:
-    inner: "FamilySpec"
-
-
-@dataclass(frozen=True)
-class Spider:
-    legs: tuple[int, ...]
+class Spider(Record):
+    _fields = ("legs",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "legs", tuple(sorted(self.legs)))
 
 
-@dataclass(frozen=True)
-class FamilyG:
-    k1: int
-    k2: int
-
-
-@dataclass(frozen=True)
-class FamilyH:
-    a: int
-    b: int
-    r: int
-
-
-@dataclass(frozen=True)
-class Galaxy:
-    sizes: tuple[int, ...]
+class Galaxy(Record):
+    _fields = ("sizes",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
 
 
-@dataclass(frozen=True)
-class CartesianComplete:
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class ProductDeleted:
-    l: int
-
-
-@dataclass(frozen=True)
-class DeadExample:
-    n: int
-
-
-@dataclass(frozen=True)
-class DisjointUnion:
-    parts: tuple["FamilySpec", ...]
-
-
-FamilySpec = Union[
-    Path, Cycle, Complete, Star, SubdividedStar, DoubleStar, Corona, Spider,
-    FamilyG, FamilyH, Galaxy, CartesianComplete, ProductDeleted, DeadExample,
-    DisjointUnion,
-]
+FamilySpec = (
+    Path | Cycle | Complete | Star | SubdividedStar | DoubleStar | Corona | Spider
+    | FamilyG | FamilyH | Galaxy | CartesianComplete | ProductDeleted | DeadExample
+    | DisjointUnion
+)
 
 # the text name of every descriptor class; parse_family and family_to_text
-# read the syntax off this table and the dataclass fields
+# read the syntax off this table and each class's _fields
 _NAMES = {
     Path: "path", Cycle: "cycle", Complete: "complete", Star: "star",
     SubdividedStar: "substar", DoubleStar: "doublestar", Corona: "cor",
@@ -343,12 +292,11 @@ FAMILY_G = "family_g"
 FAMILY_H = "family_h"
 
 
-@dataclass(frozen=True)
-class Hen1Class:
+class Hen1Class(Record):
     """Which order-n clause a connected graph falls under, if any."""
 
-    kind: str
-    r: int | None = None  # recovered subdivision count, family H only
+    _fields = ("kind", "r")
+    _defaults = {"r": None}  # recovered subdivision count, family H only
 
 
 def _is_path_graph(g: Graph) -> bool:
@@ -570,7 +518,7 @@ def parse_family(text: str) -> FamilySpec:
         if not values:
             raise InvalidSpecError(f"{name} needs at least one {kind} argument")
         return cls(tuple(values))
-    arity = len(fields(cls))
+    arity = len(cls._fields)
     if len(values) != arity:
         raise InvalidSpecError(f"{name} takes {arity} {kind} argument(s)")
     return cls(*values)
@@ -582,7 +530,7 @@ def family_to_text(spec: FamilySpec) -> str:
         raise InvalidSpecError(f"unknown family descriptor {spec!r}")
     if isinstance(spec, Complete):
         return f"K{spec.n}"
-    args = [getattr(spec, f.name) for f in fields(spec)]
+    args = spec._astuple()
     if isinstance(spec, _LISTS):
         args = args[0]
     text = [family_to_text(a) if isinstance(spec, _NESTED) else str(a) for a in args]

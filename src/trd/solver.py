@@ -85,10 +85,9 @@ and the enumeration :func:`enumerate_min_trd`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
 
 from .errors import (
     BudgetExceededError,
@@ -100,7 +99,7 @@ from .errors import (
     TooSmallError,
 )
 from .graphs import (
-    Graph, cached, component_masks, induced_subgraph, iter_bits,
+    Graph, Record, cached, component_masks, induced_subgraph, iter_bits,
     pair_index,
 )
 
@@ -121,11 +120,10 @@ _DP_MAX_WIDTH = 3
 _NEAR_WORK = 25
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Record):
     """An assignment f: V -> {0, 1, 2} stored as a value tuple."""
 
-    values: tuple[int, ...]
+    _fields = ("values",)
 
     def __post_init__(self) -> None:
         for v, x in enumerate(self.values):
@@ -137,24 +135,18 @@ class WeightFunction:
         return sum(self.values)
 
 
-@dataclass(frozen=True)
-class TrdVerdict:
+class TrdVerdict(Record):
     """Validity verdict with the first violating vertex and condition."""
 
-    valid: bool
-    vertex: int | None = None
-    condition: str | None = None  # "roman" or "total"
+    _fields = ("valid", "vertex", "condition")  # condition: "roman" or "total"
+    _defaults = {"vertex": None, "condition": None}
 
     def __bool__(self) -> bool:
         return self.valid
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    invariant: str
-    value: int
-    witness: WeightFunction
-    nodes_explored: int
+class SolveResult(Record):
+    _fields = ("invariant", "value", "witness", "nodes_explored")
 
 
 def _require_no_isolated(g: Graph) -> None:

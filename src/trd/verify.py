@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Iterator, Union
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 
 from . import families as fam
 from .criticality import (
@@ -50,6 +50,7 @@ from .errors import (
 from .graphs import (
     GRAPH6_MAX_N,
     Graph,
+    Record,
     add_edge,
     complement,
     component_masks,
@@ -75,32 +76,26 @@ from .solver import (
 ALL_LABELED_CEILING = 7
 
 
-@dataclass(frozen=True)
-class AllLabeled:
+class AllLabeled(Record):
     """Every labelled graph on 1..max_n vertices, optionally connected only."""
 
-    max_n: int
-    connected_only: bool = False
+    _fields = ("max_n", "connected_only")
+    _defaults = {"connected_only": False}
 
 
-@dataclass(frozen=True)
-class Families:
+class Families(Record):
     """A fixed list of family descriptors."""
 
-    specs: tuple[fam.FamilySpec, ...]
+    _fields = ("specs",)
 
 
-@dataclass(frozen=True)
-class RandomGnp:
+class RandomGnp(Record):
     """``count`` seeded G(n, p) samples; fully determined by the seed."""
 
-    count: int
-    n: int
-    p: float
-    seed: int
+    _fields = ("count", "n", "p", "seed")
 
 
-InstanceUniverse = Union[AllLabeled, Families, RandomGnp]
+InstanceUniverse = AllLabeled | Families | RandomGnp
 
 
 def universe_to_json(universe: InstanceUniverse) -> dict:
@@ -110,9 +105,9 @@ def universe_to_json(universe: InstanceUniverse) -> dict:
             "specs": [fam.family_to_text(s) for s in universe.specs],
         }
     if isinstance(universe, AllLabeled):
-        return {"source": "all_labeled", **asdict(universe), "no_isolated": True}
+        return {"source": "all_labeled", **universe._asdict(), "no_isolated": True}
     if isinstance(universe, RandomGnp):
-        return {"source": "random_gnp", **asdict(universe)}
+        return {"source": "random_gnp", **universe._asdict()}
     raise TypeError(f"not a universe: {universe!r}")
 
 
@@ -185,25 +180,18 @@ def enumerate_graphs(universe: InstanceUniverse) -> Iterator[Graph]:
         yield g
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    graph6: str
-    detail: str
+class Counterexample(Record):
+    _fields = ("graph6", "detail")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    theorem_id: str
-    universe: InstanceUniverse
-    instances_checked: int
-    outcome: str  # "pass" or "fail"
-    counterexamples: tuple[Counterexample, ...]
+class VerificationReport(Record):
+    # outcome: "pass" or "fail"
+    _fields = ("theorem_id", "universe", "instances_checked", "outcome",
+               "counterexamples")
 
     def to_json(self) -> dict:
-        # asdict would copy the universe's descriptors only to drop them
-        fields = asdict(replace(self, universe=None))
-        return {**fields, "universe": universe_to_json(self.universe),
-                "counterexamples": list(fields["counterexamples"])}
+        return {**self._asdict(), "universe": universe_to_json(self.universe),
+                "counterexamples": [c._asdict() for c in self.counterexamples]}
 
 
 MAX_COUNTEREXAMPLES = 20
@@ -534,6 +522,8 @@ def _check_rd_deadpair(g: Graph, spec) -> str | None:
 # the registry
 
 
+# the one dataclass in the package, left so because the benchmark's tracer
+# rebuilds entries with dataclasses.replace
 @dataclass(frozen=True)
 class TheoremEntry:
     theorem_id: str
@@ -952,7 +942,7 @@ def run_registry(
     for universe, ids in groups.items():
         reports.update(zip(ids, _sweep(universe, ids, jobs)))
     # equal universes may still print differently (p=1 and p=1.0)
-    return [replace(reports[tid], universe=u) for tid, u in universes.items()]
+    return [reports[tid]._replace(universe=u) for tid, u in universes.items()]
 
 
 def _hunt_q1(g: Graph, spec) -> str | None:

@@ -47,3 +47,30 @@ def test_import_loads_only_what_the_module_imports():
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert set(out.split()) == {f"trd.{m}" for m in loaded}, module
+
+
+def test_theorem_entry_is_the_only_dataclass():
+    # every other value class is a graphs.Record: @dataclass costs about
+    # 0.45 ms per class at every trd start.  TheoremEntry stays a dataclass
+    # because the benchmark's tracer rebuilds registry entries with
+    # dataclasses.replace.
+    import trd.cli  # noqa: F401  (loads every package module)
+
+    found = sorted(
+        f"{name}.{cls.__name__}"
+        for name, module in list(sys.modules.items()) if name.startswith("trd.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and "__dataclass_fields__" in vars(cls)
+    )
+    assert found == ["trd.verify.TheoremEntry"]
+
+
+def test_cli_import_loads_no_typing():
+    # -S keeps site out: a .pth file in site-packages may import typing
+    # before trd does
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(trd.__file__).parents[1]))
+    script = "import sys, trd.cli; print('typing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
