@@ -9,7 +9,7 @@ sweep per distinct universe.  On an all-labelled universe a claim flagged
 ``label_invariant`` meets one canonical representative per isomorphism
 class instead of every labelling, and each check counts as the class's
 orbit, so ``instances_checked`` is the labelled count either way; a claim
-that fails there is swept again labelled, for labelled counterexamples.
+that fails there names its failing classes' canonical representatives.
 Reports are deterministic: the same universe and theorem always produce
 the same bytes, however the claims are grouped and however many
 processes run the checks.  A passing report over a bounded universe is
@@ -112,7 +112,10 @@ def universe_to_json(universe: InstanceUniverse) -> dict:
 
 
 def _labeled_orders(universe: AllLabeled) -> range:
-    if not 1 <= universe.max_n <= ALL_LABELED_CEILING:
+    if universe.max_n < 1:
+        raise OutOfRangeError(
+            f"all-labelled enumeration needs max_n >= 1, got {universe.max_n}")
+    if universe.max_n > ALL_LABELED_CEILING:
         raise UniverseTooLargeError(
             f"all-labelled enumeration is capped at n <= {ALL_LABELED_CEILING}"
         )
@@ -173,11 +176,6 @@ def enumerate_instances(
                 yield None, g
         return
     raise TypeError(f"not a universe: {universe!r}")
-
-
-def enumerate_graphs(universe: InstanceUniverse) -> Iterator[Graph]:
-    for _, g in enumerate_instances(universe):
-        yield g
 
 
 class Counterexample(Record):
@@ -817,7 +815,6 @@ def _sweep(
     universe: InstanceUniverse,
     ids: list[str],
     jobs: int,
-    by_class: bool = True,
 ) -> list[VerificationReport]:
     """Check the claims ``ids`` over one enumeration of ``universe``.
 
@@ -829,15 +826,15 @@ def _sweep(
     work item ``(weight, ids, spec, g)``, weight being the number of
     instances it counts for, whose checks run here when ``jobs`` is 1 and
     in a pool worker otherwise.  Results come back in instance order,
-    so the reports do not depend on ``jobs``.  A claim that fails on some
-    class is swept again over the labelled graphs, so its counterexamples
-    are the labelled ones.
+    so the reports do not depend on ``jobs``.  A label-invariant claim's
+    counterexamples are therefore canonical class representatives, in
+    class order; every other claim's are labelled graphs.
     """
     entries = [_claim(cid) for cid in ids]
     position = {cid: i for i, cid in enumerate(ids)}
     checked = [0] * len(ids)
     found: list[list[Counterexample]] = [[] for _ in ids]
-    by_class = by_class and isinstance(universe, AllLabeled)
+    by_class = isinstance(universe, AllLabeled)
     classed = [cid for cid, e in zip(ids, entries) if by_class and e.label_invariant]
     labeled = [cid for cid in ids if cid not in classed]
     streams = []
@@ -875,18 +872,13 @@ def _sweep(
             if detail is not None and len(found[i]) < MAX_COUNTEREXAMPLES:
                 prefix = f"{fam.family_to_text(spec)}: " if spec is not None else ""
                 found[i].append(Counterexample(graph6_encode(g), prefix + detail))
-    reports = [
+    return [
         VerificationReport(
             cid, universe, checked[i], "fail" if found[i] else "pass",
             tuple(found[i]),
         )
         for i, cid in enumerate(ids)
     ]
-    failed = [cid for cid in classed if found[position[cid]]]
-    if failed:
-        for cid, report in zip(failed, _sweep(universe, failed, jobs, False)):
-            reports[position[cid]] = report
-    return reports
 
 
 def _theorem_universe(
@@ -929,7 +921,7 @@ def run_registry(
     theorems in id order.  On an all-labelled universe the label-invariant
     theorems share one pass over the isomorphism classes instead, each
     class weighted by its orbit size.  Counts and counterexamples are
-    those of running each theorem on its own over every labelled graph.
+    those of running each theorem on its own.
     """
     overrides = universe_overrides or {}
     universes = {

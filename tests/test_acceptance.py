@@ -38,7 +38,7 @@ from trd.verify import (
     AllLabeled,
     Families,
     RandomGnp,
-    enumerate_graphs,
+    enumerate_instances,
     verify_theorem,
 )
 
@@ -54,7 +54,7 @@ def _report(num: int, passed: bool, detail: str, started: float) -> None:
 def _random_no_isolated(n: int, count: int, seed: int):
     """First ``count`` draws of a seeded G(n, 1/2) universe, which skips
     the draws with isolated vertices."""
-    draws = enumerate_graphs(RandomGnp(4 * count, n, 0.5, seed))
+    draws = (g for _, g in enumerate_instances(RandomGnp(4 * count, n, 0.5, seed)))
     graphs = list(itertools.islice(draws, count))
     assert len(graphs) == count, "seeded stream ran dry before reaching the quota"
     return graphs
@@ -63,7 +63,7 @@ def _random_no_isolated(n: int, count: int, seed: int):
 def test_criterion_01_oracle_equivalence():
     started = time.time()
     checked = 0
-    for g in enumerate_graphs(AllLabeled(6, connected_only=True)):
+    for _, g in enumerate_instances(AllLabeled(6, connected_only=True)):
         assert gamma_tr_value(g) == brute_oracle_gamma_tr(g), g
         checked += 1
     assert checked == 27475

@@ -63,7 +63,7 @@ from trd.solver import (
     is_trd_function,
     reset_caches,
 )
-from trd.verify import AllLabeled, enumerate_graphs, verify_theorem
+from trd.verify import AllLabeled, enumerate_instances, verify_theorem
 
 
 # --- test-local oracles: raw definition scans, no search tricks ------------
@@ -271,7 +271,7 @@ class TestClassicalNumbers:
         assert gamma_value(single) == gamma_r_value(single) == 1
 
     def test_reset_caches_empties_the_memo(self):
-        graphs = list(enumerate_graphs(AllLabeled(4)))
+        graphs = [g for _, g in enumerate_instances(AllLabeled(4))]
         values = [(gamma_tr_value(g), *classical_numbers(g)) for g in graphs]
         assert {"gamma_tR", "gamma", "gamma_t", "gamma_R"} <= {
             kind for kind, _ in solver._MEMO}

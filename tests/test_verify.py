@@ -27,10 +27,13 @@ from trd.families import (
     parse_family,
 )
 from trd.graphs import (
+    _canonical_form,
+    _colours,
     add_edge,
     build_graph,
     from_edge_mask,
     graph6_decode,
+    graph6_encode,
     graph_classes,
     is_connected,
 )
@@ -41,13 +44,14 @@ from trd.solver import (
     gamma_tr_value,
 )
 from trd.verify import (
+    MAX_COUNTEREXAMPLES,
     QUESTIONS,
     AllLabeled,
     Families,
     RandomGnp,
     THEOREMS,
+    Counterexample,
     TheoremEntry,
-    enumerate_graphs,
     enumerate_instances,
     hunt_counterexamples,
     run_registry,
@@ -62,7 +66,7 @@ _CONNECTED_CLAIMS = ("T_HEN1", "T_HEN3", "T_NCRIT", "T_OBS1", "T_T2IFF")
 
 class TestEnumeration:
     def test_all_labeled_two(self):
-        graphs = list(enumerate_graphs(AllLabeled(2)))
+        graphs = [g for _, g in enumerate_instances(AllLabeled(2))]
         assert len(graphs) == 1
         assert graphs[0].edges() == [(0, 1)]
 
@@ -70,7 +74,7 @@ class TestEnumeration:
         # hand enumeration: at order 3 the 8 labelled graphs reduce to the
         # three labelled paths plus the triangle; cumulative enumeration
         # also yields K_2 from the order-2 stratum
-        graphs = list(enumerate_graphs(AllLabeled(3, connected_only=True)))
+        graphs = [g for _, g in enumerate_instances(AllLabeled(3, connected_only=True))]
         orders = sorted(g.n for g in graphs)
         assert orders == [2, 3, 3, 3, 3]
         stratum3 = [g for g in graphs if g.n == 3]
@@ -79,26 +83,31 @@ class TestEnumeration:
 
     def test_all_labeled_counts_without_isolated(self):
         # inclusion-exclusion check: 1 + 4 + 41 labelled graphs at n <= 4
-        graphs = list(enumerate_graphs(AllLabeled(4)))
+        graphs = [g for _, g in enumerate_instances(AllLabeled(4))]
         assert len(graphs) == 46
 
     def test_exactly_once(self):
-        graphs = list(enumerate_graphs(AllLabeled(3)))
+        graphs = [g for _, g in enumerate_instances(AllLabeled(3))]
         keys = [(g.n, g.edge_mask) for g in graphs]
         assert len(keys) == len(set(keys)) == 1 + 4
 
     def test_ceiling(self):
         with pytest.raises(UniverseTooLargeError):
-            list(enumerate_graphs(AllLabeled(8)))
+            list(enumerate_instances(AllLabeled(8)))
+
+    @pytest.mark.parametrize("stream", [enumerate_instances, trd.verify._class_instances])
+    def test_all_labeled_refuses_order_below_one(self, stream):
+        with pytest.raises(OutOfRangeError, match="max_n >= 1, got 0"):
+            next(stream(AllLabeled(0)))
 
     def test_random_gnp_deterministic(self):
-        a = [g.edge_mask for g in enumerate_graphs(RandomGnp(5, 8, 0.5, 42))]
-        b = [g.edge_mask for g in enumerate_graphs(RandomGnp(5, 8, 0.5, 42))]
+        a = [g.edge_mask for _, g in enumerate_instances(RandomGnp(5, 8, 0.5, 42))]
+        b = [g.edge_mask for _, g in enumerate_instances(RandomGnp(5, 8, 0.5, 42))]
         assert a == b and len(a) == 5
 
     def test_random_gnp_seed_matters(self):
-        a = [g.edge_mask for g in enumerate_graphs(RandomGnp(5, 8, 0.5, 42))]
-        b = [g.edge_mask for g in enumerate_graphs(RandomGnp(5, 8, 0.5, 43))]
+        a = [g.edge_mask for _, g in enumerate_instances(RandomGnp(5, 8, 0.5, 42))]
+        b = [g.edge_mask for _, g in enumerate_instances(RandomGnp(5, 8, 0.5, 43))]
         assert a != b
 
     @pytest.mark.parametrize("n", [0, -2])
@@ -132,7 +141,7 @@ class TestNoIsolatedUniverse:
         masks = [sum(1 << k for k in range(15) if rng.random() < 0.2)
                  for _ in range(60)]
         kept = [m for m in masks if not from_edge_mask(6, m).has_isolated_vertices()]
-        drawn = [g.edge_mask for g in enumerate_graphs(RandomGnp(60, 6, 0.2, 7))]
+        drawn = [g.edge_mask for _, g in enumerate_instances(RandomGnp(60, 6, 0.2, 7))]
         assert drawn == kept and len(drawn) == 14
 
     def test_family_members_with_isolated_vertices_are_skipped(self):
@@ -332,28 +341,89 @@ class TestClassSweep:
 
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_class_sweep_matches_labelled_sweep(self, connected_only):
+        # the labelled reference: each flagged claim's hypothesis and check
+        # run here over every labelled graph of the universe
         universe = AllLabeled(5, connected_only)
         ids = _flagged()
-        by_class = trd.verify._sweep(universe, ids, 1)
-        assert by_class == trd.verify._sweep(universe, ids, 1, by_class=False)
+        entries = [trd.verify._claim(cid) for cid in ids]
+        checked = [0] * len(ids)
+        failed = [False] * len(ids)
+        for spec, g in enumerate_instances(universe):
+            for i, entry in enumerate(entries):
+                if entry.hypothesis is None or entry.hypothesis(g):
+                    checked[i] += 1
+                    failed[i] |= entry.check(g, spec) is not None
+        reports = trd.verify._sweep(universe, ids, 1)
+        assert [(r.instances_checked, r.outcome) for r in reports] == [
+            (c, "fail" if f else "pass") for c, f in zip(checked, failed)
+        ]
+
+    def test_every_labelling_agrees_with_its_representative(self):
+        # a flagged claim meets only class representatives, so a wrong
+        # label_invariant flag would hide failures: every labelled graph of
+        # order <= 5 gets the hypothesis and verdict of its representative
+        entries = [trd.verify._claim(cid) for cid in _flagged()]
+
+        def verdicts(g):
+            # per claim: None if the hypothesis drops g, else whether g passes
+            return [
+                None if e.hypothesis is not None and not e.hypothesis(g)
+                else e.check(g, None) is None
+                for e in entries
+            ]
+
+        classes = {n: {mask for mask, _ in graph_classes(n)} for n in range(1, 6)}
+        of_class = {}
+        for _, g in enumerate_instances(AllLabeled(5)):
+            mask, _ = _canonical_form(g.adj, _colours(g.adj))
+            assert mask in classes[g.n]
+            if (g.n, mask) not in of_class:
+                of_class[g.n, mask] = verdicts(from_edge_mask(g.n, mask))
+            assert verdicts(g) == of_class[g.n, mask], graph6_encode(g)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_flagged_claim_reports_labelled(
+    def test_failing_flagged_claim_reports_its_classes(
         self, failing_entry, monkeypatch, jobs
     ):
-        labelled = verify_theorem("T_ALWAYS_FAIL", AllLabeled(4))
         flagged = replace(failing_entry, label_invariant=True)
         monkeypatch.setitem(THEOREMS, "T_ALWAYS_FAIL", flagged)
-        assert verify_theorem("T_ALWAYS_FAIL", AllLabeled(4), jobs) == labelled
+        universe = AllLabeled(4)
+        classes = list(trd.verify._class_instances(universe))
+        expected = tuple(
+            Counterexample(graph6_encode(g), "synthetic violation")
+            for _, g in classes[:MAX_COUNTEREXAMPLES]
+        )
+        report = verify_theorem("T_ALWAYS_FAIL", universe, jobs)
+        assert report.instances_checked == 46 == sum(w for w, _ in classes)
+        assert report.outcome == "fail"
+        assert report.counterexamples == expected
 
     def test_failing_flagged_claim_in_a_shared_group(
         self, failing_entry, monkeypatch
     ):
         overrides = _labeled_at_four()
-        labelled = run_registry(overrides)
+        before = {r.theorem_id: r for r in run_registry(overrides)}
         flagged = replace(failing_entry, label_invariant=True)
         monkeypatch.setitem(THEOREMS, "T_ALWAYS_FAIL", flagged)
-        assert run_registry(overrides) == labelled
+        after = {r.theorem_id: r for r in run_registry(overrides)}
+        alone = verify_theorem("T_ALWAYS_FAIL", AllLabeled(4))
+        assert after.pop("T_ALWAYS_FAIL") == alone != before.pop("T_ALWAYS_FAIL")
+        assert after == before
+
+    def test_flagged_claims_never_reach_the_labelled_stream(
+        self, failing_entry, monkeypatch
+    ):
+        monkeypatch.setitem(
+            THEOREMS, "T_ALWAYS_FAIL", replace(failing_entry, label_invariant=True)
+        )
+
+        def refuse(universe):
+            raise AssertionError(f"enumerate_instances({universe!r})")
+
+        monkeypatch.setattr(trd.verify, "enumerate_instances", refuse)
+        assert verify_theorem("T_ALWAYS_FAIL", AllLabeled(4)).outcome == "fail"
+        assert verify_theorem("T_TR3", AllLabeled(4)).outcome == "pass"
+        assert hunt_counterexamples("Q2_dead_in_critical", AllLabeled(4)).outcome == "pass"
 
     def test_classes_never_reach_other_universes(self, monkeypatch):
         calls = []
