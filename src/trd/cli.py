@@ -41,6 +41,7 @@ from .graphs import (
 )
 from .solver import classical_numbers, gamma_tr
 from .verify import (
+    ALL_LABELED_CEILING,
     QUESTIONS,
     AllLabeled,
     Families,
@@ -147,7 +148,8 @@ _INPUT = {
 }
 _UNIVERSE = {
     "--all-labeled": ("all_labeled", _positive_int,
-                      "all labelled graphs of order up to this (at most 7)"),
+                      "all labelled graphs of order up to this"
+                      f" (at most {ALL_LABELED_CEILING})"),
     "--connected": ("connected", _SWITCH,
                     "restrict --all-labeled to connected graphs"),
     "--random": ("random", _gnp_spec, "seeded G(n,p) samples, as COUNT,N,P"),

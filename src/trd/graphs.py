@@ -305,25 +305,20 @@ def _canonical_form(adj: list[int], colour: list[int]) -> tuple[int, int]:
     return best, count
 
 
-@lru_cache(maxsize=None)
-def graph_classes(n: int) -> tuple[tuple[int, int], ...]:
-    """(canonical colex mask, orbit size) of every isomorphism class of
-    graphs of order n, sorted by mask; the orbit sizes sum to 2^C(n,2).
-
-    Order n grows from order n - 1 by canonical deletion: vertex n - 1
+def _grow_classes(
+    classes: tuple[tuple[int, int], ...], n: int
+) -> tuple[tuple[int, int], ...]:
+    """The classes of order n, as :func:`graph_classes` gives them, from
+    ``classes``, those of order n - 1, by canonical deletion: vertex n - 1
     joins each class representative with every neighbour set, and only
     joins that put it in the last colour cell, of largest degree, count.
     No class is lost: deleting a last-cell vertex leaves a copy of a
     representative, and colours commute with relabelling.  The orbit of
     a class is its n!/|Aut| labellings.
     """
-    if n < 1:
-        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
-    if n == 1:
-        return ((0, 1),)
     last = n - 1
     forms: dict[int, int] = {}
-    for mask, _ in graph_classes(last):
+    for mask, _ in classes:
         base = list(from_edge_mask(last, mask).adj)
         top = max(a.bit_count() for a in base)
         tops = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
@@ -338,6 +333,65 @@ def graph_classes(n: int) -> tuple[tuple[int, int], ...]:
                 forms.setdefault(*_canonical_form(adj, colour))
     labellings = math.factorial(n)
     return tuple((form, labellings // aut) for form, aut in sorted(forms.items()))
+
+
+# graph_classes(n) for n = 1..6, one block per order, blocks parted by a
+# blank line: hex "mask:orbit" pairs as _grow_classes builds them from
+# order 1, which the tests check.  A string, parsed on first use (0.2 ms
+# for all six), compiles in 0.025 ms at every start where a tuple literal
+# takes 1.5 ms (2 vCPU, Python 3.11).
+_CLASS_TABLE = """\
+0:1
+
+0:1 1:1
+
+0:1 4:3 6:3 7:1
+
+0:1 c:3 1e:3 20:6 2c:c 30:c 34:4 38:4 3c:c 3e:6 3f:1
+
+0:1 a0:f ec:c 1b0:f 1f8:a 200:a 2a0:3c 300:1e 301:1e 30c:3c 320:a 321:a 354:3c
+370:3c 371:3c 380:14 388:3c 3a0:3c 3a1:3c 3b0:1e 3b2:3c 3b3:1e 3b4:5 3c0:5
+3cc:f 3de:f 3e0:1e 3ec:3c 3f0:3c 3f4:14 3f8:a 3fc:1e 3fe:a 3ff:1
+
+0:1 4a0:f d70:3c f00:5a f21:a 1200:2d 1aa0:48 1df8:a 1eec:3c 3300:2d 3301:2d
+3754:5a 3780:b4 3781:b4 378c:b4 3b80:3c 3b88:b4 3f80:78 3fc0:f 3fcc:2d 3fde:f
+3fe0:5a 4000:f 4f00:5a 4f0c:b4 4f21:5a 5200:b4 5201:b4 520c:168 56a0:168
+5a08:168 5f18:168 6000:3c 6004:b4 60a0:168 6200:14 6204:3c 6206:3c 64a4:168
+66a0:78 6920:168 6921:168 6b00:168 6b03:168 6b04:168 6b0c:168 6d20:b4 6f20:b4
+6f21:b4 6f24:168 6f25:168 6f70:78 7000:3c 7001:3c 7050:168 7080:168 70e0:b4
+7198:2d0 7200:b4 7201:b4 7204:168 7205:168 7256:168 7282:2d0 7300:5a 7301:5a
+730c:b4 730d:b4 7310:168 7311:168 7314:b4 7315:b4 7320:f 7321:f 7684:2d0
+7714:168 7715:168 7774:5a 7775:5a 7780:b4 7781:b4 778c:168 778d:168 779e:b4
+77a0:b4 77a1:b4 7800:1e 7840:78 78a0:5a 78e8:168 79b0:5a 79f8:b4 7a00:b4
+7a02:168 7a03:b4 7a40:168 7a44:168 7aa0:168 7aa3:168 7ae2:2d0 7aec:168 7b00:168
+7b01:168 7b08:2d0 7b09:2d0 7b12:2d0 7b20:78 7b21:78 7b50:2d0 7b54:168 7b80:3c
+7b88:b4 7b8a:b4 7b8b:3c 7ba0:b4 7ba1:b4 7ba8:168 7ba9:168 7bb0:3c 7bb2:78
+7bb3:3c 7bb4:6 7c00:6 7ca0:5a 7cec:48 7db0:5a 7df8:3c 7e00:3c 7ea0:168 7f00:b4
+7f01:b4 7f0c:168 7f20:3c 7f21:3c 7f54:168 7f70:168 7f71:168 7f80:78 7f88:168
+7fa0:168 7fa1:168 7fb0:b4 7fb2:168 7fb3:b4 7fb4:1e 7fc0:f 7fcc:2d 7fde:2d
+7fe0:5a 7fec:b4 7ff0:b4 7ff4:3c 7ff8:14 7ffc:3c 7ffe:f 7fff:1"""
+_CLASS_TABLE_MAX_N = 6
+
+
+@lru_cache(maxsize=None)
+def graph_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """(canonical colex mask, orbit size) of every isomorphism class of
+    graphs of order n, sorted by mask; the orbit sizes sum to 2^C(n,2).
+
+    Orders up to 6 (208 classes) are read from ``_CLASS_TABLE``; each
+    larger order is grown from the one below by :func:`_grow_classes`.
+    The canonical mask is the least colex mask over the orders that list
+    the colour cells of :func:`_colours` in turn.
+    """
+    if n < 1:
+        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    if n > _CLASS_TABLE_MAX_N:
+        return _grow_classes(graph_classes(n - 1), n)
+    block = _CLASS_TABLE.split("\n\n")[n - 1]
+    return tuple(
+        (int(mask, 16), int(orbit, 16))
+        for mask, orbit in (pair.split(":") for pair in block.split())
+    )
 
 
 def complement(g: Graph) -> Graph:
@@ -420,9 +474,10 @@ def universal_vertex(g: Graph) -> int | None:
 
 
 def graph6_encode(g: Graph) -> str:
-    """Short-form graph6 encoding (n <= 62)."""
+    """Short-form graph6 encoding (n <= GRAPH6_MAX_N)."""
     if g.n > GRAPH6_MAX_N:
-        raise GraphTooLargeError(f"graph6 short form supports n <= 62, got {g.n}")
+        raise GraphTooLargeError(
+            f"graph6 short form supports n <= {GRAPH6_MAX_N}, got {g.n}")
     mask = g.edge_mask
     m = g.n * (g.n - 1) // 2
     chars = [chr(63 + g.n)]

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -33,6 +37,7 @@ from trd.errors import (
 from trd.graphs import (
     _canonical_form,
     _colours,
+    _grow_classes,
     add_edge,
     build_graph,
     complement,
@@ -392,6 +397,36 @@ class TestGraphClasses:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_canonical_deletion_keeps_every_class(self, n):
         assert graph_classes(n) == _every_candidate_classes(n)
+
+    def test_growth_step_rebuilds_the_table(self):
+        # the table of orders <= 6 is what canonical deletion grows from
+        # order 1: the same pairs, of the same types, in the same order
+        classes = ((0, 1),)
+        assert graph_classes(1) == classes
+        for n in range(2, 7):
+            classes = _grow_classes(classes, n)
+            table = graph_classes(n)
+            assert table == classes, n
+            assert all(type(x) is int for pair in table for x in pair), n
+
+    def test_table_needs_no_canonical_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph_classes(6) canonicalised a graph")
+
+        monkeypatch.setattr(trd.graphs, "_canonical_form", refuse)
+        graph_classes.cache_clear()
+        classes = graph_classes(6)
+        assert len(classes) == 156
+        assert sum(orbit for _, orbit in classes) == 2 ** 15
+
+    def test_cli_import_reads_no_classes(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(trd.__file__).parents[1]))
+        script = ("import trd.cli\n"
+                  "from trd.graphs import graph_classes\n"
+                  "print(graph_classes.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0"]
 
     @given(any_graphs(1, 8))
     def test_colours_refine_degrees(self, g):

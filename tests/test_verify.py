@@ -1,5 +1,6 @@
 """Universe enumeration, theorem reports, hunts, and report serialization."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -309,6 +310,16 @@ class TestClassSweep:
             weights = sum(w for mask, w in graph_classes(n) if kept(n, mask))
             labelled = sum(kept(n, m) for m in range(1 << (n * (n - 1) // 2)))
             assert weights == labelled, n
+
+    def test_class_stream_is_pinned(self):
+        # the representatives, in order, that a failing label-invariant
+        # claim lists on AllLabeled(6), pinned by value
+        classes = list(trd.verify._class_instances(AllLabeled(6)))
+        lines = "\n".join(f"{orbit} {graph6_encode(g)}" for orbit, g in classes)
+        assert len(classes) == 155
+        assert sum(orbit for orbit, _ in classes) == 28263
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "c039faabfd763e1caf98205a4669517e98e8e5207be7cf3bc367d2125b964fca")
 
     def test_class_stream_keeps_the_ceiling(self):
         with pytest.raises(UniverseTooLargeError):
