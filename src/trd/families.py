@@ -249,17 +249,23 @@ def dead_example_w_vertices(n: int) -> tuple[int, ...]:
     return tuple(range(2 * n + 1, 3 * n + 1))
 
 
+def _spider_legs(legs: tuple[int, ...] | list[int], use: str) -> list[int]:
+    """``legs`` sorted, checked for ``use``: k >= 3 legs, each >= 1."""
+    legs = sorted(legs)
+    if len(legs) < 3:
+        raise TooFewLegsError(f"{use} needs k >= 3 legs, got {len(legs)}")
+    if any(l < 1 for l in legs):
+        raise InvalidSpecError("spider legs must be >= 1")
+    return legs
+
+
 def spider_gamma_formula(legs: tuple[int, ...] | list[int]) -> int:
     """Closed-form gamma_tR of a spider with k >= 3 legs.
 
     With n the order and y the number of legs of length 2: n when
     y >= k-1, n-k+y+1 when 1 <= y < k-1, and n-k+2 when y = 0.
     """
-    legs = tuple(legs)
-    if len(legs) < 3:
-        raise TooFewLegsError(f"formula needs k >= 3 legs, got {len(legs)}")
-    if any(l < 1 for l in legs):
-        raise InvalidSpecError("spider legs must be >= 1")
+    legs = _spider_legs(legs, "formula")
     k = len(legs)
     n = 1 + sum(legs)
     y = sum(1 for l in legs if l == 2)
@@ -273,11 +279,7 @@ def spider_gamma_formula(legs: tuple[int, ...] | list[int]) -> int:
 def spider_is_critical(legs: tuple[int, ...] | list[int]) -> bool:
     """Whether Sp(l_1..l_k) is edge-critical: all legs 2 except possibly the
     longest, which must be 2, 4, or at least 6."""
-    legs = sorted(legs)
-    if len(legs) < 3:
-        raise TooFewLegsError(f"criticality needs k >= 3 legs, got {len(legs)}")
-    if any(l < 1 for l in legs):
-        raise InvalidSpecError("spider legs must be >= 1")
+    legs = _spider_legs(legs, "criticality")
     if any(l != 2 for l in legs[:-1]):
         return False
     last = legs[-1]

@@ -18,13 +18,15 @@ a graph whose questions different functions ask in turn is routed once.
 
 The DP codes each frontier state as one base-6 integer and looks its
 transitions up in rows shared by every DP through the step's shape,
-built lazily.  Both engines answer through
-``decide(pins, cap, first_hit, budget)``: the least weight <= cap of a
-function with the pinned values, else None; a function of that weight;
-and the nodes spent.  ``twos()`` gives the least weight with values
-{0, 2}, asked of a component only when the constructive probe misses the
-floor, 4 for gamma_t and 2 for gamma, that a dominating vertex (or, for
-gamma_t, a dominating edge) meets.  The witness search skips every
+built lazily.  Both engines answer through ``decide(pins, cap, budget)``:
+without pins, the least weight <= cap, else None; with pins, a weight
+<= cap of a function with the pinned values, the first branch and bound
+meets and the least the DP finds, else None; a function of that weight;
+and the nodes spent.  Below ``gamma_tr`` a budget is always a number,
+``math.inf`` when none is given.  ``twos()`` gives the least weight with
+values {0, 2}, asked of a component only when the constructive probe
+misses the floor, 4 for gamma_t and 2 for gamma, that a dominating vertex
+(or, for gamma_t, a dominating edge) meets.  The witness search skips every
 value that a returned function already shows to work.  Both list the
 dead vertices through ``dead(value)``, given the value their component
 already has: branch and bound by two pinned searches per vertex, the DP
@@ -41,14 +43,15 @@ the three cases on its own order.  The near scan (``_Near``) fills one
 table per component at its first pair question (``_Part.near``), over
 the functions of the component lighter than its gamma_tR whose unmet
 conditions sit on at most two vertices; it builds no graph and runs no
-pinned search.  Branch and bound always takes the scan.  A DP component
-takes it, on a branch-and-bound engine built for it, when the sets of 2s
-the scan may walk, at most C(n, (gamma_tR - 1) // 2), times
-``_NEAR_WORK`` are at most the case-table work, estimated as the nodes of
-the DP's unpinned run times the component's non-edges; else its case
-tables.  A pair across two components builds no graph either: per case
-it adds the two ends' ``at(w, xs, waive)``, each component's least
-weight with f(w) in xs and w's condition waived if asked.
+pinned search.  It reads the component's graph and the packing centres
+of ``_packing``, which branch and bound shares, so it builds no engine.
+Branch and bound always takes the scan.  A DP component takes it when
+the sets of 2s the scan may walk, at most C(n, (gamma_tR - 1) // 2),
+times ``_NEAR_WORK`` are at most the case-table work, estimated as the
+nodes of the DP's unpinned run times the component's non-edges; else
+its case tables.  A pair across two components builds no graph either:
+per case it adds the two ends' ``at(w, xs, waive)``, each component's
+least weight with f(w) in xs and w's condition waived if asked.
 
 Every value of order <= 6 (gamma, gamma_t, gamma_R, gamma_tR) is read
 from one memo: per invariant and order a bytearray indexed by the colex
@@ -176,14 +179,28 @@ def is_trd_function(g: Graph, f: WeightFunction) -> TrdVerdict:
     return TrdVerdict(True)
 
 
+def _packing(g: Graph) -> list[int]:
+    """The centres of a packing of G, vertices whose closed neighbourhoods
+    are pairwise disjoint, taken greedily by lowest degree, then lowest
+    index."""
+    centres = []
+    used = 0
+    for w in sorted(range(g.n), key=g.degrees.__getitem__):
+        closed = g.adj[w] | 1 << w
+        if not closed & used:
+            centres.append(w)
+            used |= closed
+    return centres
+
+
 class _WeightSearch:
     """Branch-and-bound minimiser for RD/TRD-function weight, and with the
     1s off for twice the size of a (total) dominating set."""
 
     __slots__ = (
         "g", "n", "adj", "closed", "by_degree", "packing", "full", "total",
-        "budget", "nodes", "best", "found", "cap",
-        "first_hit", "done", "waived", "live", "ones", "meet",
+        "budget", "nodes", "best", "found", "first_hit", "done", "waived",
+        "live", "ones", "meet",
     )
 
     def __init__(self, g: Graph, total: bool):
@@ -195,22 +212,14 @@ class _WeightSearch:
         # sort is stable under reverse)
         order = sorted(range(g.n), key=g.degrees.__getitem__, reverse=True)
         self.by_degree = [1 << w for w in order]
-        # the closed neighbourhoods of a packing, taken greedily by lowest
-        # degree, then lowest index: f(N[p]) >= 2 holds for every
-        # TRD-function and every function with values {0, 2}, not for
-        # RD-functions
-        packing = []
-        used = 0
-        for w in sorted(range(g.n), key=g.degrees.__getitem__):
-            if not closed[w] & used:
-                packing.append(closed[w])
-                used |= closed[w]
-        self.packing = self.live = packing
+        # f(N[p]) >= 2 holds for every TRD-function and every function with
+        # values {0, 2}, not for RD-functions
+        self.packing = self.live = [closed[p] for p in _packing(g)]
         self.full = g.full_mask
         self.total = total
 
-    def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
-               budget: int | None = None) -> tuple[int | None, list | None, int]:
+    def decide(self, pins: dict[int, int], cap: int,
+               budget: float = math.inf) -> tuple[int | None, list | None, int]:
         """The engine contract (see the module docstring).  Without pins the
         search starts from the constructive probe, whose function is
         returned when it is the answer."""
@@ -218,7 +227,7 @@ class _WeightSearch:
             probe = cap + 1
         else:
             probe, self.found = _probe(self.g, self.total)
-        weight = self.solve(pins, min(cap, probe - 1), first_hit, budget)
+        weight = self.solve(pins, min(cap, probe - 1), bool(pins), budget)
         if weight is None:
             if probe > cap:
                 return None, None, self.nodes
@@ -228,16 +237,16 @@ class _WeightSearch:
 
     def dead(self, value: int) -> list[int]:
         """The vertices that no function of weight ``value``, the minimum,
-        gives a positive value: two pinned first-hit searches each."""
+        gives a positive value: two pinned searches each."""
         return [v for v in range(self.n)
-                if all(self.decide({v: x}, value, True)[0] is None for x in (1, 2))]
+                if all(self.decide({v: x}, value)[0] is None for x in (1, 2))]
 
     def at(self, w: int, xs: tuple[int, ...], waive: bool) -> float:
         """The least weight with f(w) in ``xs`` and, if ``waive``, w's condition
         met from outside, else inf: one pinned search per value in ``xs``."""
         best = math.inf
         for x in xs:
-            weight = self.solve({w: x}, min(best - 1, 2 * self.n), False, None,
+            weight = self.solve({w: x}, min(best - 1, 2 * self.n), False, math.inf,
                                 w if waive else None)
             if weight is not None:
                 best = weight
@@ -246,7 +255,7 @@ class _WeightSearch:
     def twos(self) -> int:
         """The least weight of a function with values {0, 2}: one search
         with the 1s off."""
-        return self.solve({}, 2 * self.n, False, None, ones=False)
+        return self.solve({}, 2 * self.n, False, math.inf, None, False)
 
     def solve(self, pins, cap, first_hit, budget, waive: int | None = None,
               ones: bool = True) -> int | None:
@@ -256,9 +265,10 @@ class _WeightSearch:
 
         With ``first_hit`` the search stops at the first assignment within
         the cap (the result is then only an upper bound, suitable for
-        yes/no questions).  The vertex ``waive`` has its condition met from
-        outside: it starts satisfied, no cut asks it for a neighbour, and the
-        packing drops the member centred at it, the one that changes.
+        yes/no questions; ``decide`` asks it of every pinned search).  The
+        vertex ``waive`` has its condition met from outside: it starts
+        satisfied, no cut asks it for a neighbour, and the packing drops
+        the member centred at it, the one that changes.
         Without ``ones`` no vertex takes the value 1 and every completion
         adds an even weight, and in total mode a 2 meets only its
         neighbours' conditions, so no positive vertex is left lone.
@@ -272,7 +282,6 @@ class _WeightSearch:
         self.meet = self.adj if self.total and not ones else self.closed
         self.budget = budget
         self.best = cap + 1
-        self.cap = cap
         self.first_hit = first_hit
         self.done = False
         self.waived = sat = 0 if waive is None else 1 << waive
@@ -349,13 +358,6 @@ class _WeightSearch:
         enough = remaining + 3 - slack
         closed = self.closed
         m = unassigned & ~not2
-        if top == 1:
-            while m:
-                low = m & -m
-                if (closed[low.bit_length() - 1] & undom).bit_count() >= enough:
-                    return False
-                m ^= low
-            return True
         counts = []
         while m:
             low = m & -m
@@ -376,7 +378,7 @@ class _WeightSearch:
 
     def _rec(self, assigned, two, pos, not2, sat, weight):
         self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
+        if self.nodes > self.budget:
             raise BudgetExceededError(f"node budget {self.budget} exhausted")
         undom = self.full & ~sat
         unassigned = self.full & ~assigned
@@ -395,6 +397,7 @@ class _WeightSearch:
                     break
             v = bv.bit_length() - 1
             adjv, meet = adj[v], self.meet
+            helpers = adjv & unassigned & ~not2
             if unassigned & bv:
                 if not not2 & bv:
                     self._rec(assigned | bv, two | bv, pos | bv, not2,
@@ -408,9 +411,7 @@ class _WeightSearch:
                 # with f(bv) = 0 a neighbour whose neighbours are all 0 is lost
                 if self.total and self._dead((assigned | bv) & ~pos, adjv & ~self.waived):
                     return
-                helpers = adjv & unassigned & ~not2 & ~bv
             else:
-                helpers = adjv & unassigned & ~not2
                 # a pinned 0, or a 2 that needs a 2 among its neighbours:
                 # only cover branches apply
                 bv = 0
@@ -451,8 +452,7 @@ class _WeightSearch:
         if weight < self.best:
             self.best = weight
             self.found = (two, pos)
-            if self.first_hit and weight <= self.cap:
-                self.done = True
+            self.done = self.first_hit
 
 
 @lru_cache(maxsize=None)
@@ -467,9 +467,8 @@ class _Settled(Exception):
 
 
 class _Near:
-    """The near scan of one component H with gamma_tR(H) = ``value``, run
-    on a branch-and-bound engine of H: that component's own, or one built
-    for a DP component whose estimate picks the scan (``_Part.near``).
+    """The near scan of one component H with gamma_tR(H) = ``value``, read
+    off H itself, whichever engine the component has (``_Part.near``).
     ``least[pair_index(u, v)]`` is, for each non-edge uv, the least weight,
     down to the floor ``value - 2``, of a TRD-function of H+uv lighter than
     ``value``, else ``value``; each edge reads the floor.
@@ -487,45 +486,46 @@ class _Near:
     scan finds one with the same 2s, no heavier, that credits uv.
 
     The prunes are exact.  A set of 2s and its extensions are dropped when
-    the packing bound of the engine, 2 |T| + 2 (members T misses) - s,
-    exceeds the cap, s being 2 while a missed member's centre may still be
-    a defect, else 0; or when the undominated vertices that no later
-    candidate dominates, 1s but for one Roman defect, exceed it.  A vertex
-    whose pairs have all reached the floor, or settled, is no defect; the
-    cap falls to the floor once every pair has a function below ``value``,
-    and the scan ends when every pair has settled.  Small sets go first as
-    they settle pairs soonest: walked depth first by index instead, the
-    scan took 2.2 s on cor(K11) against 4 ms (``edge_profile``, in-process,
-    2-vCPU VM).
+    the packing bound over the members of ``_packing``,
+    2 |T| + 2 (members T misses) - s, exceeds the cap, s being 2 while a
+    missed member's centre may still be a defect, else 0; or when the
+    undominated vertices that no later candidate dominates, 1s but for one
+    Roman defect, exceed it.  A vertex whose pairs have all reached the
+    floor, or settled, is no defect; the cap falls to the floor once every
+    pair has a function below ``value``, and the scan ends when every pair
+    has settled.  Small sets go first as they settle pairs soonest: walked
+    depth first by index instead, the scan took 2.2 s on cor(K11) against
+    4 ms (``edge_profile``, in-process, 2-vCPU VM).
     """
 
     __slots__ = ("adj", "far", "index", "least", "left", "open", "cap", "floor",
                  "unfound", "unsettled", "two")
 
-    def __init__(self, search: _WeightSearch, value: int):
-        n = search.n
-        self.adj = search.adj
-        self.far = [search.full & ~c for c in search.closed]  # non-neighbours
+    def __init__(self, h: Graph, value: int):
+        n = h.n
+        self.adj = h.adj
+        closed = [a | 1 << v for v, a in enumerate(h.adj)]
+        self.far = [h.full_mask & ~c for c in closed]  # non-neighbours
         self.index = _pair_rows(n)
         self.floor, self.cap = value - 2, value - 1
-        edges = search.g.edge_mask
+        edges = h.edge_mask
         self.least = [self.floor if edges >> i & 1 else value
                       for i in range(n * (n - 1) // 2)]
         self.left = [c.bit_count() for c in self.far]  # unsettled pairs per vertex
         self.open = sum(1 << v for v, c in enumerate(self.far) if c)
         self.unfound = self.unsettled = sum(self.left) // 2
         try:
-            self._walk(search)
+            self._walk(h, closed)
         except _Settled:
             pass
 
-    def _walk(self, search: _WeightSearch) -> None:
+    def _walk(self, h: Graph, closed: list[int]) -> None:
         """Score the sets of 2s by size, fewest first.  A set grows by each
         candidate above its highest member that passes both prunes; the
         undominated vertices that no candidate from c on dominates only
         grow with c.  A size's sets are kept as bare masks, what each
         dominates and the members it meets found again as it grows."""
-        n, closed, full = search.n, search.closed, search.full
+        n, full = h.n, h.full_mask
         # reach[c]: the vertices some candidate from c on dominates;
         # centre[v]: the centre, as a bit, of the packing member holding v
         reach = [0] * (n + 1)
@@ -533,11 +533,10 @@ class _Near:
             reach[c] = reach[c + 1] | closed[c]
         centre = [0] * n
         centres = 0
-        for member in search.packing:
-            p = 1 << next(p for p in iter_bits(member) if closed[p] == member)
-            centres |= p
-            for v in iter_bits(member):
-                centre[v] = p
+        for p in _packing(h):
+            centres |= 1 << p
+            for v in iter_bits(closed[p]):
+                centre[v] = 1 << p
         sets = [0]
         size = 0
         while sets:
@@ -995,7 +994,7 @@ class _FrontierDP:
         self.cases: dict[int, list[list[dict[int, int]]]] = {}
 
     def run(
-        self, allowed: list[tuple[int, ...]], budget: int | None = None
+        self, allowed: list[tuple[int, ...]], budget: float = math.inf
     ) -> tuple[int | None, list[int]]:
         """Least weight with f(v) in ``allowed[v]``, and a function attaining it.
 
@@ -1009,7 +1008,7 @@ class _FrontierDP:
         for step in self.steps:
             tables.append(_advance(tables[-1], step, allowed[step[0]]))
             self.nodes += len(tables[-1])
-            if budget is not None and self.nodes > budget:
+            if self.nodes > budget:
                 raise BudgetExceededError(f"node budget {budget} exhausted")
         if all(xs == (0, 1, 2) for xs in allowed):
             self.tables = tables
@@ -1027,10 +1026,9 @@ class _FrontierDP:
         """The least weight of a function with values {0, 2}: one run."""
         return self.run([(0, 2)] * self.n)[0]
 
-    def decide(self, pins: dict[int, int], cap: int, first_hit: bool = False,
-               budget: int | None = None) -> tuple[int | None, list | None, int]:
-        """The engine contract; each call is one exact run, so ``first_hit``
-        changes nothing."""
+    def decide(self, pins: dict[int, int], cap: int,
+               budget: float = math.inf) -> tuple[int | None, list | None, int]:
+        """The engine contract; each call is one exact run."""
         allowed = [(pins[v],) if v in pins else (0, 1, 2) for v in range(self.n)]
         value, values = self.run(allowed, budget)
         if value is None or value > cap:
@@ -1103,7 +1101,7 @@ class _FrontierDP:
 
 def _witness(
     engine: _FrontierDP | _WeightSearch, value: int, values: list[int] | None,
-    budget: int | None,
+    budget: float,
 ) -> tuple[tuple[int, ...], int]:
     """The lexicographically smallest function of weight ``value``, and the
     nodes spent finding it.
@@ -1120,8 +1118,7 @@ def _witness(
             if values is not None and values[v] == x:
                 break
             pins[v] = x
-            remaining = None if budget is None else budget - nodes
-            hit, found, used = engine.decide(pins, value, True, remaining)
+            hit, found, used = engine.decide(pins, value, budget - nodes)
             nodes += used
             if hit is not None:
                 values = found
@@ -1157,19 +1154,19 @@ class _Part:
             return _WeightSearch(self.h, self.total)
         return _FrontierDP(self.h, order, self.total)
 
-    def first(self, budget: int | None) -> tuple[int, list[int], int]:
+    def first(self, budget: float) -> tuple[int, list[int], int]:
         """The engine's unpinned search, (weight, function, nodes), run once
         within ``budget`` and kept; it raises as a run would have."""
         if "kept" not in self.__dict__:
-            self.kept = self.engine.decide({}, 2 * self.h.n, False, budget)
-        elif budget is not None and self.kept[2] > budget:
+            self.kept = self.engine.decide({}, 2 * self.h.n, budget)
+        elif self.kept[2] > budget:
             raise BudgetExceededError(f"node budget {budget} exhausted")
         return self.kept
 
     @cached
     def value(self) -> int:
         """gamma_tR (gamma_R) of the component, by its engine."""
-        return self.first(None)[0]
+        return self.first(math.inf)[0]
 
     @cached
     def twos(self) -> int:
@@ -1183,20 +1180,18 @@ class _Part:
     @cached
     def near(self) -> list[int] | None:
         """The near scan's table of the component's pairs, made at its first
-        pair question, or None when the DP's case tables answer them.
-        Branch and bound scans on its own engine.  A DP hands its pairs to
-        the scan of a branch-and-bound engine built for it when
-        ``_NEAR_WORK`` times C(n, (gamma_tR - 1) // 2), a bound on the sets
-        of 2s the scan may walk, is at most the case-table work, estimated
-        as the unpinned run's nodes times the non-edges."""
-        search = self.engine
-        if isinstance(search, _FrontierDP):
-            h = self.h
-            non_edges = h.n * (h.n - 1) // 2 - h.edge_count
-            if _NEAR_WORK * math.comb(h.n, (self.value - 1) // 2) > self.first(None)[2] * non_edges:
+        pair question from the component's graph, or None when the DP's case
+        tables answer them.  Branch and bound always scans.  A DP hands its
+        pairs to the scan when ``_NEAR_WORK`` times
+        C(n, (gamma_tR - 1) // 2), a bound on the sets of 2s the scan may
+        walk, is at most the case-table work, estimated as the unpinned
+        run's nodes times the non-edges."""
+        h = self.h
+        if isinstance(self.engine, _FrontierDP):
+            work = self.first(math.inf)[2] * (h.n * (h.n - 1) // 2 - h.edge_count)
+            if _NEAR_WORK * math.comb(h.n, (self.value - 1) // 2) > work:
                 return None
-            search = _WeightSearch(h, self.total)
-        return _Near(search, self.value).least
+        return _Near(h, self.value).least
 
     def pair(self, i: int, j: int) -> int:
         """gamma_tR of the component plus its non-edge ij."""
@@ -1253,7 +1248,7 @@ class _Solved:
         a function with values {0, 2}, summed over the components."""
         return sum(part.twos for part in self.parts) // 2
 
-    def witness(self, budget: int | None) -> tuple[int, tuple[int, ...], int]:
+    def witness(self, budget: float) -> tuple[int, tuple[int, ...], int]:
         """gamma_tR(G), the lexicographically smallest function of that
         weight, and the nodes spent: components solved apart, values adding,
         each by its engine from the part's kept unpinned search, under one
@@ -1261,11 +1256,10 @@ class _Solved:
         value = nodes = 0
         values = [0] * self.g.n
         for part in self.parts:
-            weight, found, used = part.first(None if budget is None else budget - nodes)
+            weight, found, used = part.first(budget - nodes)
             nodes += used
             value += weight
-            vec, used = _witness(part.engine, weight, found,
-                                 None if budget is None else budget - nodes)
+            vec, used = _witness(part.engine, weight, found, budget - nodes)
             nodes += used
             for v, x in zip(part.verts, vec):
                 values[v] = x
@@ -1340,7 +1334,8 @@ def gamma_tr(g: Graph, node_budget: int | None = None) -> SolveResult:
     """
     solved = _solved(g)
     try:
-        value, values, nodes = solved.witness(node_budget)
+        value, values, nodes = solved.witness(
+            math.inf if node_budget is None else node_budget)
     except BudgetExceededError:
         # an engine names only what was left of the budget for its search
         raise BudgetExceededError(f"node budget {node_budget} exhausted") from None

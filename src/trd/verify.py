@@ -881,19 +881,22 @@ def _sweep(
     ]
 
 
-def _theorem_universe(
-    theorem_id: str, universe: InstanceUniverse | None
+def _claim_universe(
+    claim_id: str, universe: InstanceUniverse | None, kind: str = "theorem"
 ) -> InstanceUniverse:
-    """The universe a theorem runs over: ``universe``, else its default."""
-    entry = THEOREMS.get(theorem_id)
+    """The universe a theorem, or with ``kind`` "question" an open question,
+    runs over: ``universe``, else its default."""
+    entries, unknown = ((THEOREMS, UnknownTheoremError) if kind == "theorem"
+                        else (_QUESTION_ENTRIES, UnknownQuestionError))
+    entry = entries.get(claim_id)
     if entry is None:
-        raise UnknownTheoremError(f"unknown theorem {theorem_id!r}; registered:"
-                                  f" {', '.join(sorted(THEOREMS))}")
+        raise unknown(f"unknown {kind} {claim_id!r}; registered:"
+                      f" {', '.join(sorted(entries))}")
     if universe is None:
         universe = entry.default_universe
     if entry.family_kinds is not None and not isinstance(universe, Families):
         raise IncompatibleUniverseError(
-            f"{theorem_id} needs a family universe carrying "
+            f"{claim_id} needs a family universe carrying "
             f"{'/'.join(k.__name__ for k in entry.family_kinds)} descriptors"
         )
     return universe
@@ -905,7 +908,7 @@ def verify_theorem(
     jobs: int = 1,
 ) -> VerificationReport:
     """Evaluate one registered claim over a universe (default: its own)."""
-    universe = _theorem_universe(theorem_id, universe)
+    universe = _claim_universe(theorem_id, universe)
     return _sweep(universe, [theorem_id], jobs)[0]
 
 
@@ -925,7 +928,7 @@ def run_registry(
     """
     overrides = universe_overrides or {}
     universes = {
-        tid: _theorem_universe(tid, overrides.get(tid)) for tid in sorted(THEOREMS)
+        tid: _claim_universe(tid, overrides.get(tid)) for tid in sorted(THEOREMS)
     }
     groups: dict[InstanceUniverse, list[str]] = {}
     for tid, universe in universes.items():
@@ -993,10 +996,5 @@ def hunt_counterexamples(
     an edge-critical graph with a nonempty dead-vertex set.  A passing
     report means only that the bounded universe holds no counterexample.
     """
-    entry = _QUESTION_ENTRIES.get(question_id)
-    if entry is None:
-        raise UnknownQuestionError(f"unknown question {question_id!r};"
-                                   f" registered: {', '.join(QUESTIONS)}")
-    if universe is None:
-        universe = entry.default_universe
+    universe = _claim_universe(question_id, universe, "question")
     return _sweep(universe, [question_id], jobs)[0]

@@ -414,8 +414,8 @@ class TestDecidedDeltas:
         result, dead, profile = gamma_tr(g), dead_vertices(g), edge_profile(g)
         search = _WeightSearch(g, True)
         value, found, _ = search.decide({}, 2 * g.n)
-        witness, _ = solver._witness(search, value, found, None)
-        least = _Near(search, value).least
+        witness, _ = solver._witness(search, value, found, math.inf)
+        least = _Near(g, value).least
         deltas = {(u, v): value - least[pair_index(u, v)] for u, v in g.non_edges()}
         assert (result.value, result.witness.values) == (value, witness)
         assert (dead, profile.base_value) == (tuple(search.dead(value)), value)
@@ -629,7 +629,7 @@ class TestNearScan:
     @settings(max_examples=60, deadline=None)
     def test_table_matches_oracle(self, g):
         value = brute_oracle_gamma_tr(g)
-        least = _Near(_WeightSearch(g, True), value).least
+        least = _Near(g, value).least
         for u, v in g.non_edges():
             assert least[pair_index(u, v)] == brute_oracle_gamma_tr(add_edge(g, u, v))
 
@@ -637,7 +637,7 @@ class TestNearScan:
     def test_named_graphs_match_exact_values(self, family):
         g = generate(parse_family(family))
         value = gamma_tr_value(g)
-        least = _Near(_WeightSearch(g, True), value).least
+        least = _Near(g, value).least
         for u, v in g.non_edges()[::7]:
             assert least[pair_index(u, v)] == gamma_tr_value(add_edge(g, u, v))
 
@@ -689,7 +689,7 @@ class TestPairRouting:
         assert is_connected(g) and 10 <= g.n <= 16
         dp = _FrontierDP(g, _frontier_order(g), True)
         value = dp.run([(0, 1, 2)] * g.n)[0]
-        least = _Near(_WeightSearch(g, True), value).least
+        least = _Near(g, value).least
         for u, v in g.non_edges():
             assert least[pair_index(u, v)] == min(value, dp.pair(u, v))
 
@@ -715,10 +715,10 @@ class TestPairRouting:
         assert isinstance(part.engine, _FrontierDP)
         assert (part.near is None) == (not near)
 
-    def test_near_routed_dp_component_builds_one_search(self, monkeypatch):
-        # a whole profile of a near-routed DP component builds one
-        # branch-and-bound engine, for the scan, and asks no case table,
-        # runs no pinned search and builds no G+uv
+    def test_near_routed_dp_component_builds_no_search(self, monkeypatch):
+        # a whole profile of a near-routed DP component builds no
+        # branch-and-bound engine, as the scan reads the component's graph,
+        # and asks no case table, runs no pinned search and builds no G+uv
         g = graph6_decode("M?o_Co@?a_@sI?m??")
         reset_caches()
         built, pinned, added, tables = [], [], [], []
@@ -734,7 +734,7 @@ class TestPairRouting:
             monkeypatch.setattr(f"{module}.add_edge",
                                 lambda h, u, v: added.append((u, v)) or add_edge(h, u, v))
         profile = edge_profile(g)
-        assert len(built) == 1 and not any(pinned) and not added and not tables
+        assert not built and not any(pinned) and not added and not tables
         assert [type(part.engine) for part in solver._solved(g).parts] == [_FrontierDP]
         assert set(profile.deltas.values()) == {0, 1, 2}
 

@@ -10,6 +10,7 @@ search code.
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -706,7 +707,7 @@ class TestDeadVertices:
                 gamma_tr(g, node_budget=budget)
         assert len(unpinned) == len(component_masks(g))
         part = solver._solved(g).parts[0]
-        assert part.first(unpinned[0]) == part.first(None)
+        assert part.first(unpinned[0]) == part.first(math.inf)
         with pytest.raises(BudgetExceededError, match=f"^node budget {unpinned[0] - 1} "):
             part.first(unpinned[0] - 1)
 
@@ -829,20 +830,22 @@ class TestBranchAndBoundCuts:
     @given(solvable_graphs(2, 7), st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_decide_returns_the_function_it_found(self, g, total, data):
+        # with pins, some function within the cap that keeps them; without,
+        # exactly the lightest function, both asked of every draw
         search = _WeightSearch(g, total)
         partial = data.draw(partial_assignments(g.n))
-        pins = {v: x for v, x in enumerate(partial) if x is not None}
         cap = data.draw(st.integers(0, 2 * g.n))
-        first_hit = data.draw(st.booleans())
-        lightest = lightest_completion(g, partial, total)
-        value, values, _ = search.decide(pins, cap, first_hit)
-        if lightest is None or lightest > cap:
-            assert value is None
-            return
-        assert value == lightest or (first_hit and value <= cap)
-        assert sum(values) == value
-        assert all(values[v] == x for v, x in pins.items())
-        assert (naive_is_trd if total else naive_is_rd)(g, values)
+        for partial in (partial, [None] * g.n):
+            pins = {v: x for v, x in enumerate(partial) if x is not None}
+            lightest = lightest_completion(g, partial, total)
+            value, values, _ = search.decide(pins, cap)
+            if lightest is None or lightest > cap:
+                assert value is None
+                continue
+            assert (lightest <= value <= cap) if pins else (value == lightest)
+            assert sum(values) == value
+            assert all(values[v] == x for v, x in pins.items())
+            assert (naive_is_trd if total else naive_is_rd)(g, values)
 
 
 # --- structure and errors ---------------------------------------------------
@@ -1040,7 +1043,7 @@ class TestSparseEngine:
         subsets = st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
                            unique=True).map(tuple)
         allowed = [data.draw(subsets) for _ in range(g.n)]
-        budget = data.draw(st.none() | st.integers(0, 40))
+        budget = data.draw(st.just(math.inf) | st.integers(0, 40))
         try:
             expected = reference_run(dp, allowed, budget)
         except BudgetExceededError:
